@@ -137,39 +137,6 @@ fn bench_streaming_run(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_world_step(c: &mut Criterion) {
-    use cloudfog_game::prelude::*;
-    let mut group = c.benchmark_group("virtual_world");
-    group.sample_size(20);
-    for (label, parallel) in [("step_sequential", false), ("step_parallel", true)] {
-        group.bench_function(label, |b| {
-            let mut rng = Rng::new(3);
-            let mut world = World::new(WorldConfig::default(), 3_000, &mut rng);
-            let subs: Vec<Subscriber> = (0..60)
-                .map(|s| Subscriber {
-                    id: s,
-                    players: (0..50).map(|k| AvatarId(s * 50 + k)).collect(),
-                })
-                .collect();
-            let mut action_rng = Rng::new(4);
-            b.iter(|| {
-                for i in 0..1_000u32 {
-                    let a = AvatarId(action_rng.below(3_000) as u32);
-                    let dest = WorldPos {
-                        x: action_rng.range_f64(0.0, 4_000.0),
-                        y: action_rng.range_f64(0.0, 4_000.0),
-                    };
-                    world.submit(a, Action::MoveTo(dest));
-                    let _ = i;
-                }
-                let out = if parallel { world.step_parallel(&subs) } else { world.step(&subs) };
-                black_box(out.len())
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_event_queue,
@@ -177,7 +144,6 @@ criterion_group!(
     bench_assignment,
     bench_adaptation,
     bench_sender_buffer,
-    bench_streaming_run,
-    bench_world_step
+    bench_streaming_run
 );
 criterion_main!(benches);

@@ -30,8 +30,6 @@
 //!   event-driven streaming simulation.
 //! * [`coop`] — supernode cooperation (§V future work): cooperative
 //!   offloading of players from overloaded supernodes.
-//! * [`security`] — supernode trust (§V future work): beta
-//!   reputations, render challenges, quarantine.
 //!
 //! ## Quick start
 //!
@@ -57,7 +55,6 @@ pub mod infra;
 pub mod metrics;
 pub mod obs;
 pub mod schedule;
-pub mod security;
 pub mod streaming;
 pub mod systems;
 
@@ -89,7 +86,6 @@ pub mod prelude {
     pub use crate::metrics::{MetricsCollector, TrafficSource};
     pub use crate::obs::{self, TraceRecord, TraceRing};
     pub use crate::schedule::{DropReport, SchedulingPolicy, SenderBuffer};
-    pub use crate::security::{Reputation, TrustEvent, TrustManager};
     pub use crate::streaming::{PlayerStreamStats, Segment, SegmentId, SegmentIdAlloc};
     pub use crate::systems::{
         coverage_curve, partition, supernode_load_experiment, ChurnConfig, ChurnStats,

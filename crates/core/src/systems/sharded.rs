@@ -26,8 +26,7 @@
 //! `(total players, shard capacity, seed)` — never the lane count —
 //! and phases 1, 3 and 4 run sequentially in shard order. So a run
 //! with 1 lane is bit-identical to the same run with N lanes, which is
-//! exactly the property `tests/shard_identity.rs` pins (the sharded
-//! analogue of `tests/pool_parallel.rs`).
+//! exactly the property `tests/shard_identity.rs` pins.
 //!
 //! **Bounded per-shard memory.** Every sub-world is sized by
 //! `shard_capacity`, not by the total population: a 1M-player run

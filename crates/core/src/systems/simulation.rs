@@ -1512,13 +1512,6 @@ impl StreamingSim {
         (out, report)
     }
 
-    /// Run to the horizon and summarize, also returning the QoE
-    /// series when [`StreamingSimConfig::series_bucket`] is set.
-    pub fn run_detailed(cfg: StreamingSimConfig) -> (RunSummary, Option<QoeSeries>) {
-        let out = Self::run_instrumented(cfg);
-        (out.summary, out.series)
-    }
-
     /// Run to the horizon and summarize.
     ///
     /// Players join uniformly over the ramp (deterministic stride —
@@ -1527,7 +1520,7 @@ impl StreamingSim {
     /// after the join ramp plus a short settling period
     /// (pre-adaptation transients are warmup).
     pub fn run(cfg: StreamingSimConfig) -> RunSummary {
-        Self::run_detailed(cfg).0
+        Self::run_instrumented(cfg).summary
     }
 
     fn game_of(&self, id: GameId) -> Game {

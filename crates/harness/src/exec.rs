@@ -1,15 +1,14 @@
 //! Thread-parallel matrix execution with an order-independent merge.
 //!
 //! Cells fan out through [`cloudfog_pool::map_indexed`] — real OS
-//! parallelism on `std::thread::scope` threads (the vendored rayon
-//! shim is sequential). Each finished run becomes a [`CellResult`]
-//! keyed by its scenario id; merging is a keyed map union, so *which
-//! worker ran which cell, and in what order results arrived, provably
-//! cannot change the merged report*: the map is the same set of
-//! `(id, result)` pairs either way, and every derived aggregate is
-//! folded over the map in ascending-id order. That keyed
-//! canonicalization — not floating-point associativity — is what makes
-//! the 1-worker vs N-worker differential test bit-exact.
+//! parallelism on `std::thread::scope` threads. Each finished run
+//! becomes a [`CellResult`] keyed by its scenario id; merging is a
+//! keyed map union, so *which worker ran which cell, and in what order
+//! results arrived, provably cannot change the merged report*: the map
+//! is the same set of `(id, result)` pairs either way, and every
+//! derived aggregate is folded over the map in ascending-id order. That
+//! keyed canonicalization — not floating-point associativity — is what
+//! makes the 1-worker vs N-worker differential test bit-exact.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;

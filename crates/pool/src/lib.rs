@@ -1,18 +1,15 @@
 //! Deterministic work-stealing execution on scoped threads.
 //!
-//! The vendored rayon shim is sequential (the build environment is
-//! offline), so every `par_iter` call site in the workspace silently
-//! ran on one core. This crate is the real thing: workers pull item
-//! indices from a shared atomic counter and run on
+//! Workers pull item indices from a shared atomic counter and run on
 //! [`std::thread::scope`] threads — genuine OS parallelism with no
 //! allocation-per-task machinery.
 //!
 //! Determinism is structural, not scheduled: results are placed back
 //! by item index ([`map_indexed`]) or written through disjoint chunks
-//! ([`for_each_chunk_mut`]), so *which worker ran which item, and in
+//! ([`for_each_indexed_mut`]), so *which worker ran which item, and in
 //! what order items finished, provably cannot change the output*. The
-//! 1-worker vs N-worker differential tests in `crates/game` and the
-//! harness pin exactly that property.
+//! 1-worker vs N-worker differential tests of the harness matrix, the
+//! figure sweeps and the sharded simulation pin exactly that property.
 //!
 //! `#![forbid(unsafe_code)]`: scoped threads give the borrow checker
 //! everything it needs; no `Send`/`Sync` assertions are hand-rolled.
@@ -83,39 +80,8 @@ where
     slots.into_iter().map(|s| s.expect("every index runs exactly once")).collect()
 }
 
-/// Run `f` on every element of `items`, fanning contiguous chunks out
-/// across up to `workers` scoped threads.
-///
-/// Each element is visited exactly once and only through its own `&mut`
-/// (chunks are disjoint), so the result is identical for any worker
-/// count — the data-parallel "each item only touches itself" shape.
-/// `workers <= 1` short-circuits to a sequential loop.
-pub fn for_each_chunk_mut<T, F>(workers: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let n = items.len();
-    let workers = workers.max(1).min(n.max(1));
-    if workers <= 1 {
-        for t in items.iter_mut() {
-            f(t);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for part in items.chunks_mut(chunk) {
-            scope.spawn(|| {
-                for t in part {
-                    f(t);
-                }
-            });
-        }
-    });
-}
-
-/// Like [`for_each_chunk_mut`], but hands `f` the item's index too.
+/// Run `f` on every element of `items` together with its index,
+/// fanning contiguous chunks out across up to `workers` scoped threads.
 ///
 /// Sharded drivers use this to step every sub-world toward a tick
 /// boundary in parallel: each world is visited exactly once through
@@ -192,17 +158,6 @@ mod tests {
             x
         });
         assert_eq!(calls.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn for_each_chunk_mut_is_worker_count_invariant() {
-        let mut one: Vec<u64> = (0..513).collect();
-        for_each_chunk_mut(1, &mut one, |x| *x = x.wrapping_mul(31).wrapping_add(7));
-        for workers in [2, 4, 9] {
-            let mut many: Vec<u64> = (0..513).collect();
-            for_each_chunk_mut(workers, &mut many, |x| *x = x.wrapping_mul(31).wrapping_add(7));
-            assert_eq!(one, many, "workers={workers}");
-        }
     }
 
     #[test]

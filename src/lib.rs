@@ -11,7 +11,7 @@
 //! receiver-driven encoding rate adaptation and deadline-driven sender
 //! buffer scheduling.
 //!
-//! This facade crate re-exports the four implementation crates:
+//! This facade crate re-exports the implementation crates:
 //!
 //! | Crate | Role |
 //! |---|---|
@@ -19,7 +19,6 @@
 //! | [`net`] | synthetic US network: geography, latency, bandwidth, traces |
 //! | [`workload`] | games, players, social graph, arrivals (§IV settings) |
 //! | [`core`] | the CloudFog system, baselines, metrics, experiments |
-//! | [`game`] | MMOG virtual world: avatars, regions, AoI, update feeds |
 //! | [`harness`] | DST harness: scenario matrix, invariants, shrinking |
 //! | [`pool`] | deterministic work-stealing scoped-thread executor |
 //!
@@ -52,7 +51,6 @@
 #![forbid(unsafe_code)]
 
 pub use cloudfog_core as core;
-pub use cloudfog_game as game;
 pub use cloudfog_harness as harness;
 pub use cloudfog_net as net;
 pub use cloudfog_pool as pool;

@@ -14,9 +14,16 @@
 //! allocations are counted (deallocs/frees are not) — a steady state
 //! that frees memory it then re-acquires would still fail, which is
 //! exactly the churn the refactor forbids.
+//!
+//! The counter is per thread. The test runner runs both tests at once
+//! on different threads, and a process-wide counter would charge one
+//! test with the other's allocations. Each test reads the counter on
+//! the thread that drives its run: `run_split` runs on the caller, and
+//! so does `ShardedSim` at `lanes(1)`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::hint::black_box;
 
 use cloudfog::core::systems::{
     ShardedSim, ShardedSimConfig, StreamingSim, StreamingSimConfig, SystemKind,
@@ -25,23 +32,36 @@ use cloudfog::sim::time::{SimDuration, SimTime};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates everything to `System`; the counter is a relaxed
-// atomic with no other side effects.
+/// Count one allocation on the current thread. `try_with` skips the
+/// count while the thread's locals are being torn down.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far on the current thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: delegates everything to `System`; the counter is a const-
+// initialised thread-local `Cell` that never allocates or drops.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -69,9 +89,15 @@ fn steady_state_hot_path_does_not_allocate() {
     // and per-flow state has been exercised at least once.
     let split = SimTime::ZERO + SimDuration::from_secs(10);
 
+    // The gate must not pass by counting nothing: an allocation on
+    // this thread moves the counter.
+    let before = allocs();
+    black_box(Vec::<u64>::with_capacity(16));
+    assert!(allocs() > before, "the counter missed an allocation on the test thread");
+
     let mut snapshots: Vec<u64> = Vec::with_capacity(2);
     let summary = StreamingSim::run_split(config(), split, &mut || {
-        snapshots.push(ALLOCS.load(Ordering::Relaxed));
+        snapshots.push(allocs());
     });
 
     assert_eq!(snapshots.len(), 2, "probe fires at the split and at the horizon");
@@ -109,8 +135,8 @@ fn sharded_steady_allocs(total_players: usize) -> (u64, usize) {
     let mut start = 0u64;
     let mut end = 0u64;
     ShardedSim::run_with_probe(&cfg, &mut |boundary| match boundary {
-        2 => start = ALLOCS.load(Ordering::Relaxed),
-        4 => end = ALLOCS.load(Ordering::Relaxed),
+        2 => start = allocs(),
+        4 => end = allocs(),
         _ => {}
     });
     assert!(end >= start && start > 0, "probe missed a boundary");

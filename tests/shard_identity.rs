@@ -1,8 +1,8 @@
 //! 1-vs-N-lane bit-identity for region-sharded runs — the golden gate
 //! of the sharded driver.
 //!
-//! The sharded contract mirrors `tests/pool_parallel.rs`: the world
-//! partition is a pure function of `(players, capacity, seed)` and the
+//! The sharded contract is the pool's worker-count invariance: the
+//! world partition is a pure function of `(players, capacity, seed)` and the
 //! lane count only decides which OS thread advances which sub-world
 //! between tick boundaries, so a run on 1 lane must be bit-identical
 //! to the same run on N lanes — same merged fingerprint, same
