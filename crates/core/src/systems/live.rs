@@ -1,17 +1,18 @@
 //! The live ops plane: tick-synchronous sampling configuration and
 //! the report it produces.
 //!
-//! Observability here is *pull-based*: the run drivers
-//! ([`StreamingSim::run_live`] and [`ShardedSim::run_live`]) advance
-//! the event loop to each tick boundary exactly as the plain entry
-//! points do, then read the world into a
-//! [`MetricsRegistry`](cloudfog_sim::live::MetricsRegistry) through
-//! the static vocabulary in [`crate::obs::metric`]. Nothing is pushed
-//! from inside event handlers, so:
+//! Observability here is *pull-based*: every run goes through one
+//! tick loop, and sampling is an observer at its boundaries. The live
+//! entry points ([`StreamingSim::run_live`] and
+//! [`ShardedSim::run_live`]) drive the same loop as the plain ones and
+//! at each boundary read every world into a [`MetricsRegistry`]
+//! through the static vocabulary in [`crate::obs::metric`], then fold
+//! the per-world registries (a one-world fold is an exact copy).
+//! Nothing is pushed from inside event handlers, so:
 //!
-//! * **zero cost when off** — the plain `run`/`run_instrumented`
-//!   paths are untouched, byte for byte;
-//! * **determinism** — sampling is read-only between epochs, so a
+//! * **zero cost when off** — without a live plane the loop samples
+//!   nothing, and a one-world loop allocates nothing per boundary;
+//! * **determinism** — sampling is read-only between phases, so a
 //!   live run's event stream (and therefore its summary fingerprint)
 //!   is identical to the plain run on the same seed, and the alert
 //!   log is a pure function of (config, seed).
@@ -33,12 +34,12 @@ use crate::obs;
 /// Configuration of the live ops plane.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LiveConfig {
-    /// Sampling cadence for the monolithic driver. The sharded driver
-    /// ignores this and samples at its own epoch boundaries
-    /// ([`ShardedSimConfig::tick`]) — cross-shard state is only
-    /// coherent there.
+    /// The tick a monolithic live run is driven at, and so its
+    /// sampling cadence. A sharded live run ignores this and samples
+    /// at its exchange boundaries ([`ShardedSimConfig::tick`]) — the
+    /// only instants cross-shard state is coherent.
     ///
-    /// [`ShardedSimConfig::tick`]: crate::systems::ShardedSimConfig
+    /// [`ShardedSimConfig::tick`]: crate::systems::ShardedSimConfig::tick
     pub tick: SimDuration,
     /// Objectives the [`SloEngine`](cloudfog_sim::live::SloEngine)
     /// evaluates each sampled tick.

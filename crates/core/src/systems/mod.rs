@@ -20,11 +20,13 @@
 //! Figures 7–11; [`supernode_load`] is the per-supernode load
 //! microbench behind Figures 10 and 11; [`sharded`] shards one run
 //! into per-region sub-worlds exchanging events at tick boundaries;
-//! [`live`] configures the tick-synchronous live ops plane both run
-//! drivers can sample into.
+//! [`live`] configures the live ops plane. Every run goes through one
+//! tick loop (`driver.rs`); a monolithic run is one world with no
+//! exchange, and live sampling is an observer at its boundaries.
 
 pub mod coverage;
 pub mod deployment;
+mod driver;
 pub mod live;
 pub mod sharded;
 pub mod simulation;

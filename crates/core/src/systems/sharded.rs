@@ -4,29 +4,17 @@
 //! around the paper's 10k players — one event queue, one slab, one
 //! core. This module shards a run into independent per-region
 //! sub-worlds that exchange cross-shard events (session hops, cloud
-//! fallbacks) **only at a tick boundary**, following the one-tick
-//! structure of server-authoritative game loops (SNIPPETS snippet 3):
-//!
-//! 1. **apply inputs** — drain each shard's inbox of routed
-//!    [`BoundaryOp`]s into its event queue at the boundary time;
-//! 2. **simulate** — advance every sub-world to the boundary, fanned
-//!    over execution lanes
-//!    ([`cloudfog_pool::for_each_indexed_mut`]: disjoint `&mut`
-//!    chunks, so lane count provably cannot change any world's event
-//!    stream);
-//! 3. **generate events** — sample every world's
-//!    [`ShardPressure`] in canonical shard order;
-//! 4. **tick-boundary maintenance** — the (sequential) driver plans
-//!    handoffs with the pure [`plan_shard_handoffs`], sequences them
-//!    through the [`BoundaryLedger`], and routes them sorted by
-//!    `(destination, sequence)` — a total order independent of which
-//!    lane simulated which shard.
+//! fallbacks) **only at a tick boundary**. The sub-worlds go through
+//! the same tick loop as every other run (`systems/driver.rs`): apply
+//! routed inputs, advance every world on the lanes, plan and route
+//! handoffs, observe.
 //!
 //! **Determinism contract.** The world partition depends only on
 //! `(total players, shard capacity, seed)` — never the lane count —
-//! and phases 1, 3 and 4 run sequentially in shard order. So a run
-//! with 1 lane is bit-identical to the same run with N lanes, which is
-//! exactly the property `tests/shard_identity.rs` pins.
+//! and everything but the advance between boundaries runs
+//! sequentially in shard order. So a run with 1 lane is bit-identical
+//! to the same run with N lanes, which is exactly the property
+//! `tests/shard_identity.rs` pins.
 //!
 //! **Bounded per-shard memory.** Every sub-world is sized by
 //! `shard_capacity`, not by the total population: a 1M-player run
@@ -46,21 +34,18 @@ use std::collections::BTreeMap;
 
 use cloudfog_net::geo::Region;
 use cloudfog_sim::causal::CausalReport;
-use cloudfog_sim::engine::Simulation;
-use cloudfog_sim::live::{MetricsRegistry, MetricsSink, SloEngine};
+use cloudfog_sim::live::MetricsSink;
 use cloudfog_sim::telemetry::{ScalarMerge, TelemetryConfig, TelemetryReport};
-use cloudfog_sim::time::{SimDuration, SimTime};
+use cloudfog_sim::time::SimDuration;
 
 use crate::adapt::AdaptPolicyKind;
-use crate::control::{BoundaryLedger, BoundaryOp, BoundaryOpKind};
-use crate::coop::{plan_shard_handoffs, ShardExchangePolicy, ShardPressure};
+use crate::coop::ShardExchangePolicy;
 use crate::fault::{FaultScript, WatchdogParams};
-use crate::obs;
 use crate::systems::deployment::SystemKind;
-use crate::systems::live::{fold_dominant, LiveConfig, LiveReport};
+use crate::systems::driver::{self, Live, Run};
+use crate::systems::live::{LiveConfig, LiveReport};
 use crate::systems::simulation::{
-    ChurnConfig, ChurnStats, Ev, GameQoe, PrefetchConfig, PrefetchStats, RunSummary, StreamingSim,
-    StreamingSimConfig,
+    ChurnConfig, ChurnStats, GameQoe, PrefetchConfig, PrefetchStats, RunSummary, StreamingSimConfig,
 };
 
 /// Salt mixed into each shard's seed so sibling worlds draw
@@ -571,40 +556,9 @@ pub struct ShardedRunOutput {
     pub fingerprint: u64,
 }
 
-/// One live sub-world plus its driver-side accounting.
-struct ShardWorld {
-    spec: ShardSpec,
-    sim: Simulation<StreamingSim>,
-}
-
-impl ShardWorld {
-    /// Apply one routed boundary op: seed the events this shard is
-    /// responsible for at the boundary time. A `Hop` seeds a `Leave`
-    /// in its source shard and a `Join` in its destination (`Join` on
-    /// an active resident is a no-op, `Leave` on an idle one likewise,
-    /// so a stale op cannot corrupt a world).
-    fn apply(&mut self, op: &BoundaryOp) {
-        let me = self.spec.shard as u32;
-        match op.kind {
-            BoundaryOpKind::Hop { depart, arrive } => {
-                if op.from_shard == me {
-                    self.sim.seed_at(op.at, Ev::Leave(depart));
-                }
-                if op.to_shard == me {
-                    self.sim.seed_at(op.at, Ev::Join(arrive));
-                }
-            }
-            BoundaryOpKind::CloudFallback { player } => {
-                if op.from_shard == me {
-                    self.sim.seed_at(op.at, Ev::Leave(player));
-                }
-            }
-        }
-    }
-}
-
-/// The sharded run driver. Stateless — both entry points are
-/// associated functions, mirroring [`StreamingSim::run`].
+/// The sharded run driver. Stateless — every entry point is an
+/// associated function, mirroring
+/// [`StreamingSim::run`](super::StreamingSim::run).
 pub struct ShardedSim;
 
 impl ShardedSim {
@@ -637,234 +591,77 @@ impl ShardedSim {
         live: &LiveConfig,
         sink: &mut dyn MetricsSink,
     ) -> (ShardedRunOutput, LiveReport) {
-        let (out, report) = Self::run_inner(cfg, &mut |_| {}, Some((live, sink)));
+        let (out, report) = Self::run_inner(cfg, &mut |_| {}, Some(Live { cfg: live, sink }));
         (out, report.expect("live plane requested"))
     }
 
-    fn run_inner(
+    /// Partition, drive every shard through the shared tick loop, then
+    /// fold the per-shard outputs in ascending shard order.
+    fn run_inner<'a>(
         cfg: &ShardedSimConfig,
-        probe: &mut dyn FnMut(u64),
-        live: Option<(&LiveConfig, &mut dyn MetricsSink)>,
+        probe: &'a mut dyn FnMut(u64),
+        live: Option<Live<'a>>,
     ) -> (ShardedRunOutput, Option<LiveReport>) {
         let specs = partition(cfg.total_players, cfg.shard_capacity, cfg.seed);
-        let configs: Vec<StreamingSimConfig> =
-            specs.iter().map(|spec| world_config(cfg, spec)).collect();
-        // World construction (deployment build, join seeding) is the
-        // setup-heavy part — fan it over the lanes too. `map_indexed`
-        // places results by index, so construction order is
-        // lane-invariant.
-        let sims = cloudfog_pool::map_indexed(cfg.lanes, &configs, |_, wc| {
-            StreamingSim::prepared(wc.clone())
-        });
-        let mut worlds: Vec<ShardWorld> =
-            specs.iter().zip(sims).map(|(spec, sim)| ShardWorld { spec: *spec, sim }).collect();
-        let shards = worlds.len();
-        // Live ops plane (`None` = zero extra work): one registry per
-        // shard — every one installed from the same static vocabulary,
-        // which is what makes them foldable — plus one SLO engine
-        // observing their canonical-order fold.
-        struct Plane<'s> {
-            sink: &'s mut dyn MetricsSink,
-            regs: Vec<MetricsRegistry>,
-            ids: obs::metric::MetricIds,
-            engine: SloEngine,
-            warmup: SimTime,
-            folded: MetricsRegistry,
-            samples: u64,
-        }
-        let mut plane = live.map(|(lc, sink)| {
-            let tcfg = cfg.telemetry.clone().unwrap_or_default();
-            let mut proto = MetricsRegistry::new();
-            let ids = obs::metric::install(&mut proto, &tcfg);
-            let regs = (0..shards)
-                .map(|_| {
-                    let mut reg = MetricsRegistry::new();
-                    obs::metric::install(&mut reg, &tcfg);
-                    reg
-                })
-                .collect();
-            Plane {
-                sink,
-                regs,
-                ids,
-                engine: SloEngine::new(lc.slos.clone()),
-                warmup: SimTime::ZERO + lc.warmup_for(cfg.ramp),
-                folded: MetricsRegistry::new(),
-                samples: 0,
-            }
-        });
-        let end = SimTime::ZERO + cfg.horizon;
-        let mut ledger = BoundaryLedger::new();
-        let mut inboxes: Vec<Vec<BoundaryOp>> = vec![Vec::new(); shards];
-        let mut boundaries = 0u64;
-        let mut now = SimTime::ZERO;
-        while now < end {
-            let boundary = (now + cfg.tick).min(end);
-            // 1. apply inputs: drain each shard's inbox into its queue.
-            for (world, inbox) in worlds.iter_mut().zip(inboxes.iter_mut()) {
-                for op in inbox.drain(..) {
-                    world.apply(&op);
-                }
-            }
-            // 2. simulate: every world advances to the boundary.
-            cloudfog_pool::for_each_indexed_mut(cfg.lanes, &mut worlds, |_, world| {
-                world.sim.set_horizon(boundary);
-                world.sim.run();
-            });
-            // 3. generate events: canonical-order boundary snapshots.
-            // 4. tick-boundary maintenance: plan, sequence, route.
-            if boundary < end && shards > 1 {
-                let pressures: Vec<ShardPressure> = worlds
-                    .iter()
-                    .map(|w| {
-                        let (active, residents, backlog) = w.sim.model.boundary_pressure();
-                        ShardPressure { active, residents, backlog }
-                    })
-                    .collect();
-                for handoff in plan_shard_handoffs(&pressures, &cfg.exchange) {
-                    let departs =
-                        worlds[handoff.from].sim.model.departure_candidates(handoff.count);
-                    let arrives = worlds[handoff.to].sim.model.arrival_candidates(departs.len());
-                    for (i, depart) in departs.iter().enumerate() {
-                        match arrives.get(i) {
-                            Some(arrive) => ledger.push(
-                                handoff.from as u32,
-                                handoff.to as u32,
-                                boundary,
-                                BoundaryOpKind::Hop { depart: *depart, arrive: *arrive },
-                            ),
-                            None => ledger.push(
-                                handoff.from as u32,
-                                handoff.from as u32,
-                                boundary,
-                                BoundaryOpKind::CloudFallback { player: *depart },
-                            ),
-                        }
-                    }
-                }
-                for op in ledger.drain_routed() {
-                    inboxes[op.to_shard as usize].push(op);
-                    if op.from_shard != op.to_shard {
-                        inboxes[op.from_shard as usize].push(op);
-                    }
-                }
-            }
-            // Live sampling: sequential, canonical shard order, after
-            // maintenance — read-only over every world, so the event
-            // streams (and the run fingerprint) are untouched.
-            if let Some(p) = plane.as_mut() {
-                for (world, reg) in worlds.iter().zip(p.regs.iter_mut()) {
-                    world.sim.model.live_sample(reg, &p.ids);
-                }
-                let weighted: Vec<(f64, &MetricsRegistry)> = worlds
-                    .iter()
-                    .zip(p.regs.iter())
-                    .map(|(world, reg)| (world.spec.players as f64, reg))
-                    .collect();
-                let folded = MetricsRegistry::fold(&weighted);
-                drop(weighted);
-                p.folded = folded;
-                p.samples += 1;
-                p.sink.snapshot(boundary, &p.folded);
-                // Strictly after warmup — same rationale as the
-                // monolithic driver: gauges are all zero until the
-                // measurement window opens at the warmup instant.
-                if boundary > p.warmup {
-                    let sums: Vec<Option<[f64; 5]>> =
-                        worlds.iter().map(|w| w.sim.model.causal_component_sums()).collect();
-                    for alert in p.engine.observe(boundary, &p.folded, fold_dominant(&sums)) {
-                        p.sink.alert(&alert);
-                    }
-                }
-            }
-            boundaries += 1;
-            probe(boundaries);
-            now = boundary;
-        }
-        // 5. collect: finish every world (lane-parallel — `finish`
-        // only touches the world's own state), then summarize and
-        // merge sequentially.
-        cloudfog_pool::for_each_indexed_mut(cfg.lanes, &mut worlds, |_, world| {
-            world.sim.model.finish(end);
+        let worlds =
+            specs.iter().map(|spec| (world_config(cfg, spec), spec.players as f64)).collect();
+        let driven = driver::drive(Run {
+            worlds,
+            lanes: cfg.lanes,
+            tick: cfg.tick,
+            exchange: cfg.exchange,
+            live,
+            probe,
         });
         let mut merge = ShardMerge::new();
-        for world in &worlds {
-            let events = world.sim.events_executed();
+        let mut telemetry_reports = Vec::new();
+        let mut causal_reports = Vec::new();
+        for (spec, out) in specs.iter().zip(driven.outputs) {
+            telemetry_reports.extend(out.telemetry.map(|t| (out.summary.players as f64, t)));
+            causal_reports.extend(out.causal);
             merge.insert(ShardCell {
-                shard: world.spec.shard,
-                region: world.spec.region,
-                summary: world.sim.model.summarize(events, end),
-                churn: cfg.churn.then(|| *world.sim.model.churn_stats()),
-                prefetch: world.sim.model.prefetch_stats(),
+                shard: spec.shard,
+                region: spec.region,
+                summary: out.summary,
+                churn: out.churn,
+                prefetch: out.prefetch,
             });
         }
         let summary = merge.summary();
         let fingerprint = merge.fingerprint();
         let churn = cfg.churn.then(|| {
             let mut total = ChurnStats::default();
-            for cell in merge.cells() {
-                if let Some(c) = &cell.churn {
-                    total.absorb(c);
-                }
+            for c in merge.cells().filter_map(|cell| cell.churn.as_ref()) {
+                total.absorb(c);
             }
             total
         });
         let prefetch = cfg.prefetch.map(|_| {
             let mut total = PrefetchStats::default();
-            for cell in merge.cells() {
-                if let Some(p) = &cell.prefetch {
-                    total.absorb(p);
-                }
+            for p in merge.cells().filter_map(|cell| cell.prefetch.as_ref()) {
+                total.absorb(p);
             }
             total
         });
-        let (telemetry, causal) = if cfg.telemetry.is_some() {
-            let per_shard: Vec<TelemetryReport> = merge
-                .cells()
-                .zip(worlds.iter())
-                .map(|(cell, world)| world.sim.model.telemetry_report(&cell.summary))
-                .collect();
-            let weighted: Vec<(f64, &TelemetryReport)> = merge
-                .cells()
-                .zip(per_shard.iter())
-                .map(|(cell, report)| (cell.summary.players as f64, report))
-                .collect();
-            let run = format!("{}/sharded{}", cfg.kind.label(), shards);
-            let telemetry =
-                TelemetryReport::merge_weighted(run.clone(), &weighted, scalar_merge_rule);
-            let causal_reports: Vec<CausalReport> =
-                worlds.iter().filter_map(|world| world.sim.model.causal_report(&run)).collect();
-            let causal = (!causal_reports.is_empty()).then(|| {
-                CausalReport::merge_shards(
-                    &run,
-                    &causal_reports.iter().collect::<Vec<&CausalReport>>(),
-                )
-            });
-            (Some(telemetry), causal)
-        } else {
-            (None, None)
-        };
-        let live_report = plane.map(|p| LiveReport {
-            registry: p.folded,
-            alerts: p.engine.into_log(),
-            samples: p.samples,
+        let run = format!("{}/sharded{}", cfg.kind.label(), specs.len());
+        let telemetry = cfg.telemetry.is_some().then(|| {
+            let weighted: Vec<(f64, &TelemetryReport)> =
+                telemetry_reports.iter().map(|(w, report)| (*w, report)).collect();
+            TelemetryReport::merge_weighted(run.clone(), &weighted, scalar_merge_rule)
         });
+        let causal = (!causal_reports.is_empty())
+            .then(|| CausalReport::merge_shards(&run, &causal_reports.iter().collect::<Vec<_>>()));
         let out = ShardedRunOutput {
             summary,
             cells: merge.into_cells(),
-            exchange: ExchangeStats {
-                boundaries,
-                hops: ledger.hops(),
-                fallbacks: ledger.fallbacks(),
-                ops_routed: ledger.sequenced(),
-            },
+            exchange: driven.exchange,
             churn,
             prefetch,
             telemetry,
             causal,
             fingerprint,
         };
-        (out, live_report)
+        (out, driven.live)
     }
 }
 

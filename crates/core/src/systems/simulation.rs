@@ -37,12 +37,10 @@ use cloudfog_sim::causal::{
 };
 use cloudfog_sim::engine::{Model, Scheduler, Simulation};
 use cloudfog_sim::event::EventQueue;
-use cloudfog_sim::live::{MetricsRegistry, MetricsSink, SloEngine};
+use cloudfog_sim::live::{MetricsRegistry, MetricsSink};
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::series::{CounterSeries, TimeSeries};
-use cloudfog_sim::telemetry::{
-    PhaseProfiler, TelemetryConfig, TelemetryReport, TraceRecord, TraceRing,
-};
+use cloudfog_sim::telemetry::{TelemetryConfig, TelemetryReport, TraceRecord, TraceRing};
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::arrival::{DiurnalArrivals, PoissonArrivals, SessionCycle};
 use cloudfog_workload::forecast::DemandForecaster;
@@ -79,6 +77,7 @@ use crate::obs;
 use crate::schedule::{SchedulingPolicy, SenderBuffer};
 use crate::streaming::{Segment, SegmentIdAlloc};
 use crate::systems::deployment::{Deployment, StreamSource, SystemKind};
+use crate::systems::driver::{self, Live};
 use crate::systems::live::{LiveConfig, LiveReport};
 
 /// How players enter the system.
@@ -1014,8 +1013,6 @@ struct PrefetchState {
 /// Per-sender state: one uplink port with one queue.
 struct Sender {
     buffer: SenderBuffer,
-    #[allow(dead_code)] // kept for diagnostics/ablation hooks
-    class: TrafficSource,
     busy: bool,
 }
 
@@ -1287,37 +1284,14 @@ impl StreamingSim {
     /// the [`TelemetryReport`] with quantiles, CDFs, trace counts and
     /// wall-clock phase timings (setup / event loop / collect).
     pub fn run_instrumented(cfg: StreamingSimConfig) -> RunOutput {
-        let mut profiler = cfg.telemetry.is_some().then(PhaseProfiler::new);
-        if let Some(p) = profiler.as_mut() {
-            p.enter("setup");
-        }
-        let mut sim = Self::prepared(cfg);
-        if let Some(p) = profiler.as_mut() {
-            p.enter("event_loop");
-        }
-        let report = sim.run();
-        let mut model = sim.model;
-        if let Some(p) = profiler.as_mut() {
-            p.enter("collect");
-        }
-        model.finish(report.end_time);
-        let summary = model.summarize(report.events_executed, report.end_time);
-        let telemetry = profiler.map(|mut prof| {
-            let mut t = model.telemetry_report(&summary);
-            t.set_phases(&mut prof);
-            t
-        });
-        let causal = model.telemetry.as_ref().map(|t| t.causal.report(model.cfg.kind.label()));
-        let churn = model.cfg.churn.is_some().then_some(model.churn_stats);
-        let prefetch = model.prefetch_stats();
-        RunOutput { summary, series: model.series, telemetry, causal, churn, prefetch }
+        let tick = cfg.horizon;
+        driver::monolithic(cfg, tick, None, &mut |_| {}).0
     }
 
     /// Build the fully-seeded simulation for `cfg`: model constructed,
     /// measurement window set, joins / chaos / watchdog / fault events
-    /// all enqueued, horizon armed. Shared by every run entry point,
-    /// including the sharded driver (which steps the returned
-    /// simulation in tick-boundary phases via `set_horizon`).
+    /// all enqueued. The run driver steps the returned simulation in
+    /// tick-boundary phases via `set_horizon`.
     pub(crate) fn prepared(cfg: StreamingSimConfig) -> Simulation<StreamingSim> {
         let horizon = cfg.horizon;
         let ramp = cfg.ramp;
@@ -1328,7 +1302,7 @@ impl StreamingSim {
             t.causal.set_measure_from(measure_from);
         }
         let n = model.deployment.population.len();
-        let mut sim = Simulation::new(model).with_horizon(SimTime::ZERO + horizon);
+        let mut sim = Simulation::new(model);
         match sim.model.cfg.join_pattern {
             JoinPattern::Ramp => {
                 for p in 0..n {
@@ -1414,102 +1388,38 @@ impl StreamingSim {
         sim
     }
 
-    /// Like [`StreamingSim::run`], but executed in two phases split at
-    /// `split`: run to `split`, call `probe`, continue to the
-    /// configured horizon, call `probe` again, then collect. The event
-    /// stream is identical to a single-phase run — the split only
-    /// pauses the driver loop — so the summary is bit-identical to
-    /// [`StreamingSim::run`] on the same config.
+    /// Like [`StreamingSim::run_instrumented`], driven in `tick`-sized
+    /// phases with `probe(boundary_index)` invoked after every tick
+    /// boundary. The probe only observes the driver and phase-driving
+    /// executes the same events as one uninterrupted run, so the output
+    /// is bit-identical to [`StreamingSim::run_instrumented`] on the
+    /// same config. Mirrors [`ShardedSim::run_with_probe`]; exists for
+    /// the steady-state allocation gate.
     ///
-    /// Exists for the steady-state allocation-regression test, which
-    /// snapshots the global allocator between the two probe calls.
-    pub fn run_split(
+    /// [`ShardedSim::run_with_probe`]: crate::systems::ShardedSim::run_with_probe
+    pub fn run_with_probe(
         cfg: StreamingSimConfig,
-        split: SimTime,
-        probe: &mut dyn FnMut(),
-    ) -> RunSummary {
-        let horizon = cfg.horizon;
-        let mut sim = Self::prepared(cfg);
-        sim.set_horizon(split);
-        sim.run();
-        probe();
-        sim.set_horizon(SimTime::ZERO + horizon);
-        let report = sim.run();
-        probe();
-        let mut model = sim.model;
-        model.finish(report.end_time);
-        model.summarize(report.events_executed, report.end_time)
+        tick: SimDuration,
+        probe: &mut dyn FnMut(u64),
+    ) -> RunOutput {
+        driver::monolithic(cfg, tick, None, probe).0
     }
 
-    /// Run with the live ops plane on: advance the event loop in
-    /// [`LiveConfig::tick`]-sized phases, sample the metrics
-    /// vocabulary at every boundary, stream each sample into `sink`,
-    /// and feed the [`SloEngine`](cloudfog_sim::live::SloEngine) once
-    /// warmup has passed. Phase-driving is proven bit-identical to an
-    /// uninterrupted run by [`StreamingSim::run_split`], so the
-    /// returned [`RunOutput`] matches [`StreamingSim::run_instrumented`]
-    /// on the same config exactly; the [`LiveReport`] rides alongside.
+    /// Run with the live ops plane on: drive the run in
+    /// [`LiveConfig::tick`]-sized phases, sample the metrics vocabulary
+    /// at every boundary, stream each sample into `sink`, and feed the
+    /// [`SloEngine`](cloudfog_sim::live::SloEngine) once warmup has
+    /// passed. Sampling is an observer, so the returned [`RunOutput`]
+    /// matches [`StreamingSim::run_instrumented`] on the same config
+    /// exactly; the [`LiveReport`] rides alongside.
     pub fn run_live(
         cfg: StreamingSimConfig,
         live: &LiveConfig,
         sink: &mut dyn MetricsSink,
     ) -> (RunOutput, LiveReport) {
-        let mut profiler = cfg.telemetry.is_some().then(PhaseProfiler::new);
-        if let Some(p) = profiler.as_mut() {
-            p.enter("setup");
-        }
-        let horizon = cfg.horizon;
-        let warmup = SimTime::ZERO + live.warmup_for(cfg.ramp);
-        let tcfg = cfg.telemetry.clone().unwrap_or_default();
-        let mut sim = Self::prepared(cfg);
-        let mut registry = MetricsRegistry::new();
-        let ids = obs::metric::install(&mut registry, &tcfg);
-        let mut engine = SloEngine::new(live.slos.clone());
-        if let Some(p) = profiler.as_mut() {
-            p.enter("event_loop");
-        }
-        let end = SimTime::ZERO + horizon;
-        let mut now = SimTime::ZERO;
-        let mut samples = 0u64;
-        let mut events = 0u64;
-        let mut end_time = SimTime::ZERO;
-        while now < end {
-            let boundary = (now + live.tick).min(end);
-            sim.set_horizon(boundary);
-            let report = sim.run();
-            events = report.events_executed;
-            end_time = report.end_time;
-            sim.model.live_sample(&mut registry, &ids);
-            samples += 1;
-            sink.snapshot(boundary, &registry);
-            // Strictly after warmup: at the warmup instant itself the
-            // QoE gauges still read zero (measurement starts there),
-            // which would page every healthy run once at startup.
-            if boundary > warmup {
-                let dominant = sim.model.dominant_component();
-                for alert in engine.observe(boundary, &registry, dominant) {
-                    sink.alert(&alert);
-                }
-            }
-            now = boundary;
-        }
-        let mut model = sim.model;
-        if let Some(p) = profiler.as_mut() {
-            p.enter("collect");
-        }
-        model.finish(end_time);
-        let summary = model.summarize(events, end_time);
-        let telemetry = profiler.map(|mut prof| {
-            let mut t = model.telemetry_report(&summary);
-            t.set_phases(&mut prof);
-            t
-        });
-        let causal = model.telemetry.as_ref().map(|t| t.causal.report(model.cfg.kind.label()));
-        let churn = model.cfg.churn.is_some().then_some(model.churn_stats);
-        let prefetch = model.prefetch_stats();
-        let out = RunOutput { summary, series: model.series, telemetry, causal, churn, prefetch };
-        let report = LiveReport { registry, alerts: engine.into_log(), samples };
-        (out, report)
+        let plane = Some(Live { cfg: live, sink });
+        let (out, report) = driver::monolithic(cfg, live.tick, plane, &mut |_| {});
+        (out, report.expect("live plane requested"))
     }
 
     /// Run to the horizon and summarize.
@@ -1549,7 +1459,20 @@ impl StreamingSim {
         }
     }
 
-    pub(crate) fn finish(&mut self, end: SimTime) {
+    /// Finish this world at `end` and collect everything it produced:
+    /// summary, series, telemetry and causal reports, churn and
+    /// prefetch accounting.
+    pub(crate) fn collect(mut self, events: u64, end: SimTime) -> RunOutput {
+        self.finish(end);
+        let summary = self.summarize(events);
+        let telemetry = self.telemetry.is_some().then(|| self.telemetry_report(&summary));
+        let causal = self.telemetry.as_ref().map(|t| t.causal.report(self.cfg.kind.label()));
+        let churn = self.cfg.churn.is_some().then_some(self.churn_stats);
+        let prefetch = self.prefetch_stats();
+        RunOutput { summary, series: self.series, telemetry, causal, churn, prefetch }
+    }
+
+    fn finish(&mut self, end: SimTime) {
         // Close any open update feeds and convert to bytes.
         for (_, (count, since)) in std::mem::take(&mut self.update_feeds) {
             if count > 0 {
@@ -1576,7 +1499,7 @@ impl StreamingSim {
         }
     }
 
-    pub(crate) fn summarize(&self, events: u64, _end: SimTime) -> RunSummary {
+    fn summarize(&self, events: u64) -> RunSummary {
         let params = &self.cfg.params;
         let last_game = &self.last_game;
         let coverage = self.metrics.coverage(|pid: PlayerId| {
@@ -1655,12 +1578,6 @@ impl StreamingSim {
         self.telemetry.as_mut().map(|t| &mut t.causal)
     }
 
-    /// Lifecycle counters accumulated so far (meaningful only when
-    /// churn is enabled; all-zero otherwise).
-    pub(crate) fn churn_stats(&self) -> &ChurnStats {
-        &self.churn_stats
-    }
-
     /// Prefetch-plane counters accumulated so far (`None` when the
     /// plane is off). The cache keeps its own hit/miss/evict/peak
     /// counters; this composes them with the forecaster and encode-job
@@ -1678,11 +1595,6 @@ impl StreamingSim {
             s.cache_bytes_peak = c.bytes_peak;
             s
         })
-    }
-
-    /// The causal report for a finished run, when telemetry was on.
-    pub(crate) fn causal_report(&self, run: &str) -> Option<CausalReport> {
-        self.telemetry.as_ref().map(|t| t.causal.report(run))
     }
 
     /// Deterministic tick-boundary snapshot for the sharded driver:
@@ -1797,15 +1709,9 @@ impl StreamingSim {
         self.telemetry.as_ref().map(|t| t.causal.component_sums())
     }
 
-    /// Dominant latency component attributed so far, for alert
-    /// provenance. `None` when telemetry is off or nothing folded yet.
-    pub(crate) fn dominant_component(&self) -> Option<&'static str> {
-        self.telemetry.as_ref().and_then(|t| t.causal.dominant_component_so_far())
-    }
-
     /// Build the telemetry artifact for a finished run. Must only be
     /// called when telemetry was enabled.
-    pub(crate) fn telemetry_report(&self, summary: &RunSummary) -> TelemetryReport {
+    fn telemetry_report(&self, summary: &RunSummary) -> TelemetryReport {
         let state = self.telemetry.as_ref().expect("telemetry enabled");
         let tcfg = &state.cfg;
         let mut report = TelemetryReport::new(self.cfg.kind.label());
@@ -1942,11 +1848,7 @@ impl StreamingSim {
         let uplink = self.deployment.topology().host(source.host).upload;
         let slot = &mut self.senders[source.host.index()];
         if slot.is_none() {
-            *slot = Some(Sender {
-                buffer: SenderBuffer::new(policy, uplink, params),
-                class: source.class,
-                busy: false,
-            });
+            *slot = Some(Sender { buffer: SenderBuffer::new(policy, uplink, params), busy: false });
         }
 
         if source.class == TrafficSource::Supernode {
@@ -2642,11 +2544,7 @@ impl StreamingSim {
         let params = &self.cfg.params;
         let slot = &mut self.senders[new_source.host.index()];
         if slot.is_none() {
-            *slot = Some(Sender {
-                buffer: SenderBuffer::new(policy, uplink, params),
-                class: new_source.class,
-                busy: false,
-            });
+            *slot = Some(Sender { buffer: SenderBuffer::new(policy, uplink, params), busy: false });
         }
         if new_source.class == TrafficSource::Supernode {
             self.update_feed_delta(new_source.host, now, 1);
@@ -3110,11 +3008,7 @@ impl StreamingSim {
         let params = &self.cfg.params;
         let slot = &mut self.senders[new_host.index()];
         if slot.is_none() {
-            *slot = Some(Sender {
-                buffer: SenderBuffer::new(policy, uplink, params),
-                class: TrafficSource::Supernode,
-                busy: false,
-            });
+            *slot = Some(Sender { buffer: SenderBuffer::new(policy, uplink, params), busy: false });
         }
         self.update_feed_delta(new_host, now, 1);
         let paths = self.path_cache(p, &new_source);

@@ -13,9 +13,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use cloudfog_core::systems::{
-    RunOutput, RunSummary, ShardedRunOutput, ShardedSim, StreamingSim, SystemKind,
-};
+use cloudfog_core::systems::{RunOutput, RunSummary, ShardedSim, StreamingSim, SystemKind};
 use cloudfog_sim::live::{Alert, NullSink};
 use cloudfog_sim::telemetry::TelemetryReport;
 
@@ -46,22 +44,41 @@ pub struct CellResult {
 /// Cells with a [`LiveConfig`](cloudfog_core::systems::LiveConfig) run
 /// through the live entry points and record their fired alerts.
 pub fn run_scenario(scenario: &Scenario) -> CellResult {
+    dispatch(scenario).0
+}
+
+/// The one sharded × live dispatch: the cell, plus the monolithic
+/// [`RunOutput`] the run-level invariants are written against (`None`
+/// for sharded cells, which carry their own correctness harness — the
+/// 1-vs-N-lane identity gate — so only matrix-level invariants see
+/// them).
+fn dispatch(scenario: &Scenario) -> (CellResult, Option<RunOutput>) {
     match (scenario.sharded_config(), &scenario.live) {
-        (Some(cfg), Some(live)) => {
-            let (out, report) = ShardedSim::run_live(&cfg, live, &mut NullSink);
-            let mut cell = cell_from_sharded(scenario, &out);
-            cell.alerts = report.alerts.alerts().to_vec();
-            cell
+        (Some(cfg), live) => {
+            let (out, alerts) = match live {
+                Some(live) => {
+                    let (out, report) = ShardedSim::run_live(&cfg, live, &mut NullSink);
+                    (out, report.alerts.alerts().to_vec())
+                }
+                None => (ShardedSim::run(&cfg), Vec::new()),
+            };
+            let cell = CellResult {
+                scenario: scenario.clone(),
+                summary: out.summary,
+                telemetry: out.telemetry, // the merge already strips phases
+                alerts,
+            };
+            (cell, None)
         }
-        (Some(cfg), None) => cell_from_sharded(scenario, &ShardedSim::run(&cfg)),
         (None, Some(live)) => {
             let (out, report) = StreamingSim::run_live(scenario.config(), live, &mut NullSink);
             let mut cell = cell_from_output(scenario, &out);
             cell.alerts = report.alerts.alerts().to_vec();
-            cell
+            (cell, Some(out))
         }
         (None, None) => {
-            cell_from_output(scenario, &StreamingSim::run_instrumented(scenario.config()))
+            let out = StreamingSim::run_instrumented(scenario.config());
+            (cell_from_output(scenario, &out), Some(out))
         }
     }
 }
@@ -76,17 +93,6 @@ pub fn cell_from_output(scenario: &Scenario, output: &RunOutput) -> CellResult {
         scenario: scenario.clone(),
         summary: output.summary.clone(),
         telemetry,
-        alerts: Vec::new(),
-    }
-}
-
-/// Package a sharded run as a cell: the merged summary and telemetry
-/// stand in for the monolithic ones (the merge already strips phases).
-pub fn cell_from_sharded(scenario: &Scenario, output: &ShardedRunOutput) -> CellResult {
-    CellResult {
-        scenario: scenario.clone(),
-        summary: output.summary.clone(),
-        telemetry: output.telemetry.clone(),
         alerts: Vec::new(),
     }
 }
@@ -302,28 +308,9 @@ pub fn run_matrix(
     workers: usize,
 ) -> (MatrixReport, Vec<Violation>) {
     let results = cloudfog_pool::map_indexed(workers, scenarios, |_, scenario| {
-        match scenario.sharded_config() {
-            // Sharded cells carry their own correctness harness (the
-            // 1-vs-N-lane identity gate); the run-level invariants are
-            // written against a monolithic RunOutput, so only
-            // matrix-level invariants see sharded cells.
-            Some(_) => (run_scenario(scenario), Vec::new()),
-            None => match &scenario.live {
-                Some(live) => {
-                    let (output, report) =
-                        StreamingSim::run_live(scenario.config(), live, &mut NullSink);
-                    let violations = registry.check_run(scenario, &output);
-                    let mut cell = cell_from_output(scenario, &output);
-                    cell.alerts = report.alerts.alerts().to_vec();
-                    (cell, violations)
-                }
-                None => {
-                    let output = StreamingSim::run_instrumented(scenario.config());
-                    let violations = registry.check_run(scenario, &output);
-                    (cell_from_output(scenario, &output), violations)
-                }
-            },
-        }
+        let (cell, output) = dispatch(scenario);
+        let violations = output.map(|out| registry.check_run(scenario, &out)).unwrap_or_default();
+        (cell, violations)
     });
 
     let mut report = MatrixReport::new();

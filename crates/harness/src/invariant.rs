@@ -4,7 +4,7 @@
 //! on the worker thread that produced the run) or the whole merged
 //! matrix (`check_matrix`, fired once after the merge — this is where
 //! cross-system claims like "CloudFog/A beats Cloud on latency" live).
-//! The [`InvariantRegistry`] owns a set of them; [`stock`] is the
+//! The [`InvariantRegistry`] owns a set of them; [`stock`](InvariantRegistry::stock) is the
 //! suite every matrix should run unless it has a reason not to.
 //!
 //! Invariants return human-readable violation details rather than

@@ -8,7 +8,7 @@
 //!
 //! The pieces, each its own module:
 //!
-//! * [`scenario`] — [`ScenarioMatrix`](scenario::ScenarioMatrix)
+//! * [`scenario`] — [`ScenarioMatrix`]
 //!   expands (adaptation policy × churn × chaos template × scale ×
 //!   seed × system) into numbered [`Scenario`](scenario::Scenario)
 //!   cells; each cell is a pure function of its fields.

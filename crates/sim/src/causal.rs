@@ -652,14 +652,6 @@ impl CausalLog {
         self.attr.sums
     }
 
-    /// The Eq. 12 component with the largest cumulative attributed
-    /// latency so far, straight off the running attribution fold —
-    /// O(1), so the live plane can stamp alert provenance on every
-    /// sampled tick. `None` until a measured trace has folded.
-    pub fn dominant_component_so_far(&self) -> Option<&'static str> {
-        (self.attr.folded > 0).then(|| COMPONENTS[argmax(&self.attr.sums)])
-    }
-
     /// Fold the log into an immutable report for export.
     pub fn report(&self, run: &str) -> CausalReport {
         let mean_total: f64 = self.attr.sums.iter().sum();

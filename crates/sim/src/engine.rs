@@ -16,7 +16,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct Scheduler<'a, E, Q: PendingSet<E>> {
     now: SimTime,
     queue: &'a mut Q,
-    halt: &'a mut bool,
     _marker: std::marker::PhantomData<E>,
 }
 
@@ -37,11 +36,6 @@ impl<'a, E, Q: PendingSet<E>> Scheduler<'a, E, Q> {
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
         self.queue.insert(at.max(self.now), event);
-    }
-
-    /// Request that the run stop after the current event completes.
-    pub fn halt(&mut self) {
-        *self.halt = true;
     }
 
     /// Number of events pending (excluding the one being handled).
@@ -70,10 +64,6 @@ pub enum StopReason {
     Exhausted,
     /// The configured horizon was reached.
     HorizonReached,
-    /// The configured event budget was spent.
-    EventBudgetSpent,
-    /// The model called [`Scheduler::halt`].
-    Halted,
 }
 
 /// Summary counters of a finished run.
@@ -87,14 +77,13 @@ pub struct RunReport {
     pub end_time: SimTime,
 }
 
-/// The simulation driver: clock + queue + limits around a [`Model`].
+/// The simulation driver: clock + queue + horizon around a [`Model`].
 pub struct Simulation<M: Model> {
     /// The model under simulation (public: inspect state after a run).
     pub model: M,
     queue: EventQueue<M::Event>,
     now: SimTime,
     horizon: Option<SimTime>,
-    event_budget: Option<u64>,
     executed: u64,
 }
 
@@ -106,7 +95,6 @@ impl<M: Model> Simulation<M> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             horizon: None,
-            event_budget: None,
             executed: 0,
         }
     }
@@ -115,12 +103,6 @@ impl<M: Model> Simulation<M> {
     /// after the horizon are not executed).
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = Some(horizon);
-        self
-    }
-
-    /// Stop the run after at most `budget` events.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = Some(budget);
         self
     }
 
@@ -153,19 +135,9 @@ impl<M: Model> Simulation<M> {
         self.seed_at(SimTime::ZERO, event);
     }
 
-    /// Run until the queue drains, the horizon/budget is hit, or the
-    /// model halts.
+    /// Run until the queue drains or the horizon is hit.
     pub fn run(&mut self) -> RunReport {
-        let mut halted = false;
         loop {
-            if halted {
-                return self.report(StopReason::Halted);
-            }
-            if let Some(budget) = self.event_budget {
-                if self.executed >= budget {
-                    return self.report(StopReason::EventBudgetSpent);
-                }
-            }
             let Some(next_time) = self.queue.peek_time() else {
                 return self.report(StopReason::Exhausted);
             };
@@ -182,7 +154,6 @@ impl<M: Model> Simulation<M> {
             let mut sched = Scheduler {
                 now: self.now,
                 queue: &mut self.queue,
-                halt: &mut halted,
                 _marker: std::marker::PhantomData,
             };
             self.model.handle(scheduled.event, &mut sched);
@@ -285,45 +256,6 @@ mod tests {
         // Events at 0, 10, 20 run; 30 is past the horizon.
         assert_eq!(report.events_executed, 3);
         assert_eq!(report.end_time, SimTime::from_millis(25));
-    }
-
-    #[test]
-    fn event_budget_cuts_off() {
-        let mut sim = Simulation::new(Countdown {
-            remaining: 1000,
-            step: SimDuration::from_millis(1),
-            fired_at: vec![],
-        })
-        .with_event_budget(5);
-        sim.seed(Tick::Tick);
-        let report = sim.run();
-        assert_eq!(report.stop, StopReason::EventBudgetSpent);
-        assert_eq!(report.events_executed, 5);
-    }
-
-    /// A model that halts itself on the third event.
-    struct SelfHalting {
-        seen: u32,
-    }
-
-    impl Model for SelfHalting {
-        type Event = ();
-        fn handle(&mut self, _ev: (), sched: &mut Scheduler<'_, (), EventQueue<()>>) {
-            self.seen += 1;
-            sched.schedule_in(SimDuration::from_millis(1), ());
-            if self.seen == 3 {
-                sched.halt();
-            }
-        }
-    }
-
-    #[test]
-    fn model_can_halt() {
-        let mut sim = Simulation::new(SelfHalting { seen: 0 });
-        sim.seed(());
-        let report = sim.run();
-        assert_eq!(report.stop, StopReason::Halted);
-        assert_eq!(sim.model.seen, 3);
     }
 
     #[test]

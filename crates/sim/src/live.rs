@@ -206,10 +206,14 @@ impl MetricsRegistry {
     /// weight-weighted mean folded in input order (the driver passes
     /// canonical shard order, making the result lane-invariant),
     /// histograms merge bucket-wise. Returns an empty registry for an
-    /// empty input.
+    /// empty input and an exact copy of a single input: `v·w/w` is not
+    /// always `v` in floating point, and a one-world run's registry
+    /// must read the same as what it sampled.
     pub fn fold(inputs: &[(f64, &MetricsRegistry)]) -> MetricsRegistry {
-        let Some((_, first)) = inputs.first() else {
-            return MetricsRegistry::new();
+        let first = match inputs {
+            [] => return MetricsRegistry::new(),
+            [(_, only)] => return (*only).clone(),
+            [(_, first), ..] => first,
         };
         let mut out = (*first).clone();
         for (slot, spec) in out.values.iter_mut().zip(out.specs.iter()) {
@@ -829,6 +833,21 @@ mod tests {
         }
         // Empty fold is the empty registry.
         assert!(MetricsRegistry::fold(&[]).is_empty());
+    }
+
+    #[test]
+    fn fold_of_one_registry_is_exact() {
+        let mut r = MetricsRegistry::new();
+        let g = r.gauge("g", "");
+        let c = r.counter("c", "");
+        r.set_gauge(g, 0.1);
+        r.set_counter(c, 5);
+        // 0.1 · 3 / 3 = 0.10000000000000002: a weighted mean over one
+        // input would drift.
+        assert_ne!(0.1 * 3.0 / 3.0, 0.1);
+        let folded = MetricsRegistry::fold(&[(3.0, &r)]);
+        assert_eq!(folded.gauge_value("g").map(f64::to_bits), Some(0.1f64.to_bits()));
+        assert_eq!(folded, r);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   records are overwritten and the drop count is reported, so
 //!   tracing never grows memory unboundedly.
 //! * [`Quantiles`] — p50/p95/p99 (plus mean/min/max bounds) extracted
-//!   from a [`Histogram`](crate::stats::Histogram).
+//!   from a [`Histogram`].
 //! * [`CdfPoint`] — sampled CDF curves for export, the exact shape
 //!   Figures 8–9 plot.
 //! * [`PhaseProfiler`] — wall-clock phase timing (setup / event loop /

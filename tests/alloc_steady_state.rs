@@ -5,12 +5,13 @@
 //! player/host/flow structure lives in a preallocated slab, event
 //! payloads are inline (no `Box<Segment>`), and the path cache is
 //! computed at join time. This test pins that claim with a counting
-//! global allocator: run a mid-size CloudFog/A simulation to a
-//! post-warm-up split, snapshot the allocation counter, run to the
-//! horizon, and assert the counter did not move.
+//! global allocator: drive a mid-size CloudFog/A simulation in 10 s
+//! ticks, snapshot the allocation counter at the first tick boundary
+//! and again at the last, and assert the counter did not move.
 //!
-//! The split sits well past the join ramp so every slab, sender
-//! buffer, event-queue arena and `update_feeds` entry is warm. Only
+//! The first boundary sits well past the join ramp so every slab,
+//! sender buffer, event-queue arena and `update_feeds` entry is warm,
+//! and the window covers the driver's own tick loop too. Only
 //! allocations are counted (deallocs/frees are not) — a steady state
 //! that frees memory it then re-acquires would still fail, which is
 //! exactly the churn the refactor forbids.
@@ -18,8 +19,8 @@
 //! The counter is per thread. The test runner runs both tests at once
 //! on different threads, and a process-wide counter would charge one
 //! test with the other's allocations. Each test reads the counter on
-//! the thread that drives its run: `run_split` runs on the caller, and
-//! so does `ShardedSim` at `lanes(1)`.
+//! the thread that drives its run: a one-world run stays on the
+//! caller, and so does `ShardedSim` at `lanes(1)`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,7 +29,7 @@ use std::hint::black_box;
 use cloudfog::core::systems::{
     ShardedSim, ShardedSimConfig, StreamingSim, StreamingSimConfig, SystemKind,
 };
-use cloudfog::sim::time::{SimDuration, SimTime};
+use cloudfog::sim::time::SimDuration;
 
 struct CountingAlloc;
 
@@ -84,10 +85,11 @@ fn config() -> StreamingSimConfig {
 
 #[test]
 fn steady_state_hot_path_does_not_allocate() {
-    // Split at 10 s: the ramp ends at 5 s and measurement starts at
-    // 7.5 s, so by 10 s every player is joined, every sender exists,
-    // and per-flow state has been exercised at least once.
-    let split = SimTime::ZERO + SimDuration::from_secs(10);
+    // Boundaries at 10 s, 20 s and 25 s: the ramp ends at 5 s and
+    // measurement starts at 7.5 s, so by the first boundary every
+    // player is joined, every sender exists, and per-flow state has
+    // been exercised at least once.
+    let tick = SimDuration::from_secs(10);
 
     // The gate must not pass by counting nothing: an allocation on
     // this thread moves the counter.
@@ -95,26 +97,27 @@ fn steady_state_hot_path_does_not_allocate() {
     black_box(Vec::<u64>::with_capacity(16));
     assert!(allocs() > before, "the counter missed an allocation on the test thread");
 
-    let mut snapshots: Vec<u64> = Vec::with_capacity(2);
-    let summary = StreamingSim::run_split(config(), split, &mut || {
+    let mut snapshots: Vec<u64> = Vec::with_capacity(3);
+    let summary = StreamingSim::run_with_probe(config(), tick, &mut |_| {
         snapshots.push(allocs());
-    });
+    })
+    .summary;
 
-    assert_eq!(snapshots.len(), 2, "probe fires at the split and at the horizon");
-    let during_steady_state = snapshots[1] - snapshots[0];
+    assert_eq!(snapshots.len(), 3, "probe fires at 10 s, 20 s and the horizon");
+    let during_steady_state = snapshots[2] - snapshots[0];
     assert_eq!(
         during_steady_state, 0,
         "steady-state window (10 s → 25 s) allocated {during_steady_state} times; \
          the slab hot path must not touch the heap after warm-up"
     );
 
-    // The phased driver must not change behavior: same config through
-    // the ordinary entry point gives a bit-identical summary.
+    // Probing must not change behavior: same config through the
+    // ordinary entry point gives a bit-identical summary.
     let single = StreamingSim::run(config());
     assert_eq!(
         format!("{summary:?}"),
         format!("{single:?}"),
-        "run_split drifted from run on the same config"
+        "run_with_probe drifted from run on the same config"
     );
 }
 

@@ -120,12 +120,15 @@ fn chaos_fault_scripts_replay_bit_for_bit() {
 /// Churn enabled — flash-crowd arrivals, session lifecycle, fallible
 /// control plane, fleet churn, rebalance sweeps, plus a regional
 /// outage — is still a pure function of the seed: two runs agree on
-/// every `RunSummary` field *and* every `ChurnStats` counter.
+/// every `RunSummary` field *and* every `ChurnStats` counter. The
+/// tick a monolithic run is driven at is invisible too: probed at
+/// 1 s, 7 s (not a divisor of the horizon) or the horizon, it gives
+/// the same `RunSummary` bit for bit.
 #[test]
 fn churn_runs_replay_bit_for_bit() {
-    let run = || {
-        let horizon = SimDuration::from_secs(40);
-        let cfg = StreamingSimConfig::builder(SystemKind::CloudFogA)
+    let horizon = SimDuration::from_secs(40);
+    let config = || {
+        StreamingSimConfig::builder(SystemKind::CloudFogA)
             .players(150)
             .seed(4242)
             .ramp(SimDuration::from_secs(5))
@@ -144,9 +147,9 @@ fn churn_runs_replay_bit_for_bit() {
             })
             .fault_script(FaultScript::generate_outages(9, horizon, 2))
             .watchdog(WatchdogParams::default())
-            .build();
-        StreamingSim::run_instrumented(cfg)
+            .build()
     };
+    let run = || StreamingSim::run_instrumented(config());
     let a = run();
     let b = run();
     assert_eq!(a.summary.events, b.summary.events, "event count");
@@ -160,6 +163,15 @@ fn churn_runs_replay_bit_for_bit() {
     assert_eq!(ca, cb, "every lifecycle / control-plane counter must replay exactly");
     assert!(ca.sessions_started > 0, "arrivals must actually fire");
     assert!(ca.control_ops > 0, "fog admissions must go through control ops");
+
+    let plain = format!("{:?}", StreamingSim::run(config()));
+    for tick in [SimDuration::from_secs(1), SimDuration::from_secs(7), horizon] {
+        let mut boundaries = 0u64;
+        let probed = StreamingSim::run_with_probe(config(), tick, &mut |b| boundaries = b);
+        assert_eq!(format!("{:?}", probed.summary), plain, "probed at {tick:?}");
+        let expected = horizon.as_micros().div_ceil(tick.as_micros());
+        assert_eq!(boundaries, expected, "one probe per boundary at {tick:?}");
+    }
 }
 
 #[test]
