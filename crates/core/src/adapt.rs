@@ -156,7 +156,7 @@ pub struct RateController {
     /// Estimations the condition must hold for consecutively.
     window: u32,
     /// Buffer estimate s(t) in *seconds of video* (bytes/bitrate
-    /// normalization makes τ the unit; see [`RateController::observe`]).
+    /// normalization makes τ the unit; see [`RateController::observe_explained`]).
     buffered: f64,
     /// Last estimation instant.
     last_at: Option<SimTime>,

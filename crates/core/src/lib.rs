@@ -36,7 +36,7 @@
 //! ```
 //! use cloudfog_core::systems::{StreamingSim, StreamingSimConfig, SystemKind};
 //!
-//! let cfg = StreamingSimConfig::quick(SystemKind::CloudFogA, 100, 42);
+//! let cfg = StreamingSimConfig::builder(SystemKind::CloudFogA).players(100).seed(42).build();
 //! let summary = StreamingSim::run(cfg);
 //! assert!(summary.mean_continuity > 0.0);
 //! ```
@@ -89,11 +89,11 @@ pub mod prelude {
     pub use crate::streaming::{PlayerStreamStats, Segment, SegmentId, SegmentIdAlloc};
     pub use crate::systems::{
         coverage_curve, partition, supernode_load_experiment, ChurnConfig, ChurnStats,
-        CoveragePoint, Deployment, ExchangeStats, FogStats, GameQoe, JoinPattern, LatencyStats,
-        LoadExperimentConfig, LoadPoint, PrefetchConfig, PrefetchStats, QoeSeries, QoeStats,
-        RunOutput, RunSummary, ShardCell, ShardMerge, ShardSpec, ShardedRunOutput, ShardedSim,
-        ShardedSimConfig, ShardedSimConfigBuilder, StreamSource, StreamingSim, StreamingSimConfig,
-        StreamingSimConfigBuilder, SystemKind, TrafficStats,
+        CoveragePoint, Deployment, ExchangeStats, GameQoe, JoinPattern, LoadExperimentConfig,
+        LoadPoint, PrefetchConfig, PrefetchStats, QoeSeries, RunOutput, RunSummary, ShardCell,
+        ShardMerge, ShardSpec, ShardedRunOutput, ShardedSim, ShardedSimConfig,
+        ShardedSimConfigBuilder, StreamSource, StreamingSim, StreamingSimConfig,
+        StreamingSimConfigBuilder, SystemKind,
     };
     pub use cloudfog_sim::causal::{
         AdaptProvenance, AdmissionProvenance, CausalLog, CausalReport, DropProvenance, DropShare,

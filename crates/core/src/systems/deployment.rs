@@ -201,6 +201,18 @@ impl Deployment {
             .expect("at least one datacenter")
     }
 
+    /// The cloud source for `host`: its nearest datacenter.
+    pub fn cloud_source(&self, host: HostId) -> StreamSource {
+        let dc = self.nearest_datacenter(host);
+        StreamSource { host: dc.host, class: TrafficSource::Cloud, supernode: None }
+    }
+
+    /// The source streaming from supernode `sn`.
+    pub fn fog_source(&self, sn: SupernodeId) -> StreamSource {
+        let host = self.supernodes.get(sn).host;
+        StreamSource { host, class: TrafficSource::Supernode, supernode: Some(sn) }
+    }
+
     /// Resolve the streaming source for `player` playing `game`,
     /// running the §III-A.3 assignment protocol for CloudFog systems.
     /// CloudFog assignments consume supernode capacity; call
@@ -227,13 +239,7 @@ impl Deployment {
     ) -> (StreamSource, Vec<SupernodeId>) {
         let host = self.population.host_of(player);
         match self.kind {
-            SystemKind::Cloud => {
-                let dc = self.nearest_datacenter(host);
-                (
-                    StreamSource { host: dc.host, class: TrafficSource::Cloud, supernode: None },
-                    Vec::new(),
-                )
-            }
+            SystemKind::Cloud => (self.cloud_source(host), Vec::new()),
             SystemKind::EdgeCloud => {
                 // Nearest of datacenters ∪ edge servers with free
                 // capacity; an edge server computes, renders and
@@ -261,16 +267,10 @@ impl Deployment {
             _ => {
                 let assignment: Assignment =
                     assign_player(self.topology(), &self.supernodes, host, game, params, rng);
-                let dc = self.nearest_datacenter(host);
-                let cloud_source =
-                    StreamSource { host: dc.host, class: TrafficSource::Cloud, supernode: None };
+                let cloud_source = self.cloud_source(host);
                 match assignment.primary {
                     Some(sn) => {
-                        let fog_source = StreamSource {
-                            host: self.supernodes.get(sn).host,
-                            class: TrafficSource::Supernode,
-                            supernode: Some(sn),
-                        };
+                        let fog_source = self.fog_source(sn);
                         // The player already talks to the cloud, so it
                         // knows both paths; it keeps the supernode only
                         // if the fog path is actually faster (§III-A.3's

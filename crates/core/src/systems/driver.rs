@@ -96,8 +96,13 @@ pub(crate) fn monolithic<'a>(
 /// A monolithic run summarizes at its own clock, which stops short of
 /// the horizon if its queue drains; sharded worlds all summarize at
 /// the horizon, so their rates share one time base.
+///
+/// # Panics
+///
+/// On a zero tick, which would never reach the next boundary.
 pub(crate) fn drive(run: Run<'_>) -> Driven {
     let Run { worlds, lanes, tick, exchange, live, probe } = run;
+    assert!(tick > SimDuration::ZERO, "tick must be positive");
     let first = &worlds.first().expect("a run has at least one world").0;
     let end = SimTime::ZERO + first.horizon;
     let mut profiler = first.telemetry.is_some().then(PhaseProfiler::new);

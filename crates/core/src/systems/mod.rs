@@ -17,12 +17,14 @@
 //! [`deployment`] builds the physical universe for each system;
 //! [`coverage`] is the static analysis behind Figures 5 and 6;
 //! [`simulation`] is the event-driven streaming simulation behind
-//! Figures 7–11; [`supernode_load`] is the per-supernode load
-//! microbench behind Figures 10 and 11; [`sharded`] shards one run
-//! into per-region sub-worlds exchanging events at tick boundaries;
-//! [`live`] configures the live ops plane. Every run goes through one
-//! tick loop (`driver.rs`); a monolithic run is one world with no
-//! exchange, and live sampling is an observer at its boundaries.
+//! Figures 7–11: its data plane, plus one child module per other plane
+//! (faults, control, prefetch) owning that plane's state, events and
+//! seeding; [`supernode_load`] is the per-supernode load microbench
+//! behind Figures 10 and 11; [`sharded`] shards one run into
+//! per-region sub-worlds exchanging events at tick boundaries; [`live`]
+//! configures the live ops plane. Every run goes through one tick loop
+//! (`driver.rs`); a monolithic run is one world with no exchange, and
+//! live sampling is an observer at its boundaries.
 
 pub mod coverage;
 pub mod deployment;
@@ -40,9 +42,8 @@ pub use sharded::{
     ShardedSimConfig, ShardedSimConfigBuilder,
 };
 pub use simulation::{
-    ChurnConfig, ChurnStats, FogStats, GameQoe, JoinPattern, LatencyStats, PrefetchConfig,
-    PrefetchStats, QoeSeries, QoeStats, RunOutput, RunSummary, StreamingSim, StreamingSimConfig,
-    StreamingSimConfigBuilder, TrafficStats,
+    ChurnConfig, ChurnStats, GameQoe, JoinPattern, PrefetchConfig, PrefetchStats, QoeSeries,
+    RunOutput, RunSummary, StreamingSim, StreamingSimConfig, StreamingSimConfigBuilder,
 };
 pub use supernode_load::{supernode_load_experiment, LoadExperimentConfig, LoadPoint};
 

@@ -4,8 +4,8 @@
 //! scale, horizon, chaos template, adaptation policy — that
 //! deterministically expands to a [`StreamingSimConfig`]. The
 //! [`ScenarioMatrix`] builder takes the cross product
-//! (policy × churn × template × players × seed × system) and numbers
-//! the cells, so a scenario id means the same run on every machine and
+//! (prefetch × shard × policy × churn × template × players × seed ×
+//! system) and numbers the cells, so a scenario id means the same run on every machine and
 //! under every worker schedule.
 
 use cloudfog_core::adapt::AdaptPolicyKind;
@@ -285,7 +285,8 @@ impl Scenario {
 }
 
 /// Builder for the scenario cross product
-/// (policy × churn × template × players × seed × system).
+/// (prefetch × shard × policy × churn × template × players × seed ×
+/// system).
 ///
 /// ```
 /// use cloudfog_harness::prelude::*;
@@ -307,12 +308,61 @@ pub struct ScenarioMatrix {
     ramp: SimDuration,
     horizon: SimDuration,
     templates: Vec<FaultTemplate>,
-    churns: Vec<Option<ChurnProfile>>,
-    policies: Vec<AdaptPolicyKind>,
+    /// Values on the outer axes, in the order they were added.
+    outer: Vec<Outer>,
     telemetry: Option<TelemetryConfig>,
-    shards: Vec<Option<ShardProfile>>,
     live: Option<LiveConfig>,
-    prefetches: Vec<Option<PrefetchConfig>>,
+}
+
+/// A value on one of the matrix's optional outer axes.
+#[derive(Clone, Debug)]
+enum Outer {
+    Churn(Option<ChurnProfile>),
+    Policy(AdaptPolicyKind),
+    Shard(Option<ShardProfile>),
+    Prefetch(Option<PrefetchConfig>),
+}
+
+impl Outer {
+    /// The axis list, innermost first: churn, policy, shard, prefetch.
+    const AXES: usize = 4;
+
+    fn axis(&self) -> usize {
+        match self {
+            Outer::Churn(_) => 0,
+            Outer::Policy(_) => 1,
+            Outer::Shard(_) => 2,
+            Outer::Prefetch(_) => 3,
+        }
+    }
+
+    /// `cell` with this value set and its name suffix appended.
+    fn applied(&self, cell: &Scenario) -> Scenario {
+        let mut cell = cell.clone();
+        let suffix = match self {
+            Outer::Churn(churn) => {
+                cell.churn = churn.clone();
+                churn.as_ref().map(ChurnProfile::label)
+            }
+            Outer::Policy(policy) => {
+                cell.policy = *policy;
+                Some(policy.label().to_string())
+            }
+            Outer::Shard(shard) => {
+                cell.shard = shard.clone();
+                shard.as_ref().map(ShardProfile::label)
+            }
+            Outer::Prefetch(prefetch) => {
+                cell.prefetch = *prefetch;
+                prefetch.map(|_| "prefetch".to_string())
+            }
+        };
+        if let Some(suffix) = suffix {
+            cell.name.push('/');
+            cell.name.push_str(&suffix);
+        }
+        cell
+    }
 }
 
 impl Default for ScenarioMatrix {
@@ -331,12 +381,9 @@ impl ScenarioMatrix {
             ramp: SimDuration::from_secs(5),
             horizon: SimDuration::from_secs(25),
             templates: Vec::new(),
-            churns: Vec::new(),
-            policies: Vec::new(),
+            outer: Vec::new(),
             telemetry: None,
-            shards: Vec::new(),
             live: None,
-            prefetches: Vec::new(),
         }
     }
 
@@ -376,21 +423,18 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Append a churn axis (no churn call ⇒ one fixed-cohort axis, so
-    /// existing matrices keep their cell ids and names). Pass `None`
-    /// explicitly to compare fixed-cohort and churn cells side by
-    /// side in one matrix.
+    /// Add a value to the churn axis (`None` = fixed cohort; see
+    /// [`ScenarioMatrix::build`] for unset axes and naming).
     pub fn churn(mut self, churn: Option<ChurnProfile>) -> Self {
-        self.churns.push(churn);
+        self.outer.push(Outer::Churn(churn));
         self
     }
 
-    /// Append an adaptation-policy axis (no policy call ⇒ one
-    /// buffer-occupancy axis with no name suffix, so existing matrices
-    /// keep their historic cell ids and names). Once any policy is set
-    /// explicitly, every cell name carries its policy label.
+    /// Add a value to the adaptation-policy axis (see
+    /// [`ScenarioMatrix::build`]). Every explicit policy, the default
+    /// included, labels its cells.
     pub fn policy(mut self, policy: AdaptPolicyKind) -> Self {
-        self.policies.push(policy);
+        self.outer.push(Outer::Policy(policy));
         self
     }
 
@@ -401,21 +445,17 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Append a sharding axis (no shard call ⇒ one monolithic axis, so
-    /// existing matrices keep their cell ids and names). Pass `None`
-    /// explicitly to compare monolithic and sharded cells side by side
-    /// in one matrix.
+    /// Add a value to the sharding axis (`None` = one monolithic
+    /// world; see [`ScenarioMatrix::build`]).
     pub fn shard(mut self, shard: Option<ShardProfile>) -> Self {
-        self.shards.push(shard);
+        self.outer.push(Outer::Shard(shard));
         self
     }
 
-    /// Append a prefetch axis (no prefetch call ⇒ one prefetch-off
-    /// axis, so existing matrices keep their cell ids and names). Pass
-    /// `None` explicitly to compare prefetch-off and prefetch-on cells
-    /// side by side in one matrix.
+    /// Add a value to the prefetch axis (`None` = off; see
+    /// [`ScenarioMatrix::build`]).
     pub fn prefetch(mut self, prefetch: Option<PrefetchConfig>) -> Self {
-        self.prefetches.push(prefetch);
+        self.outer.push(Outer::Prefetch(prefetch));
         self
     }
 
@@ -431,93 +471,56 @@ impl ScenarioMatrix {
     /// Expand the cross product into numbered scenarios. Expansion
     /// order is `prefetch × shard × policy × churn × template ×
     /// players × seed × system` (system varies fastest, matching the
-    /// paper's side-by-side comparisons; churn, policy, shard and
-    /// prefetch are outermost so matrices that never set them keep
-    /// their historic cell ids).
+    /// paper's side-by-side comparisons). The four outer axes are
+    /// optional: an unset one runs once at its default (no churn, the
+    /// buffer-occupancy policy, one world, prefetch off) with no name
+    /// suffix, so matrices that never set it keep their historic cell
+    /// ids and names. Set values add suffixes in churn, policy, shard,
+    /// prefetch order; an explicit `None` adds none.
     pub fn build(&self) -> Vec<Scenario> {
         let templates: &[FaultTemplate] =
             if self.templates.is_empty() { &[FaultTemplate::None] } else { &self.templates };
-        let churns: &[Option<ChurnProfile>] =
-            if self.churns.is_empty() { &[None] } else { &self.churns };
-        let shards: &[Option<ShardProfile>] =
-            if self.shards.is_empty() { &[None] } else { &self.shards };
-        let prefetches: &[Option<PrefetchConfig>] =
-            if self.prefetches.is_empty() { &[None] } else { &self.prefetches };
-        // The implicit default axis carries no name suffix; an
-        // explicit `.policy(..)` labels every cell so arena matrices
-        // stay self-describing.
-        let label_policies = !self.policies.is_empty();
-        let policies: &[AdaptPolicyKind] = if self.policies.is_empty() {
-            &[AdaptPolicyKind::BufferOccupancy]
-        } else {
-            &self.policies
-        };
-        let mut out = Vec::with_capacity(
-            prefetches.len()
-                * shards.len()
-                * policies.len()
-                * churns.len()
-                * templates.len()
-                * self.players.len()
-                * self.seeds.len()
-                * self.systems.len(),
-        );
-        for prefetch in prefetches {
-            for shard in shards {
-                for &policy in policies {
-                    for churn in churns {
-                        for template in templates {
-                            for &players in &self.players {
-                                for &seed in &self.seeds {
-                                    for &kind in &self.systems {
-                                        let id = out.len();
-                                        let churn_suffix = match churn {
-                                            Some(c) => format!("/{}", c.label()),
-                                            None => String::new(),
-                                        };
-                                        let policy_suffix = if label_policies {
-                                            format!("/{}", policy.label())
-                                        } else {
-                                            String::new()
-                                        };
-                                        let shard_suffix = match shard {
-                                            Some(s) => format!("/{}", s.label()),
-                                            None => String::new(),
-                                        };
-                                        let prefetch_suffix = match prefetch {
-                                            Some(_) => "/prefetch".to_string(),
-                                            None => String::new(),
-                                        };
-                                        out.push(Scenario {
-                                            id,
-                                            name: format!(
-                                                "{}/p{players}/s{seed}/{}{churn_suffix}\
-                                                 {policy_suffix}{shard_suffix}{prefetch_suffix}",
-                                                kind.label(),
-                                                template.label()
-                                            ),
-                                            kind,
-                                            players,
-                                            seed,
-                                            ramp: self.ramp,
-                                            horizon: self.horizon,
-                                            template: template.clone(),
-                                            churn: churn.clone(),
-                                            policy,
-                                            telemetry: self.telemetry.clone(),
-                                            shard: shard.clone(),
-                                            live: self.live.clone(),
-                                            prefetch: *prefetch,
-                                        });
-                                    }
-                                }
-                            }
-                        }
+        let mut cells = Vec::new();
+        for template in templates {
+            for &players in &self.players {
+                for &seed in &self.seeds {
+                    for &kind in &self.systems {
+                        cells.push(Scenario {
+                            id: 0,
+                            name: format!(
+                                "{}/p{players}/s{seed}/{}",
+                                kind.label(),
+                                template.label()
+                            ),
+                            kind,
+                            players,
+                            seed,
+                            ramp: self.ramp,
+                            horizon: self.horizon,
+                            template: template.clone(),
+                            churn: None,
+                            policy: AdaptPolicyKind::BufferOccupancy,
+                            telemetry: self.telemetry.clone(),
+                            shard: None,
+                            live: self.live.clone(),
+                            prefetch: None,
+                        });
                     }
                 }
             }
         }
-        out
+        // Each set outer axis, innermost first, repeats every cell so
+        // far once per value and becomes the outermost axis.
+        for axis in 0..Outer::AXES {
+            let values: Vec<&Outer> = self.outer.iter().filter(|v| v.axis() == axis).collect();
+            if !values.is_empty() {
+                cells = values.iter().flat_map(|v| cells.iter().map(|c| v.applied(c))).collect();
+            }
+        }
+        for (id, cell) in cells.iter_mut().enumerate() {
+            cell.id = id;
+        }
+        cells
     }
 }
 
@@ -738,6 +741,36 @@ mod tests {
             .build();
         let cfg = sharded[0].sharded_config().expect("sharded cell expands");
         assert!(cfg.prefetch.is_some());
+    }
+
+    #[test]
+    fn outer_axes_nest_prefetch_shard_policy_churn_and_suffix_inside_out() {
+        let churn = ChurnProfile::flash_crowd(SimDuration::from_secs(30));
+        let cells = ScenarioMatrix::new()
+            .systems(&[SystemKind::CloudFogA])
+            .seeds([1])
+            .players(&[100])
+            .template(FaultTemplate::None)
+            .prefetch(Some(PrefetchConfig::default()))
+            .churn(None)
+            .shard(Some(ShardProfile::with_capacity(50)))
+            .policy(AdaptPolicyKind::Foveated)
+            .churn(Some(churn.clone()))
+            .prefetch(None)
+            .build();
+        let names: Vec<&str> = cells.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "CloudFog/A/p100/s1/clean/foveated/shard50/prefetch",
+                "CloudFog/A/p100/s1/clean/churn20x/foveated/shard50/prefetch",
+                "CloudFog/A/p100/s1/clean/foveated/shard50",
+                "CloudFog/A/p100/s1/clean/churn20x/foveated/shard50",
+            ]
+        );
+        assert!(cells.iter().enumerate().all(|(i, c)| c.id == i));
+        assert_eq!(cells[1].churn.as_ref(), Some(&churn));
+        assert!(cells[2].prefetch.is_none() && cells[3].churn.is_some());
     }
 
     #[test]

@@ -104,7 +104,6 @@ fn dominant(drivers: &[(&'static str, u64)]) -> (&'static str, u64) {
 }
 
 fn score_cell(scenario: &Scenario, output: &RunOutput) -> CellScore {
-    let qoe = output.summary.qoe();
     let p99_ms = output
         .telemetry
         .as_ref()
@@ -121,7 +120,7 @@ fn score_cell(scenario: &Scenario, output: &RunOutput) -> CellScore {
         name: scenario.name.clone(),
         policy: scenario.policy,
         satisfied: output.summary.satisfied_ratio,
-        continuity: qoe.mean_continuity,
+        continuity: output.summary.mean_continuity,
         p99_ms,
         switches: causal.map_or(0, |c| c.adapt_events),
         drivers,

@@ -47,7 +47,7 @@ fn main() {
         println!(
             "{:<18} {:>9} {:>9} {:>10} {:>10} {:>10} {:>11}",
             s.kind.label(),
-            format!("{:.1}ms", s.latency().mean_ms),
+            format!("{:.1}ms", s.mean_latency_ms),
             format!("{:.1}%", s.coverage * 100.0),
             format!("{:.1}%", s.mean_continuity * 100.0),
             format!("{:.1}%", s.satisfied_ratio * 100.0),

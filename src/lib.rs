@@ -34,14 +34,11 @@
 //!     .horizon(SimDuration::from_secs(30))
 //!     .build();
 //! let summary = StreamingSim::run(cfg);
-//! let qoe = summary.qoe();
 //! println!(
 //!     "continuity {:.3}, latency {:.1} ms, cloud {:.2} Mbps",
-//!     qoe.mean_continuity,
-//!     summary.latency().mean_ms,
-//!     summary.traffic().cloud_mbps
+//!     summary.mean_continuity, summary.mean_latency_ms, summary.cloud_mbps
 //! );
-//! assert!(qoe.mean_continuity > 0.0);
+//! assert!(summary.mean_continuity > 0.0);
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios and `crates/bench` for the
