@@ -25,7 +25,7 @@
 //! [`StreamingSim::run_live`]: crate::systems::StreamingSim::run_live
 //! [`ShardedSim::run_live`]: crate::systems::ShardedSim::run_live
 
-use cloudfog_sim::causal::COMPONENTS;
+use cloudfog_sim::causal::{argmax, COMPONENTS};
 use cloudfog_sim::live::{AlertLog, MetricsRegistry, SloSpec};
 use cloudfog_sim::time::SimDuration;
 
@@ -101,13 +101,7 @@ pub(crate) fn fold_dominant(sums: &[Option<[f64; 5]>]) -> Option<&'static str> {
     if !any || total.iter().all(|v| *v == 0.0) {
         return None;
     }
-    let mut best = 0;
-    for i in 1..total.len() {
-        if total[i] > total[best] {
-            best = i;
-        }
-    }
-    Some(COMPONENTS[best])
+    Some(COMPONENTS[argmax(&total)])
 }
 
 #[cfg(test)]

@@ -28,14 +28,17 @@
 //! cells: inserting the same cell twice is idempotent, inserting a
 //! conflicting duplicate panics, and merging reports is commutative /
 //! associative with the empty merge as identity
-//! (`tests/prop_shard.rs`).
+//! (`tests/prop_shard.rs`). Each quantity folds once: the merged
+//! telemetry's scalars are written from the merged summary, churn and
+//! prefetch stats by the same function a monolithic world uses, and
+//! only the trace counts sum across shards.
 
 use std::collections::BTreeMap;
 
 use cloudfog_net::geo::Region;
 use cloudfog_sim::causal::CausalReport;
 use cloudfog_sim::live::MetricsSink;
-use cloudfog_sim::telemetry::{ScalarMerge, TelemetryConfig, TelemetryReport};
+use cloudfog_sim::telemetry::{TelemetryConfig, TelemetryReport};
 use cloudfog_sim::time::SimDuration;
 
 use crate::adapt::AdaptPolicyKind;
@@ -45,7 +48,8 @@ use crate::systems::deployment::SystemKind;
 use crate::systems::driver::{self, Live, Run};
 use crate::systems::live::{LiveConfig, LiveReport};
 use crate::systems::simulation::{
-    ChurnConfig, ChurnStats, GameQoe, PrefetchConfig, PrefetchStats, RunSummary, StreamingSimConfig,
+    telemetry_scalars, ChurnConfig, ChurnStats, GameQoe, PrefetchConfig, PrefetchStats, RunSummary,
+    StreamingSimConfig,
 };
 
 /// Salt mixed into each shard's seed so sibling worlds draw
@@ -546,8 +550,8 @@ pub struct ShardedRunOutput {
     /// Merged prefetch counters (summed, peaks maxed across shards),
     /// when the prefetch plane was enabled.
     pub prefetch: Option<PrefetchStats>,
-    /// Merged telemetry (scalar sums / player-weighted means), when
-    /// telemetry was enabled.
+    /// Merged telemetry, when telemetry was enabled: the scalars of
+    /// `summary`, `churn` and `prefetch`, plus summed trace counts.
     pub telemetry: Option<TelemetryReport>,
     /// Merged causal report — segment ids stay run-global because
     /// every shard allocates from a disjoint base.
@@ -614,10 +618,13 @@ impl ShardedSim {
             probe,
         });
         let mut merge = ShardMerge::new();
-        let mut telemetry_reports = Vec::new();
+        let mut trace_counts = (0, 0);
         let mut causal_reports = Vec::new();
         for (spec, out) in specs.iter().zip(driven.outputs) {
-            telemetry_reports.extend(out.telemetry.map(|t| (out.summary.players as f64, t)));
+            if let Some(t) = &out.telemetry {
+                trace_counts.0 += t.trace_recorded;
+                trace_counts.1 += t.trace_dropped;
+            }
             causal_reports.extend(out.causal);
             merge.insert(ShardCell {
                 shard: spec.shard,
@@ -645,9 +652,10 @@ impl ShardedSim {
         });
         let run = format!("{}/sharded{}", cfg.kind.label(), specs.len());
         let telemetry = cfg.telemetry.is_some().then(|| {
-            let weighted: Vec<(f64, &TelemetryReport)> =
-                telemetry_reports.iter().map(|(w, report)| (*w, report)).collect();
-            TelemetryReport::merge_weighted(run.clone(), &weighted, scalar_merge_rule)
+            let mut report = TelemetryReport::new(run.clone());
+            telemetry_scalars(&mut report, &summary, churn.as_ref(), prefetch.as_ref());
+            (report.trace_recorded, report.trace_dropped) = trace_counts;
+            report
         });
         let causal = (!causal_reports.is_empty())
             .then(|| CausalReport::merge_shards(&run, &causal_reports.iter().collect::<Vec<_>>()));
@@ -662,20 +670,6 @@ impl ShardedSim {
             fingerprint,
         };
         (out, driven.live)
-    }
-}
-
-/// How each known telemetry scalar combines across shards: totals sum,
-/// rates/ratios/means weight by player count, everything unknown
-/// defaults to a sum (counters are the common case).
-fn scalar_merge_rule(name: &str) -> ScalarMerge {
-    match name {
-        "fog_share" | "satisfied_ratio" | "mean_continuity" | "mean_latency_ms" | "coverage"
-        | "mean_detection_ms" => ScalarMerge::WeightedMean,
-        _ if name.starts_with("mean_") || name.ends_with("_ratio") || name.ends_with("_share") => {
-            ScalarMerge::WeightedMean
-        }
-        _ => ScalarMerge::Sum,
     }
 }
 

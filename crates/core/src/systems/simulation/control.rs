@@ -10,7 +10,6 @@ use cloudfog_net::topology::HostId;
 use cloudfog_sim::causal::AdmissionProvenance;
 use cloudfog_sim::engine::Simulation;
 use cloudfog_sim::rng::Rng;
-use cloudfog_sim::telemetry::TelemetryReport;
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::player::PlayerId;
 use cloudfog_workload::session::SessionState;
@@ -552,20 +551,6 @@ impl Control {
                 SessionState::NotConnected | SessionState::Gone => {}
             }
         }
-    }
-
-    /// Write the `churn.*` telemetry scalars.
-    pub(super) fn report(&self, report: &mut TelemetryReport) {
-        let c = &self.stats;
-        report.scalar("churn.sessions_started", c.sessions_started as f64);
-        report.scalar("churn.sessions_completed", c.sessions_completed as f64);
-        report.scalar("churn.admitted_degraded", c.admitted_degraded as f64);
-        report.scalar("churn.admitted_shed", c.admitted_shed as f64);
-        report.scalar("churn.control_retries", c.control_retries as f64);
-        report.scalar("churn.control_expired", c.control_expired as f64);
-        report.scalar("churn.migrations_applied", c.migrations_applied as f64);
-        report.scalar("churn.supernode_arrivals", c.supernode_arrivals as f64);
-        report.scalar("churn.supernode_retirements", c.supernode_retirements as f64);
     }
 }
 

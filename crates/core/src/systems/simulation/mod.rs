@@ -471,6 +471,54 @@ pub struct RunOutput {
     pub prefetch: Option<PrefetchStats>,
 }
 
+/// Write a run's telemetry scalars: the one scalar list, read from
+/// already-folded outputs. A world's own report and a sharded run's
+/// merged report both call it, so every quantity is folded once, by
+/// the summary and stats folds, never again by its scalar name.
+pub(crate) fn telemetry_scalars(
+    report: &mut TelemetryReport,
+    summary: &RunSummary,
+    churn: Option<&ChurnStats>,
+    prefetch: Option<&PrefetchStats>,
+) {
+    report.scalar("players", summary.players as f64);
+    report.scalar("events", summary.events as f64);
+    report.scalar("fog_share", summary.fog_share);
+    report.scalar("satisfied_ratio", summary.satisfied_ratio);
+    report.scalar("mean_continuity", summary.mean_continuity);
+    report.scalar("mean_latency_ms", summary.mean_latency_ms);
+    report.scalar("coverage", summary.coverage);
+    report.scalar("cloud_mbps", summary.cloud_mbps);
+    report.scalar("scheduler_drops", summary.scheduler_drops as f64);
+    report.scalar("failures_injected", summary.failures_injected as f64);
+    report.scalar("faults_activated", summary.faults_activated as f64);
+    report.scalar("mean_detection_ms", summary.mean_detection_ms);
+    if let Some(c) = churn {
+        report.scalar("churn.sessions_started", c.sessions_started as f64);
+        report.scalar("churn.sessions_completed", c.sessions_completed as f64);
+        report.scalar("churn.admitted_degraded", c.admitted_degraded as f64);
+        report.scalar("churn.admitted_shed", c.admitted_shed as f64);
+        report.scalar("churn.control_retries", c.control_retries as f64);
+        report.scalar("churn.control_expired", c.control_expired as f64);
+        report.scalar("churn.migrations_applied", c.migrations_applied as f64);
+        report.scalar("churn.supernode_arrivals", c.supernode_arrivals as f64);
+        report.scalar("churn.supernode_retirements", c.supernode_retirements as f64);
+    }
+    if let Some(p) = prefetch {
+        report.scalar("prefetch.forecast_ticks", p.forecast_ticks as f64);
+        report.scalar("prefetch.cache_hits", p.cache_hits as f64);
+        report.scalar("prefetch.cache_misses", p.cache_misses as f64);
+        report.scalar("prefetch.cache_evictions", p.cache_evictions as f64);
+        report.scalar("prefetch.hit_rate", p.hit_rate());
+        report.scalar("prefetch.encode_ms_saved", p.encode_ms_saved);
+        report.scalar("prefetch.encode_jobs", p.encode_jobs as f64);
+        report.scalar("prefetch.encode_tasks", p.encode_tasks as f64);
+        report.scalar("prefetch.encode_retries", p.encode_retries as f64);
+        report.scalar("prefetch.encode_completed", p.encode_completed as f64);
+        report.scalar("prefetch.predeploys_issued", p.predeploys_issued as f64);
+    }
+}
+
 /// Time-bucketed QoE curves of a run (enabled via
 /// [`StreamingSimConfig::series_bucket`]).
 #[derive(Clone, Debug)]
@@ -880,10 +928,13 @@ impl StreamingSim {
     pub(crate) fn collect(mut self, events: u64, end: SimTime) -> RunOutput {
         self.finish(end);
         let summary = self.summarize(events);
-        let telemetry = self.telemetry.as_ref().map(|t| self.telemetry_report(t, &summary));
-        let causal = self.telemetry.as_ref().map(|t| t.causal.report(self.cfg.kind.label()));
         let churn = self.control.as_ref().map(|c| c.stats);
         let prefetch = self.prefetch.as_ref().map(|ps| ps.stats());
+        let telemetry = self
+            .telemetry
+            .as_ref()
+            .map(|t| self.telemetry_report(t, &summary, churn.as_ref(), prefetch.as_ref()));
+        let causal = self.telemetry.as_ref().map(|t| t.causal.report(self.cfg.kind.label()));
         RunOutput { summary, series: self.series, telemetry, causal, churn, prefetch }
     }
 
@@ -1091,27 +1142,16 @@ impl StreamingSim {
     }
 
     /// Build the telemetry artifact for a finished run.
-    fn telemetry_report(&self, state: &TelemetryState, summary: &RunSummary) -> TelemetryReport {
+    fn telemetry_report(
+        &self,
+        state: &TelemetryState,
+        summary: &RunSummary,
+        churn: Option<&ChurnStats>,
+        prefetch: Option<&PrefetchStats>,
+    ) -> TelemetryReport {
         let tcfg = &state.cfg;
         let mut report = TelemetryReport::new(self.cfg.kind.label());
-        report.scalar("players", summary.players as f64);
-        report.scalar("events", summary.events as f64);
-        report.scalar("fog_share", summary.fog_share);
-        report.scalar("satisfied_ratio", summary.satisfied_ratio);
-        report.scalar("mean_continuity", summary.mean_continuity);
-        report.scalar("mean_latency_ms", summary.mean_latency_ms);
-        report.scalar("coverage", summary.coverage);
-        report.scalar("cloud_mbps", summary.cloud_mbps);
-        report.scalar("scheduler_drops", summary.scheduler_drops as f64);
-        report.scalar("failures_injected", summary.failures_injected as f64);
-        report.scalar("faults_activated", summary.faults_activated as f64);
-        report.scalar("mean_detection_ms", summary.mean_detection_ms);
-        if let Some(ctl) = &self.control {
-            ctl.report(&mut report);
-        }
-        if let Some(ps) = &self.prefetch {
-            ps.report(&mut report);
-        }
+        telemetry_scalars(&mut report, summary, churn, prefetch);
         if let Some(hist) = self.metrics.segment_latency_histogram() {
             report.distribution(
                 "latency_ms.segment",

@@ -8,7 +8,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use cloudfog_net::geo::Region;
 use cloudfog_sim::engine::Simulation;
 use cloudfog_sim::rng::Rng;
-use cloudfog_sim::telemetry::TelemetryReport;
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::forecast::DemandForecaster;
 use cloudfog_workload::games::{GameId, QualityLevel};
@@ -415,22 +414,6 @@ impl PrefetchState {
                 region.index() as f64,
             );
         }
-    }
-
-    /// Write the `prefetch.*` telemetry scalars.
-    pub(super) fn report(&self, report: &mut TelemetryReport) {
-        let p = self.stats();
-        report.scalar("prefetch.forecast_ticks", p.forecast_ticks as f64);
-        report.scalar("prefetch.cache_hits", p.cache_hits as f64);
-        report.scalar("prefetch.cache_misses", p.cache_misses as f64);
-        report.scalar("prefetch.cache_evictions", p.cache_evictions as f64);
-        report.scalar("prefetch.hit_rate", p.hit_rate());
-        report.scalar("prefetch.encode_ms_saved", p.encode_ms_saved);
-        report.scalar("prefetch.encode_jobs", p.encode_jobs as f64);
-        report.scalar("prefetch.encode_tasks", p.encode_tasks as f64);
-        report.scalar("prefetch.encode_retries", p.encode_retries as f64);
-        report.scalar("prefetch.encode_completed", p.encode_completed as f64);
-        report.scalar("prefetch.predeploys_issued", p.predeploys_issued as f64);
     }
 }
 

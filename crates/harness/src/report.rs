@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use cloudfog_sim::telemetry::{json_escape, json_f64};
+use cloudfog_sim::telemetry::JsonWriter;
 
 use crate::exec::MatrixReport;
 use crate::invariant::Violation;
@@ -95,65 +95,53 @@ impl HarnessReport {
     pub fn to_jsonl(&self) -> String {
         let agg = self.matrix.aggregate();
         let mut out = String::with_capacity(2048);
-        let _ = write!(
-            out,
-            "{{\"scenarios\":{},\"workers\":{},\"passed\":{},\"fingerprint\":\"{:016x}\"",
-            self.matrix.len(),
-            self.workers,
-            self.passed(),
-            self.matrix.fingerprint()
-        );
-        out.push_str(",\"systems\":{");
-        for (i, (label, row)) in agg.system_rows().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"runs\":{},\"mean_latency_ms\":{},\"mean_continuity\":{},\"mean_satisfied\":{},\"mean_coverage\":{}}}",
-                json_escape(label),
-                row.runs,
-                json_f64(row.mean_latency_ms()),
-                json_f64(row.mean_continuity()),
-                json_f64(row.mean_satisfied()),
-                json_f64(row.mean_coverage())
-            );
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_object()
+            .field("scenarios", self.matrix.len())
+            .field("workers", self.workers)
+            .field("passed", self.passed())
+            .field("fingerprint", format!("{:016x}", self.matrix.fingerprint()))
+            .key("systems")
+            .begin_object();
+        for (label, row) in agg.system_rows() {
+            w.key(label)
+                .begin_object()
+                .field("runs", row.runs)
+                .field("mean_latency_ms", row.mean_latency_ms())
+                .field("mean_continuity", row.mean_continuity())
+                .field("mean_satisfied", row.mean_satisfied())
+                .field("mean_coverage", row.mean_coverage())
+                .end();
         }
-        let _ = write!(
-            out,
-            "}},\"totals\":{{\"events\":{},\"failures_injected\":{},\"faults_activated\":{},\"scheduler_drops\":{}}}",
-            agg.events, agg.failures_injected, agg.faults_activated, agg.scheduler_drops
-        );
-        out.push_str(",\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"invariant\":\"{}\",\"scenario\":\"{}\",\"detail\":\"{}\"}}",
-                json_escape(v.invariant),
-                json_escape(&v.scenario_name),
-                json_escape(&v.detail)
-            );
+        w.end()
+            .key("totals")
+            .begin_object()
+            .field("events", agg.events)
+            .field("failures_injected", agg.failures_injected)
+            .field("faults_activated", agg.faults_activated)
+            .field("scheduler_drops", agg.scheduler_drops)
+            .end()
+            .key("violations")
+            .begin_array();
+        for v in &self.violations {
+            w.begin_object()
+                .field("invariant", v.invariant)
+                .field("scenario", &v.scenario_name)
+                .field("detail", &v.detail)
+                .end();
         }
-        out.push_str("],\"reproducers\":[");
-        for (i, r) in self.reproducers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"invariant\":\"{}\",\"origin\":\"{}\",\"seed\":{},\"players\":{},\"runs_used\":{},\"replay\":\"{}\"}}",
-                json_escape(r.invariant),
-                json_escape(&r.origin),
-                r.seed,
-                r.players,
-                r.runs_used,
-                json_escape(&r.replay())
-            );
+        w.end().key("reproducers").begin_array();
+        for r in &self.reproducers {
+            w.begin_object()
+                .field("invariant", r.invariant)
+                .field("origin", &r.origin)
+                .field("seed", r.seed)
+                .field("players", r.players)
+                .field("runs_used", r.runs_used)
+                .field("replay", r.replay())
+                .end();
         }
-        out.push_str("]}");
+        w.end().end();
         out
     }
 

@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 
 use crate::stats::Histogram;
-use crate::telemetry::{json_escape, json_f64, Quantiles, TelemetryConfig};
+use crate::telemetry::{JsonWriter, Quantiles, TelemetryConfig, ToJson, TraceRing};
 use crate::time::{SimDuration, SimTime};
 
 /// The five latency components of Eq. 12, in paper order.
@@ -224,46 +224,31 @@ impl SegmentTrace {
         let comps = self.components_ms()?;
         Some(COMPONENTS[argmax(&comps)])
     }
+}
 
-    /// Deterministic single-line JSON record.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"trace\":{},\"player\":{},\"game\":{},\"quality\":{}",
-            self.trace, self.player, self.game, self.quality
-        ));
+impl ToJson for SegmentTrace {
+    fn write_json(&self, out: &mut String) {
+        let mut w = JsonWriter::new(out);
+        w.begin_object()
+            .field("trace", self.trace)
+            .field("player", self.player)
+            .field("game", self.game)
+            .field("quality", self.quality);
         for stage in Stage::ALL {
-            match self.stage(stage) {
-                Some(at) => s.push_str(&format!(",\"{}_us\":{}", stage.label(), at.as_micros())),
-                None => s.push_str(&format!(",\"{}_us\":null", stage.label())),
-            }
+            w.field(&format!("{}_us", stage.label()), self.stage(stage).map(SimTime::as_micros));
         }
-        s.push_str(&format!(
-            ",\"deadline_us\":{},\"propagation_us\":{},\"packets\":{}",
-            self.deadline.as_micros(),
-            self.propagation_us,
-            self.packets
-        ));
-        s.push_str(&format!(
-            ",\"sched_dropped\":{},\"wire_lost\":{}",
-            self.sched_dropped, self.wire_lost
-        ));
-        match self.outcome {
-            Some(o) => s.push_str(&format!(",\"outcome\":\"{}\"", o.label())),
-            None => s.push_str(",\"outcome\":null"),
+        w.field("deadline_us", self.deadline.as_micros())
+            .field("propagation_us", self.propagation_us)
+            .field("packets", self.packets)
+            .field("sched_dropped", self.sched_dropped)
+            .field("wire_lost", self.wire_lost)
+            .field("outcome", self.outcome.map(Outcome::label))
+            .field("graded_us", self.graded_at.as_micros())
+            .field("measured", self.measured);
+        for (name, v) in COMPONENTS.iter().zip(self.components_ms().into_iter().flatten()) {
+            w.field(&format!("{name}_ms"), v);
         }
-        s.push_str(&format!(
-            ",\"graded_us\":{},\"measured\":{}",
-            self.graded_at.as_micros(),
-            self.measured
-        ));
-        if let Some(c) = self.components_ms() {
-            for (name, v) in COMPONENTS.iter().zip(c) {
-                s.push_str(&format!(",\"{}_ms\":{}", name, json_f64(v)));
-            }
-        }
-        s.push('}');
-        s
+        w.end();
     }
 }
 
@@ -304,27 +289,25 @@ impl AdaptProvenance {
     pub fn driver_label(&self) -> &'static str {
         self.driver.unwrap_or(if self.probe { "probe.stable" } else { "buffer.r" })
     }
+}
 
-    /// Deterministic single-line JSON record.
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"at_us\":{},\"player\":{},\"from\":{},\"to\":{},\"r\":{},\
-             \"up_threshold\":{},\"down_threshold\":{},\"run\":{},\"probe\":{}",
-            self.at.as_micros(),
-            self.player,
-            self.from_level,
-            self.to_level,
-            json_f64(self.r),
-            json_f64(self.up_threshold),
-            json_f64(self.down_threshold),
-            self.run,
-            self.probe
-        );
+impl ToJson for AdaptProvenance {
+    fn write_json(&self, out: &mut String) {
+        let mut w = JsonWriter::new(out);
+        w.begin_object()
+            .field("at_us", self.at.as_micros())
+            .field("player", self.player)
+            .field("from", self.from_level)
+            .field("to", self.to_level)
+            .field("r", self.r)
+            .field("up_threshold", self.up_threshold)
+            .field("down_threshold", self.down_threshold)
+            .field("run", self.run)
+            .field("probe", self.probe);
         if let Some(driver) = self.driver {
-            s.push_str(&format!(",\"driver\":\"{driver}\""));
+            w.field("driver", driver);
         }
-        s.push('}');
-        s
+        w.end();
     }
 }
 
@@ -343,17 +326,16 @@ pub struct AdmissionProvenance {
     pub utilization: f64,
 }
 
-impl AdmissionProvenance {
-    /// Deterministic single-line JSON record.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"at_us\":{},\"player\":{},\"region\":{},\"level\":{},\"utilization\":{}}}",
-            self.at.as_micros(),
-            self.player,
-            self.region,
-            self.level,
-            json_f64(self.utilization)
-        )
+impl ToJson for AdmissionProvenance {
+    fn write_json(&self, out: &mut String) {
+        JsonWriter::new(out)
+            .begin_object()
+            .field("at_us", self.at.as_micros())
+            .field("player", self.player)
+            .field("region", self.region)
+            .field("level", self.level)
+            .field("utilization", self.utilization)
+            .end();
     }
 }
 
@@ -372,16 +354,16 @@ pub struct DropShare {
     pub dropped: u32,
 }
 
-impl DropShare {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"trace\":{},\"tolerance\":{},\"phi\":{},\"weight\":{},\"dropped\":{}}}",
-            self.trace,
-            json_f64(self.tolerance),
-            json_f64(self.phi),
-            json_f64(self.weight),
-            self.dropped
-        )
+impl ToJson for DropShare {
+    fn write_json(&self, out: &mut String) {
+        JsonWriter::new(out)
+            .begin_object()
+            .field("trace", self.trace)
+            .field("tolerance", self.tolerance)
+            .field("phi", self.phi)
+            .field("weight", self.weight)
+            .field("dropped", self.dropped)
+            .end();
     }
 }
 
@@ -409,30 +391,33 @@ pub struct DropProvenance {
     pub shares: Vec<DropShare>,
 }
 
-impl DropProvenance {
-    /// Deterministic single-line JSON record.
-    pub fn to_json(&self) -> String {
-        let shares: Vec<String> = self.shares.iter().map(|s| s.to_json()).collect();
-        format!(
-            "{{\"at_us\":{},\"trigger\":{},\"player\":{},\"predicted_ms\":{},\
-             \"required_ms\":{},\"sigma_ms\":{},\"demanded\":{},\"dropped\":{},\"shares\":[{}]}}",
-            self.at.as_micros(),
-            self.trigger,
-            self.player,
-            json_f64(self.predicted_ms),
-            json_f64(self.required_ms),
-            json_f64(self.sigma_ms),
-            self.demanded,
-            self.dropped,
-            shares.join(",")
-        )
+impl ToJson for DropProvenance {
+    fn write_json(&self, out: &mut String) {
+        let mut w = JsonWriter::new(out);
+        w.begin_object()
+            .field("at_us", self.at.as_micros())
+            .field("trigger", self.trigger)
+            .field("player", self.player)
+            .field("predicted_ms", self.predicted_ms)
+            .field("required_ms", self.required_ms)
+            .field("sigma_ms", self.sigma_ms)
+            .field("demanded", self.demanded)
+            .field("dropped", self.dropped)
+            .key("shares")
+            .begin_array();
+        for share in &self.shares {
+            w.value(share);
+        }
+        w.end().end();
     }
 }
 
-fn argmax(xs: &[f64; 5]) -> usize {
+/// Index of the largest Eq. 12 component (or count), the lowest index
+/// on ties — the one rule every dominant-component pick uses.
+pub fn argmax<T: PartialOrd>(xs: &[T]) -> usize {
     let mut best = 0;
-    for (i, &x) in xs.iter().enumerate().skip(1) {
-        if x > xs[best] {
+    for (i, x) in xs.iter().enumerate().skip(1) {
+        if *x > xs[best] {
             best = i;
         }
     }
@@ -475,33 +460,25 @@ impl Attribution {
 
 /// The in-run causal log: open traces, bounded finished tails and the
 /// attribution fold. Lives inside the simulation's telemetry state —
-/// absent entirely when telemetry is off.
+/// absent entirely when telemetry is off. Each tail ring counts every
+/// record pushed, so the finished and per-kind event counters stay
+/// exact past eviction.
 #[derive(Clone, Debug)]
 pub struct CausalLog {
     open: BTreeMap<u64, SegmentTrace>,
-    tail: Vec<SegmentTrace>,
-    tail_next: usize,
-    tail_cap: usize,
-    adapt: Vec<AdaptProvenance>,
-    adapt_next: usize,
-    drops: Vec<DropProvenance>,
-    drops_next: usize,
-    admission: Vec<AdmissionProvenance>,
-    admission_next: usize,
-    prov_cap: usize,
+    tail: TraceRing<SegmentTrace>,
+    adapt: TraceRing<AdaptProvenance>,
+    drops: TraceRing<DropProvenance>,
+    admission: TraceRing<AdmissionProvenance>,
     measure_from: SimTime,
     attr: Attribution,
     started: u64,
-    finished: u64,
     on_time: u64,
     late: u64,
     skipped: u64,
     lost: u64,
     evaporated: u64,
-    adapt_events: u64,
-    drop_events: u64,
     drop_packets: u64,
-    admission_events: u64,
 }
 
 impl CausalLog {
@@ -510,29 +487,19 @@ impl CausalLog {
     pub fn new(cfg: &TelemetryConfig) -> Self {
         CausalLog {
             open: BTreeMap::new(),
-            tail: Vec::new(),
-            tail_next: 0,
-            tail_cap: cfg.causal_tail,
-            adapt: Vec::new(),
-            adapt_next: 0,
-            drops: Vec::new(),
-            drops_next: 0,
-            admission: Vec::new(),
-            admission_next: 0,
-            prov_cap: cfg.provenance_tail,
+            tail: TraceRing::with_capacity(cfg.causal_tail),
+            adapt: TraceRing::with_capacity(cfg.provenance_tail),
+            drops: TraceRing::with_capacity(cfg.provenance_tail),
+            admission: TraceRing::with_capacity(cfg.provenance_tail),
             measure_from: SimTime::ZERO,
             attr: Attribution::new(cfg),
             started: 0,
-            finished: 0,
             on_time: 0,
             late: 0,
             skipped: 0,
             lost: 0,
             evaporated: 0,
-            adapt_events: 0,
-            drop_events: 0,
             drop_packets: 0,
-            admission_events: 0,
         }
     }
 
@@ -598,7 +565,6 @@ impl CausalLog {
         t.outcome = Some(outcome);
         t.graded_at = at;
         t.measured = at >= self.measure_from;
-        self.finished += 1;
         match outcome {
             Outcome::OnTime => self.on_time += 1,
             Outcome::Late => self.late += 1,
@@ -611,32 +577,24 @@ impl CausalLog {
                 self.attr.fold(comps, net);
             }
         }
-        push_ring(&mut self.tail, &mut self.tail_next, self.tail_cap, t);
+        self.tail.push(t);
     }
 
     /// Record why a quality switch happened.
     pub fn record_adapt(&mut self, rec: AdaptProvenance) {
-        self.adapt_events += 1;
-        push_ring(&mut self.adapt, &mut self.adapt_next, self.prov_cap, rec);
+        self.adapt.push(rec);
     }
 
     /// Record why a scheduler rebalance dropped packets. The packet
     /// counter is exact even after the tail ring evicts records.
     pub fn record_drop(&mut self, rec: DropProvenance) {
-        self.drop_events += 1;
         self.drop_packets += u64::from(rec.dropped);
-        push_ring(&mut self.drops, &mut self.drops_next, self.prov_cap, rec);
+        self.drops.push(rec);
     }
 
     /// Record why a join landed at its brownout admission level.
     pub fn record_admission(&mut self, rec: AdmissionProvenance) {
-        self.admission_events += 1;
-        push_ring(&mut self.admission, &mut self.admission_next, self.prov_cap, rec);
-    }
-
-    /// Traces still open (in flight at the horizon).
-    pub fn in_flight(&self) -> usize {
-        self.open.len()
+        self.admission.push(rec);
     }
 
     /// Total packets dropped across all recorded rebalances (exact,
@@ -677,16 +635,11 @@ impl CausalLog {
             counts[i] = above.round() as u64;
         }
         let tail_count: u64 = counts.iter().sum();
-        let dominant = COMPONENTS[counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .unwrap_or(0)];
+        let dominant = COMPONENTS[argmax(&counts)];
         CausalReport {
             run: run.to_string(),
             started: self.started,
-            finished: self.finished,
+            finished: self.tail.recorded(),
             in_flight: self.open.len() as u64,
             folded: self.attr.folded,
             on_time: self.on_time,
@@ -694,38 +647,19 @@ impl CausalLog {
             skipped: self.skipped,
             lost: self.lost,
             evaporated: self.evaporated,
-            adapt_events: self.adapt_events,
-            drop_events: self.drop_events,
+            adapt_events: self.adapt.recorded(),
+            drop_events: self.drops.recorded(),
             drop_packets: self.drop_packets,
             components,
             total,
             tail: TailAttribution { threshold_ms: threshold, tail_count, counts, dominant },
-            traces: ring_chronological(&self.tail, self.tail_next),
-            adapt: ring_chronological(&self.adapt, self.adapt_next),
-            drops: ring_chronological(&self.drops, self.drops_next),
-            admission_events: self.admission_events,
-            admission: ring_chronological(&self.admission, self.admission_next),
+            traces: self.tail.iter().cloned().collect(),
+            adapt: self.adapt.iter().copied().collect(),
+            drops: self.drops.iter().cloned().collect(),
+            admission_events: self.admission.recorded(),
+            admission: self.admission.iter().copied().collect(),
         }
     }
-}
-
-fn push_ring<T>(buf: &mut Vec<T>, next: &mut usize, cap: usize, item: T) {
-    if cap == 0 {
-        return;
-    }
-    if buf.len() < cap {
-        buf.push(item);
-    } else {
-        buf[*next] = item;
-        *next = (*next + 1) % cap;
-    }
-}
-
-fn ring_chronological<T: Clone>(buf: &[T], next: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(buf.len());
-    out.extend_from_slice(&buf[next..]);
-    out.extend_from_slice(&buf[..next]);
-    out
 }
 
 /// One component's row of the attribution table.
@@ -810,91 +744,66 @@ impl CausalReport {
     /// the same seed.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\"causal\":\"summary\",\"run\":\"{}\",\"started\":{},\"finished\":{},\
-             \"in_flight\":{},\"folded\":{},\"on_time\":{},\"late\":{},\"skipped\":{},\
-             \"lost\":{},\"evaporated\":{},\"adapt_events\":{},\"drop_events\":{},\
-             \"drop_packets\":{}}}\n",
-            json_escape(&self.run),
-            self.started,
-            self.finished,
-            self.in_flight,
-            self.folded,
-            self.on_time,
-            self.late,
-            self.skipped,
-            self.lost,
-            self.evaporated,
-            self.adapt_events,
-            self.drop_events,
-            self.drop_packets
-        ));
+        let mut w = JsonWriter::new(&mut out);
+        let run = self.run.as_str();
+        line(&mut w, "summary", run)
+            .field("started", self.started)
+            .field("finished", self.finished)
+            .field("in_flight", self.in_flight)
+            .field("folded", self.folded)
+            .field("on_time", self.on_time)
+            .field("late", self.late)
+            .field("skipped", self.skipped)
+            .field("lost", self.lost)
+            .field("evaporated", self.evaporated)
+            .field("adapt_events", self.adapt_events)
+            .field("drop_events", self.drop_events)
+            .field("drop_packets", self.drop_packets)
+            .end()
+            .newline();
         for c in &self.components {
-            out.push_str(&format!(
-                "{{\"causal\":\"component\",\"run\":\"{}\",\"name\":\"{}\",\"mean_ms\":{},\
-                 \"share\":{},\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}\n",
-                json_escape(&self.run),
-                c.name,
-                json_f64(c.mean_ms),
-                json_f64(c.share),
-                c.quantiles.count,
-                json_f64(c.quantiles.p50),
-                json_f64(c.quantiles.p95),
-                json_f64(c.quantiles.p99),
-                json_f64(c.quantiles.max)
-            ));
+            line(&mut w, "component", run)
+                .field("name", c.name)
+                .field("mean_ms", c.mean_ms)
+                .field("share", c.share)
+                .field("count", c.quantiles.count)
+                .field("p50", c.quantiles.p50)
+                .field("p95", c.quantiles.p95)
+                .field("p99", c.quantiles.p99)
+                .field("max", c.quantiles.max)
+                .end()
+                .newline();
         }
-        let counts: Vec<String> = COMPONENTS
-            .iter()
-            .zip(self.tail.counts)
-            .map(|(name, n)| format!("\"{name}\":{n}"))
-            .collect();
-        out.push_str(&format!(
-            "{{\"causal\":\"tail\",\"run\":\"{}\",\"threshold_ms\":{},\"tail_count\":{},\
-             \"dominant\":\"{}\",\"counts\":{{{}}}}}\n",
-            json_escape(&self.run),
-            json_f64(self.tail.threshold_ms),
-            self.tail.tail_count,
-            self.tail.dominant,
-            counts.join(",")
-        ));
+        line(&mut w, "tail", run)
+            .field("threshold_ms", self.tail.threshold_ms)
+            .field("tail_count", self.tail.tail_count)
+            .field("dominant", self.tail.dominant)
+            .key("counts")
+            .begin_object();
+        for (name, n) in COMPONENTS.iter().zip(self.tail.counts) {
+            w.field(name, n);
+        }
+        w.end().end().newline();
         for t in &self.traces {
-            out.push_str(&format!(
-                "{{\"causal\":\"trace\",\"run\":\"{}\",\"record\":{}}}\n",
-                json_escape(&self.run),
-                t.to_json()
-            ));
+            line(&mut w, "trace", run).field("record", t).end().newline();
         }
         for a in &self.adapt {
-            out.push_str(&format!(
-                "{{\"causal\":\"adapt\",\"run\":\"{}\",\"record\":{}}}\n",
-                json_escape(&self.run),
-                a.to_json()
-            ));
+            line(&mut w, "adapt", run).field("record", a).end().newline();
         }
         for d in &self.drops {
-            out.push_str(&format!(
-                "{{\"causal\":\"drop\",\"run\":\"{}\",\"record\":{}}}\n",
-                json_escape(&self.run),
-                d.to_json()
-            ));
+            line(&mut w, "drop", run).field("record", d).end().newline();
         }
         // Admission lines exist only when brownout admission ran, so
         // churn-off exports stay byte-identical to the pre-churn
         // format.
         if self.admission_events > 0 {
-            out.push_str(&format!(
-                "{{\"causal\":\"admission_summary\",\"run\":\"{}\",\"admission_events\":{}}}\n",
-                json_escape(&self.run),
-                self.admission_events
-            ));
+            line(&mut w, "admission_summary", run)
+                .field("admission_events", self.admission_events)
+                .end()
+                .newline();
         }
         for a in &self.admission {
-            out.push_str(&format!(
-                "{{\"causal\":\"admission\",\"run\":\"{}\",\"record\":{}}}\n",
-                json_escape(&self.run),
-                a.to_json()
-            ));
+            line(&mut w, "admission", run).field("record", a).end().newline();
         }
         out
     }
@@ -974,14 +883,7 @@ impl CausalReport {
             out.drops.extend(r.drops.iter().cloned());
             out.admission.extend(r.admission.iter().cloned());
         }
-        out.tail.dominant = COMPONENTS[out
-            .tail
-            .counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, c)| (*c, std::cmp::Reverse(i)))
-            .map(|(i, _)| i)
-            .unwrap_or(0)];
+        out.tail.dominant = COMPONENTS[argmax(&out.tail.counts)];
         for (i, slot) in out.components.iter_mut().enumerate() {
             *slot =
                 merge_quantile_rows(slot.name, reports.iter().filter_map(|r| r.components.get(i)));
@@ -996,52 +898,26 @@ impl CausalReport {
         out
     }
 
-    /// Which policy input drove the most quality switches, over the
-    /// retained [`CausalReport::adapt`] ring: `(driver label, count)`.
-    /// `None` when no switches were retained. Legacy records without an
-    /// explicit driver resolve through
-    /// [`AdaptProvenance::driver_label`], so paper-controller runs
-    /// report `"buffer.r"` / `"probe.stable"` here.
-    pub fn dominant_switch_driver(&self) -> Option<(&'static str, u64)> {
-        let mut counts: Vec<(&'static str, u64)> = Vec::new();
-        for a in &self.adapt {
-            let label = a.driver_label();
-            match counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((label, 1)),
-            }
-        }
-        // Ties break toward the first driver observed — deterministic
-        // because the ring is chronological.
-        let mut best: Option<(&'static str, u64)> = None;
-        for (label, n) in counts {
-            if best.is_none_or(|(_, m)| n > m) {
-                best = Some((label, n));
-            }
-        }
-        best
-    }
-
     /// Chrome `trace_event` JSON (the object form), loadable in
     /// Perfetto. Each retained trace renders its Eq. 12 components as
     /// complete (`"X"`) slices — `pid` is the player, `tid` the trace
     /// id — and every provenance record renders as an instant event.
     pub fn chrome_trace_json(&self) -> String {
-        let mut events: Vec<String> = Vec::new();
+        let mut out = String::new();
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_object().field("displayTimeUnit", "ms").key("traceEvents").begin_array();
         for t in &self.traces {
-            let slice = |name: &str, from: SimTime, to: SimTime, extra: &str| {
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"segment\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{{\"trace\":{},\"quality\":{}{}}}}}",
-                    name,
-                    from.as_micros(),
-                    to.saturating_since(from).as_micros(),
-                    t.player,
-                    t.trace,
-                    t.trace,
-                    t.quality,
-                    extra
-                )
+            let mut slice = |name: &str, from: SimTime, to: SimTime| {
+                event(&mut w, name, "segment", "X", from)
+                    .field("dur", to.saturating_since(from).as_micros())
+                    .field("pid", t.player)
+                    .field("tid", t.trace)
+                    .key("args")
+                    .begin_object()
+                    .field("trace", t.trace)
+                    .field("quality", t.quality)
+                    .end()
+                    .end();
             };
             // Consecutive stage pairs present on the trace become
             // component slices; partially-lived segments render the
@@ -1060,55 +936,57 @@ impl CausalReport {
                         let split = SimTime::from_micros(
                             to.as_micros() - t.propagation_us.min(to.as_micros()),
                         );
-                        events.push(slice("l_t", from, split, ""));
-                        events.push(slice("l_p", split, to, ""));
+                        slice("l_t", from, split);
+                        slice("l_p", split, to);
                     } else {
-                        events.push(slice(name, from, to, ""));
+                        slice(name, from, to);
                     }
                 }
             }
             if let Some(outcome) = t.outcome {
                 if !matches!(outcome, Outcome::OnTime | Outcome::Late) {
-                    events.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"outcome\",\"ph\":\"i\",\"ts\":{},\
-                         \"pid\":{},\"tid\":{},\"s\":\"t\",\"args\":{{\"trace\":{}}}}}",
-                        outcome.label(),
-                        t.graded_at.as_micros(),
-                        t.player,
-                        t.trace,
-                        t.trace
-                    ));
+                    event(&mut w, outcome.label(), "outcome", "i", t.graded_at)
+                        .field("pid", t.player)
+                        .field("tid", t.trace)
+                        .field("s", "t")
+                        .key("args")
+                        .begin_object()
+                        .field("trace", t.trace)
+                        .end()
+                        .end();
                 }
             }
         }
         for a in &self.adapt {
-            events.push(format!(
-                "{{\"name\":\"adapt q{}->q{}\",\"cat\":\"provenance\",\"ph\":\"i\",\"ts\":{},\
-                 \"pid\":{},\"tid\":0,\"s\":\"p\",\"args\":{{\"r\":{},\"run\":{},\"probe\":{}}}}}",
-                a.from_level,
-                a.to_level,
-                a.at.as_micros(),
-                a.player,
-                json_f64(a.r),
-                a.run,
-                a.probe
-            ));
+            let name = format!("adapt q{}->q{}", a.from_level, a.to_level);
+            event(&mut w, &name, "provenance", "i", a.at)
+                .field("pid", a.player)
+                .field("tid", 0u64)
+                .field("s", "p")
+                .key("args")
+                .begin_object()
+                .field("r", a.r)
+                .field("run", a.run)
+                .field("probe", a.probe)
+                .end()
+                .end();
         }
         for d in &self.drops {
-            events.push(format!(
-                "{{\"name\":\"sched.drop\",\"cat\":\"provenance\",\"ph\":\"i\",\"ts\":{},\
-                 \"pid\":{},\"tid\":{},\"s\":\"p\",\"args\":{{\"demanded\":{},\"dropped\":{},\
-                 \"predicted_ms\":{},\"required_ms\":{}}}}}",
-                d.at.as_micros(),
-                d.player,
-                d.trigger,
-                d.demanded,
-                d.dropped,
-                json_f64(d.predicted_ms),
-                json_f64(d.required_ms)
-            ));
+            event(&mut w, "sched.drop", "provenance", "i", d.at)
+                .field("pid", d.player)
+                .field("tid", d.trigger)
+                .field("s", "p")
+                .key("args")
+                .begin_object()
+                .field("demanded", d.demanded)
+                .field("dropped", d.dropped)
+                .field("predicted_ms", d.predicted_ms)
+                .field("required_ms", d.required_ms)
+                .end()
+                .end();
         }
-        format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}", events.join(","))
+        w.end().end();
+        out
     }
 
     /// Human-readable attribution table for CLI output.
@@ -1150,6 +1028,26 @@ impl CausalReport {
         ));
         out
     }
+}
+
+/// Open one `{"causal":kind,"run":run,…` JSONL export line.
+fn line<'w, 'a>(w: &'w mut JsonWriter<'a>, kind: &str, run: &str) -> &'w mut JsonWriter<'a> {
+    w.begin_object().field("causal", kind).field("run", run)
+}
+
+/// Open one Chrome `trace_event` object at `at`.
+fn event<'w, 'a>(
+    w: &'w mut JsonWriter<'a>,
+    name: &str,
+    cat: &str,
+    ph: &str,
+    at: SimTime,
+) -> &'w mut JsonWriter<'a> {
+    w.begin_object()
+        .field("name", name)
+        .field("cat", cat)
+        .field("ph", ph)
+        .field("ts", at.as_micros())
 }
 
 /// Count-weighted merge of per-shard quantile summaries: `count` sums
@@ -1223,7 +1121,7 @@ mod tests {
     fn components_telescope_to_reported_latency() {
         let mut log = CausalLog::new(&cfg());
         deliver(&mut log, 7, 1_000_000, 6_000);
-        let t = &log.tail[0];
+        let t = log.tail.iter().next().unwrap();
         let comps = t.components_ms().unwrap();
         // l_r=10ms, l_s=5ms, l_q=5ms, l_t=10−6=4ms, l_p=6ms.
         assert_eq!(comps, [10.0, 5.0, 5.0, 4.0, 6.0]);
@@ -1386,27 +1284,10 @@ mod tests {
     }
 
     #[test]
-    fn dominant_switch_driver_counts_the_ring() {
-        let mut log = CausalLog::new(&cfg());
-        let adapt = |driver, probe| AdaptProvenance {
-            at: SimTime::from_secs(1),
-            player: 0,
-            from_level: 2,
-            to_level: 1,
-            r: 0.3,
-            up_threshold: 1.6,
-            down_threshold: 0.8,
-            run: 3,
-            probe,
-            driver,
-        };
-        assert_eq!(log.report("empty").dominant_switch_driver(), None);
-        log.record_adapt(adapt(Some("host.load"), false));
-        log.record_adapt(adapt(Some("host.load"), false));
-        log.record_adapt(adapt(None, false));
-        log.record_adapt(adapt(None, true));
-        let r = log.report("drivers");
-        assert_eq!(r.dominant_switch_driver(), Some(("host.load", 2)));
+    fn argmax_takes_the_lowest_index_on_ties() {
+        assert_eq!(argmax(&[1u64, 3, 3, 2]), 1);
+        assert_eq!(argmax(&[0.0, 0.0, -1.0]), 0);
+        assert_eq!(argmax::<u64>(&[]), 0);
     }
 
     #[test]
@@ -1483,7 +1364,6 @@ mod tests {
             SimTime::from_millis(105),
             12,
         );
-        assert_eq!(log.in_flight(), 1);
         let r = log.report("open");
         assert_eq!(r.in_flight, 1);
         assert_eq!(r.finished, 0);

@@ -18,7 +18,8 @@
 //!   sliding-window means, ratio counters.
 //! * [`series`] — time-bucketed metric series (QoE-over-time plots).
 //! * [`telemetry`] — ring-buffered event tracing, quantile/CDF
-//!   summaries, wall-clock phase profiling and JSONL/CSV run reports.
+//!   summaries, wall-clock phase profiling, JSONL run reports and the
+//!   JSON encoder every export uses.
 //! * [`causal`] — per-segment lifecycle spans, decision provenance and
 //!   Eq. 12 latency attribution with Chrome-trace export.
 //! * [`live`] — tick-synchronous metrics registry, SLO burn-rate

@@ -25,7 +25,7 @@
 //! bit-invisible (`tests/live_ops.rs`).
 
 use crate::stats::Histogram;
-use crate::telemetry::{json_escape, json_f64};
+use crate::telemetry::{json_f64, JsonWriter, ToJson};
 use crate::time::SimTime;
 
 /// What a metric measures, which fixes how it samples and merges.
@@ -387,34 +387,26 @@ impl JsonlEncoder {
 
 impl MetricsSink for JsonlEncoder {
     fn snapshot(&mut self, at: SimTime, registry: &MetricsRegistry) {
-        use std::fmt::Write;
-        let _ = write!(self.buf, "{{\"live\":\"sample\",\"t_ms\":{}", at.as_micros() / 1_000);
+        let mut w = JsonWriter::new(&mut self.buf);
+        w.begin_object().field("live", "sample").field("t_ms", at.as_micros() / 1_000);
         for (spec, value) in registry.iter() {
             match value {
-                MetricValue::Counter(c) => {
-                    let _ = write!(self.buf, ",\"{}\":{}", json_escape(spec.name), c);
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = write!(self.buf, ",\"{}\":{}", json_escape(spec.name), json_f64(*g));
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        self.buf,
-                        ",\"{}\":{{\"count\":{},\"p50\":{},\"p99\":{}}}",
-                        json_escape(spec.name),
-                        h.count(),
-                        json_f64(h.quantile(0.5).unwrap_or(0.0)),
-                        json_f64(h.quantile(0.99).unwrap_or(0.0)),
-                    );
-                }
-            }
+                MetricValue::Counter(c) => w.field(spec.name, c),
+                MetricValue::Gauge(g) => w.field(spec.name, g),
+                MetricValue::Histogram(h) => w
+                    .key(spec.name)
+                    .begin_object()
+                    .field("count", h.count())
+                    .field("p50", h.quantile(0.5).unwrap_or(0.0))
+                    .field("p99", h.quantile(0.99).unwrap_or(0.0))
+                    .end(),
+            };
         }
-        self.buf.push_str("}\n");
+        w.end().newline();
     }
 
     fn alert(&mut self, alert: &Alert) {
-        self.buf.push_str(&alert.to_json());
-        self.buf.push('\n');
+        JsonWriter::new(&mut self.buf).value(alert).newline();
     }
 }
 
@@ -533,26 +525,21 @@ pub struct Alert {
     pub dominant_component: Option<&'static str>,
 }
 
-impl Alert {
-    /// One deterministic JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"live\":\"alert\",\"t_ms\":{},\"slo\":\"{}\",\"metric\":\"{}\",\
-             \"value\":{},\"fast_burn\":{},\"slow_burn\":{},\"fast_window\":{},\
-             \"slow_window\":{},\"dominant\":{}}}",
-            self.at.as_micros() / 1_000,
-            json_escape(self.slo),
-            json_escape(self.metric),
-            json_f64(self.value),
-            json_f64(self.fast_burn),
-            json_f64(self.slow_burn),
-            self.fast_window,
-            self.slow_window,
-            match self.dominant_component {
-                Some(c) => format!("\"{}\"", json_escape(c)),
-                None => "null".to_string(),
-            },
-        )
+impl ToJson for Alert {
+    fn write_json(&self, out: &mut String) {
+        JsonWriter::new(out)
+            .begin_object()
+            .field("live", "alert")
+            .field("t_ms", self.at.as_micros() / 1_000)
+            .field("slo", self.slo)
+            .field("metric", self.metric)
+            .field("value", self.value)
+            .field("fast_burn", self.fast_burn)
+            .field("slow_burn", self.slow_burn)
+            .field("fast_window", self.fast_window)
+            .field("slow_window", self.slow_window)
+            .field("dominant", self.dominant_component)
+            .end();
     }
 }
 
@@ -591,9 +578,9 @@ impl AlertLog {
     /// The whole log as JSONL (one line per alert).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
+        let mut w = JsonWriter::new(&mut out);
         for a in &self.alerts {
-            out.push_str(&a.to_json());
-            out.push('\n');
+            w.value(a).newline();
         }
         out
     }

@@ -11,7 +11,8 @@
 //!   stamped event trace. Records are fixed-size `Copy` values (no
 //!   allocation on the hot path); when the ring is full the oldest
 //!   records are overwritten and the drop count is reported, so
-//!   tracing never grows memory unboundedly.
+//!   tracing never grows memory unboundedly. The causal log keeps its
+//!   bounded tails in the same ring type.
 //! * [`Quantiles`] — p50/p95/p99 (plus mean/min/max bounds) extracted
 //!   from a [`Histogram`].
 //! * [`CdfPoint`] — sampled CDF curves for export, the exact shape
@@ -20,7 +21,11 @@
 //!   collect). Wall time never feeds back into the simulation, so
 //!   determinism of simulated results is untouched.
 //! * [`TelemetryReport`] — the per-run artifact, exported as one JSONL
-//!   line (machine-readable trajectory seed) or CSV (CDF tables).
+//!   line. A sharded run's report carries the scalars of its folded
+//!   summary and summed trace counts, no distributions.
+//! * [`JsonWriter`] / [`ToJson`] — the one JSON encoder behind every
+//!   run artifact (this report, the causal exports, the live plane's
+//!   alerts and samples, the harness report).
 //!
 //! Everything here is observation-only: no method draws randomness or
 //! schedules events, which is what makes "telemetry on vs off yields
@@ -55,27 +60,29 @@ impl TraceRecord {
     pub fn new(at: SimTime, kind: &'static str, key: u64, value: f64) -> Self {
         TraceRecord { at, kind, key, value }
     }
+}
 
-    /// Render as one JSON object (used by the trace tail export).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_us\":{},\"kind\":\"{}\",\"key\":{},\"value\":{}}}",
-            self.at.as_micros(),
-            self.kind,
-            self.key,
-            json_f64(self.value)
-        )
+impl ToJson for TraceRecord {
+    fn write_json(&self, out: &mut String) {
+        JsonWriter::new(out)
+            .begin_object()
+            .field("t_us", self.at.as_micros())
+            .field("kind", self.kind)
+            .field("key", self.key)
+            .field("value", self.value)
+            .end();
     }
 }
 
-/// Fixed-capacity ring buffer of [`TraceRecord`]s.
+/// Fixed-capacity ring buffer: the run's [`TraceRecord`]s by default,
+/// and the causal log's finished traces and decision records.
 ///
 /// Pushing is O(1) and allocation-free after construction; once full,
 /// new records overwrite the oldest. [`TraceRing::iter`] yields the
 /// retained records in chronological order.
 #[derive(Clone, Debug)]
-pub struct TraceRing {
-    buf: Vec<TraceRecord>,
+pub struct TraceRing<T = TraceRecord> {
+    buf: Vec<T>,
     cap: usize,
     /// Index the next record will be written to (once saturated).
     next: usize,
@@ -84,20 +91,27 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// A ring retaining the most recent `capacity` records
-    /// (`capacity ≥ 1`).
+    /// A trace ring retaining the most recent `capacity` records (at
+    /// least one).
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        TraceRing { buf: Vec::with_capacity(cap.min(4096)), cap, next: 0, pushed: 0 }
+        Self::with_capacity(capacity.max(1))
+    }
+}
+
+impl<T> TraceRing<T> {
+    /// A ring retaining the most recent `capacity` records; a capacity
+    /// of 0 retains none and only counts.
+    pub fn with_capacity(capacity: usize) -> Self {
+        TraceRing { buf: Vec::with_capacity(capacity.min(4096)), cap: capacity, next: 0, pushed: 0 }
     }
 
     /// Append a record, overwriting the oldest when full.
     #[inline]
-    pub fn push(&mut self, record: TraceRecord) {
+    pub fn push(&mut self, record: T) {
         self.pushed += 1;
         if self.buf.len() < self.cap {
             self.buf.push(record);
-        } else {
+        } else if self.cap > 0 {
             self.buf[self.next] = record;
             self.next = (self.next + 1) % self.cap;
         }
@@ -108,7 +122,7 @@ impl TraceRing {
         self.buf.len()
     }
 
-    /// True before the first push.
+    /// True before the first retained push.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
@@ -124,14 +138,9 @@ impl TraceRing {
     }
 
     /// Retained records in chronological order.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         let (older, newer) = self.buf.split_at(self.next.min(self.buf.len()));
         newer.iter().chain(older.iter())
-    }
-
-    /// Count retained records of one kind.
-    pub fn count_kind(&self, kind: &str) -> usize {
-        self.iter().filter(|r| r.kind == kind).count()
     }
 }
 
@@ -330,19 +339,6 @@ pub struct TelemetryReport {
     pub trace_tail: Vec<TraceRecord>,
 }
 
-/// How one scalar combines across per-shard reports in
-/// [`TelemetryReport::merge_weighted`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScalarMerge {
-    /// Add the per-shard values (counters, byte totals, event counts).
-    Sum,
-    /// Weight each shard's value by its merge weight (rates, ratios,
-    /// means — weighted by player count they stay population-correct).
-    WeightedMean,
-    /// Take the largest per-shard value (peaks, high-water marks).
-    Max,
-}
-
 impl TelemetryReport {
     /// An empty report for `run`.
     pub fn new(run: impl Into<String>) -> Self {
@@ -407,70 +403,6 @@ impl TelemetryReport {
         Some(events / (ms / 1000.0))
     }
 
-    /// Deterministic merge of per-shard reports into one run-level
-    /// report.
-    ///
-    /// `reports` carry one weight each (typically the shard's player
-    /// count); `rule` decides how each scalar combines. Scalar names
-    /// keep first-appearance order, but each scalar's contributions
-    /// are folded in `(value, weight)` total order — not input order —
-    /// so the merged values are exactly permutation-invariant (the
-    /// proptest in `tests/telemetry.rs` pins this). Trace counts sum.
-    /// Distributions (quantiles, CDFs), phase rows and trace tails
-    /// stay per-shard — an exact quantile merge needs the raw
-    /// observations, so the merged report deliberately carries none
-    /// rather than fabricating them.
-    pub fn merge_weighted(
-        run: impl Into<String>,
-        reports: &[(f64, &TelemetryReport)],
-        rule: impl Fn(&str) -> ScalarMerge,
-    ) -> TelemetryReport {
-        let mut out = TelemetryReport::new(run);
-        let mut names: Vec<&str> = Vec::new();
-        for (_, r) in reports {
-            for (name, _) in &r.scalars {
-                if !names.contains(&name.as_str()) {
-                    names.push(name);
-                }
-            }
-            out.trace_recorded += r.trace_recorded;
-            out.trace_dropped += r.trace_dropped;
-        }
-        let merged: Vec<(String, f64)> = names
-            .into_iter()
-            .map(|name| {
-                // Canonicalize the fold order: floating-point addition
-                // is not associative, so summing in input order would
-                // make the merge depend on report permutation.
-                let mut present: Vec<(f64, f64)> = reports
-                    .iter()
-                    .filter_map(|(w, r)| r.get_scalar(name).map(|v| (v, *w)))
-                    .collect();
-                present.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
-                let mut sum = 0.0;
-                let mut weighted = 0.0;
-                let mut weight_total = 0.0;
-                let mut max = f64::NEG_INFINITY;
-                for (v, w) in &present {
-                    sum += v;
-                    weighted += v * w;
-                    weight_total += w;
-                    max = max.max(*v);
-                }
-                let value = match rule(name) {
-                    ScalarMerge::Sum => sum,
-                    ScalarMerge::WeightedMean if weight_total > 0.0 => weighted / weight_total,
-                    ScalarMerge::WeightedMean => 0.0,
-                    ScalarMerge::Max if !present.is_empty() => max,
-                    ScalarMerge::Max => 0.0,
-                };
-                (name.to_string(), value)
-            })
-            .collect();
-        out.scalars = merged;
-        out
-    }
-
     /// Absorb phase rows from a profiler (closes the open phase).
     pub fn set_phases(&mut self, profiler: &mut PhaseProfiler) {
         profiler.close();
@@ -489,78 +421,48 @@ impl TelemetryReport {
     /// newline). Key order is deterministic.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push('{');
-        let _ = write!(out, "\"run\":\"{}\"", json_escape(&self.run));
-        out.push_str(",\"scalars\":{");
-        for (i, (name, value)) in self.scalars.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", json_escape(name), json_f64(*value));
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_object().field("run", &self.run).key("scalars").begin_object();
+        for (name, value) in &self.scalars {
+            w.field(name, value);
         }
-        out.push_str("},\"quantiles\":{");
-        for (i, row) in self.quantiles.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        w.end().key("quantiles").begin_object();
+        for row in &self.quantiles {
             let q = row.quantiles;
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"min\":{},\"max\":{}}}",
-                json_escape(&row.name),
-                q.count,
-                json_f64(row.mean),
-                json_f64(q.p50),
-                json_f64(q.p95),
-                json_f64(q.p99),
-                json_f64(q.min),
-                json_f64(q.max)
-            );
+            w.key(&row.name)
+                .begin_object()
+                .field("count", q.count)
+                .field("mean", row.mean)
+                .field("p50", q.p50)
+                .field("p95", q.p95)
+                .field("p99", q.p99)
+                .field("min", q.min)
+                .field("max", q.max)
+                .end();
         }
-        out.push_str("},\"cdfs\":{");
-        for (i, (name, points)) in self.cdfs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":[", json_escape(name));
-            for (j, p) in points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", json_f64(p.x), json_f64(p.fraction));
-            }
-            out.push(']');
-        }
-        out.push_str("},\"phases_wall_ms\":{");
-        for (i, (name, ms)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", json_escape(name), json_f64(*ms));
-        }
-        let _ = write!(
-            out,
-            "}},\"trace\":{{\"recorded\":{},\"dropped\":{},\"tail\":[",
-            self.trace_recorded, self.trace_dropped
-        );
-        for (i, r) in self.trace_tail.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("]}}");
-        out
-    }
-
-    /// The CDF curves as CSV (`distribution,x,fraction` rows).
-    pub fn cdf_csv(&self) -> String {
-        let mut out = String::from("distribution,x,fraction\n");
+        w.end().key("cdfs").begin_object();
         for (name, points) in &self.cdfs {
+            w.key(name).begin_array();
             for p in points {
-                let _ = writeln!(out, "{},{},{}", name, json_f64(p.x), json_f64(p.fraction));
+                w.begin_array().value(p.x).value(p.fraction).end();
             }
+            w.end();
         }
+        w.end().key("phases_wall_ms").begin_object();
+        for (name, ms) in &self.phases {
+            w.field(name, ms);
+        }
+        w.end()
+            .key("trace")
+            .begin_object()
+            .field("recorded", self.trace_recorded)
+            .field("dropped", self.trace_dropped)
+            .key("tail")
+            .begin_array();
+        for r in &self.trace_tail {
+            w.value(r);
+        }
+        w.end().end().end();
         out
     }
 
@@ -577,37 +479,185 @@ impl TelemetryReport {
 }
 
 /// JSON-safe float rendering (finite shortest form; NaN/inf → null).
-/// Public so downstream report writers (bench tables, the harness
-/// failure report) emit floats the same canonical way.
+/// The live plane's Prometheus exposition renders its floats with it,
+/// the same canonical way as the JSON artifacts.
 pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        if x == x.trunc() && x.abs() < 1e15 {
-            format!("{:.1}", x)
-        } else {
-            format!("{}", x)
-        }
-    } else {
-        "null".to_string()
+    x.to_json()
+}
+
+/// A value the [`JsonWriter`] can encode.
+pub trait ToJson {
+    /// Append this value's JSON rendering to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// This value as a JSON string.
+    fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+macro_rules! to_json_int {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
-            c => out.push(c),
+        }
+    )*};
+}
+to_json_int!(u8, u16, u32, u64, usize);
+
+/// Shortest round-trip form, integral values with one decimal
+/// (`2.0`), non-finite values as `null`.
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        let x = *self;
+        if !x.is_finite() {
+            out.push_str("null");
+        } else if x == x.trunc() && x.abs() < 1e15 {
+            let _ = write!(out, "{x:.1}");
+        } else {
+            let _ = write!(out, "{x}");
         }
     }
-    out
+}
+
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+/// Quoted, with minimal escaping (quotes, backslashes, control chars).
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// The one JSON encoder every run artifact is written with.
+///
+/// It appends to a caller's `String` and owns the syntax: braces,
+/// commas, key quoting, string escaping and float/null rendering (via
+/// [`ToJson`]). Containers nest up to 64 deep. Each top-level value is
+/// one JSONL line; [`JsonWriter::newline`] ends it.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// One bit per open container, innermost lowest: set once it holds
+    /// an element, so the next one needs a comma.
+    filled: u64,
+    /// One bit per open container, innermost lowest: set for arrays.
+    arrays: u64,
+    /// A key was just written, so the next value needs no comma.
+    keyed: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// An encoder appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter { out, filled: 0, arrays: 0, keyed: false }
+    }
+
+    fn element(&mut self) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        if self.filled & 1 == 1 {
+            self.out.push(',');
+        }
+        self.filled |= 1;
+    }
+
+    fn open(&mut self, brace: char, array: bool) -> &mut Self {
+        self.element();
+        self.out.push(brace);
+        self.filled <<= 1;
+        self.arrays = self.arrays << 1 | u64::from(array);
+        self
+    }
+
+    /// Open an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.open('{', false)
+    }
+
+    /// Open an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.open('[', true)
+    }
+
+    /// Close the innermost open object or array.
+    pub fn end(&mut self) -> &mut Self {
+        self.out.push(if self.arrays & 1 == 1 { ']' } else { '}' });
+        self.filled >>= 1;
+        self.arrays >>= 1;
+        self
+    }
+
+    /// Write an object key; the next value or container is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.element();
+        key.write_json(self.out);
+        self.out.push(':');
+        self.keyed = true;
+        self
+    }
+
+    /// Write one value (an array element or a keyed member's value).
+    pub fn value(&mut self, value: impl ToJson) -> &mut Self {
+        self.element();
+        value.write_json(self.out);
+        self
+    }
+
+    /// Write one `"key":value` member.
+    pub fn field(&mut self, key: &str, value: impl ToJson) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// End the current top-level value's line.
+    pub fn newline(&mut self) -> &mut Self {
+        self.out.push('\n');
+        self.filled = 0;
+        self
+    }
 }
 
 #[cfg(test)]
@@ -638,7 +688,6 @@ mod tests {
         ring.push(rec(1, "a.b", 1));
         ring.push(rec(2, "a.c", 2));
         assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.count_kind("a.b"), 1);
         let keys: Vec<u64> = ring.iter().map(|r| r.key).collect();
         assert_eq!(keys, vec![1, 2]);
     }
@@ -720,19 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_csv_has_header_and_rows() {
-        let cfg = TelemetryConfig { cdf_points: 5, ..Default::default() };
-        let mut report = TelemetryReport::new("x");
-        let mut h = cfg.latency_histogram();
-        h.record(10.0);
-        h.record(20.0);
-        report.distribution("lat", &h, 15.0, &cfg, true);
-        let csv = report.cdf_csv();
-        assert!(csv.starts_with("distribution,x,fraction\n"));
-        assert_eq!(csv.lines().count(), 1 + 5);
-    }
-
-    #[test]
     fn jsonl_appends_to_file() {
         let dir = std::env::temp_dir().join("cloudfog_telemetry_test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -747,56 +783,32 @@ mod tests {
 
     #[test]
     fn json_escaping_and_floats() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!("a\"b\\c\nd\u{1}".to_json(), "\"a\\\"b\\\\c\\nd\\u0001\"");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(2.0), "2.0");
         assert_eq!(json_f64(2.5), "2.5");
     }
 
     #[test]
-    fn merge_weighted_combines_scalars_by_rule() {
-        let mut a = TelemetryReport::new("shard0");
-        a.scalar("events", 100.0);
-        a.scalar("mean_latency_ms", 50.0);
-        a.scalar("peak_backlog", 7.0);
-        a.trace_recorded = 10;
-        a.trace_dropped = 1;
-        let mut b = TelemetryReport::new("shard1");
-        b.scalar("events", 300.0);
-        b.scalar("mean_latency_ms", 90.0);
-        b.scalar("peak_backlog", 3.0);
-        b.scalar("only_in_b", 5.0);
-        b.trace_recorded = 20;
-        let rule = |name: &str| match name {
-            "mean_latency_ms" => ScalarMerge::WeightedMean,
-            "peak_backlog" => ScalarMerge::Max,
-            _ => ScalarMerge::Sum,
-        };
-        // Shard 0 weighs 1 player, shard 1 weighs 3.
-        let m = TelemetryReport::merge_weighted("merged", &[(1.0, &a), (3.0, &b)], rule);
-        assert_eq!(m.run, "merged");
-        assert_eq!(m.get_scalar("events"), Some(400.0));
-        // (50·1 + 90·3) / 4 = 80.
-        assert_eq!(m.get_scalar("mean_latency_ms"), Some(80.0));
-        assert_eq!(m.get_scalar("peak_backlog"), Some(7.0));
-        // A scalar missing from one shard still merges over the rest.
-        assert_eq!(m.get_scalar("only_in_b"), Some(5.0));
-        assert_eq!(m.trace_recorded, 30);
-        assert_eq!(m.trace_dropped, 1);
-        // No fabricated distributions or wall-clock rows.
-        assert!(m.quantiles.is_empty() && m.cdfs.is_empty() && m.phases.is_empty());
-        assert!(m.trace_tail.is_empty());
+    fn zero_capacity_rings_count_but_keep_nothing() {
+        let mut tail: TraceRing<u64> = TraceRing::with_capacity(0);
+        tail.push(1);
+        assert_eq!((tail.len(), tail.recorded(), tail.dropped()), (0, 1, 1));
+        let mut trace = TraceRing::new(0);
+        trace.push(rec(1, "a.b", 1));
+        trace.push(rec(2, "a.b", 2));
+        assert_eq!(trace.iter().map(|r| r.key).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
-    fn merge_weighted_of_empty_and_identity_cases() {
-        let rule = |_: &str| ScalarMerge::Sum;
-        let empty = TelemetryReport::merge_weighted("none", &[], rule);
-        assert!(empty.scalars.is_empty());
-        let mut a = TelemetryReport::new("solo");
-        a.scalar("events", 42.0);
-        let one = TelemetryReport::merge_weighted("one", &[(5.0, &a)], rule);
-        assert_eq!(one.get_scalar("events"), Some(42.0));
+    fn writer_places_separators_at_every_depth() {
+        let mut out = String::new();
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_object().field("a", 1u64).key("b").begin_array();
+        w.begin_array().value(0.5).value(f64::NAN).end().value("q\"").end();
+        w.field("c", None::<u64>).key("d").begin_object().end().end().newline();
+        w.begin_array().end();
+        assert_eq!(out, "{\"a\":1,\"b\":[[0.5,null],\"q\\\"\"],\"c\":null,\"d\":{}}\n[]");
     }
 
     #[test]

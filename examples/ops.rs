@@ -25,7 +25,7 @@
 use cloudfog::core::adapt::AdaptPolicyKind;
 use cloudfog::core::systems::{LiveConfig, ShardedSim, ShardedSimConfig, SystemKind};
 use cloudfog::sim::live::{Alert, JsonlEncoder, MetricsRegistry, MetricsSink, PrometheusEncoder};
-use cloudfog::sim::telemetry::TelemetryConfig;
+use cloudfog::sim::telemetry::{TelemetryConfig, ToJson};
 use cloudfog::sim::time::{SimDuration, SimTime};
 
 struct Args {

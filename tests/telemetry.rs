@@ -4,7 +4,7 @@
 //! the simulator reports.
 
 use cloudfog::prelude::*;
-use cloudfog::sim::telemetry::{ScalarMerge, TelemetryReport};
+use cloudfog::sim::telemetry::TelemetryReport;
 use proptest::prelude::*;
 
 fn run_pair(kind: SystemKind, seed: u64) -> (RunSummary, RunOutput) {
@@ -138,70 +138,75 @@ fn events_per_sec_guards_degenerate_phase_windows() {
     assert_eq!(empty.events_per_sec(), None);
 }
 
-fn one_scalar_report(name: &str, value: f64) -> TelemetryReport {
-    let mut r = TelemetryReport::new("cell");
-    r.scalar(name, value);
-    r
-}
-
-/// `Max` must return the true maximum even when every contribution is
-/// negative — a `0.0` fold-identity bug would report a phantom peak.
+/// A sharded run's merged telemetry scalars are read from the folded
+/// outputs, never re-folded by scalar name: every scalar must equal,
+/// bit for bit, the value of the quantity it names in the merged
+/// summary, churn stats or prefetch stats. A name-guessing fold summed
+/// `prefetch.hit_rate` across shards and player-weighted
+/// `mean_detection_ms`, which the summary weights by injected failures.
 #[test]
-fn merge_weighted_max_survives_negative_scalars() {
-    let a = one_scalar_report("net.min_headroom", -5.0);
-    let b = one_scalar_report("net.min_headroom", -2.0);
-    let merged =
-        TelemetryReport::merge_weighted("m", &[(1.0, &a), (1.0, &b)], |_| ScalarMerge::Max);
-    assert_eq!(merged.get_scalar("net.min_headroom"), Some(-2.0));
-    // A scalar present in no report never appears; one present in a
-    // single report is its own max.
-    let solo = TelemetryReport::merge_weighted("m", &[(1.0, &a)], |_| ScalarMerge::Max);
-    assert_eq!(solo.get_scalar("net.min_headroom"), Some(-5.0));
-}
-
-/// Zero total weight (every shard empty) must degrade to 0.0, not NaN
-/// from 0/0 — NaN would poison every downstream fingerprint.
-#[test]
-fn merge_weighted_zero_total_weight_is_zero_not_nan() {
-    let a = one_scalar_report("qoe.ratio", 0.9);
-    let b = one_scalar_report("qoe.ratio", 0.5);
-    let merged = TelemetryReport::merge_weighted("m", &[(0.0, &a), (0.0, &b)], |_| {
-        ScalarMerge::WeightedMean
-    });
-    assert_eq!(merged.get_scalar("qoe.ratio"), Some(0.0));
-}
-
-proptest! {
-    /// The weighted merge folds each scalar's contributions in
-    /// `(value, weight)` total order, so report permutation must be
-    /// bit-invisible in every rule. This is the contract the sharded
-    /// fold leans on for lane invariance.
-    #[test]
-    fn merge_weighted_is_permutation_invariant(
-        cells in prop::collection::vec((0.1f64..50.0, -100.0f64..100.0), 2..8),
-        rotate in 0usize..8,
-    ) {
-        let reports: Vec<TelemetryReport> =
-            cells.iter().map(|(_, v)| one_scalar_report("x", *v)).collect();
-        let inputs: Vec<(f64, &TelemetryReport)> =
-            cells.iter().map(|(w, _)| *w).zip(reports.iter()).collect();
-        let mut rotated = inputs.clone();
-        rotated.rotate_left(rotate % inputs.len());
-        let mut reversed = inputs.clone();
-        reversed.reverse();
-        for rule in [ScalarMerge::Sum, ScalarMerge::WeightedMean, ScalarMerge::Max] {
-            let base = TelemetryReport::merge_weighted("m", &inputs, |_| rule);
-            for other in [&rotated, &reversed] {
-                let merged = TelemetryReport::merge_weighted("m", other, |_| rule);
-                prop_assert_eq!(
-                    base.get_scalar("x").unwrap().to_bits(),
-                    merged.get_scalar("x").unwrap().to_bits(),
-                    "rule {:?} must be permutation-invariant to the bit",
-                    rule
-                );
-            }
-        }
-    }
+fn sharded_telemetry_scalars_are_the_folded_outputs() {
+    let cfg = ShardedSimConfig::builder(SystemKind::CloudFogA)
+        .total_players(1_200)
+        .shard_capacity(300)
+        .seed(5)
+        .ramp(SimDuration::from_secs(5))
+        .horizon(SimDuration::from_secs(40))
+        .tick(SimDuration::from_secs(2))
+        .chaos(true)
+        .churn(true)
+        .prefetch(PrefetchConfig::default())
+        .telemetry(TelemetryConfig::default())
+        .build();
+    let out = ShardedSim::run(&cfg);
+    let telemetry = out.telemetry.as_ref().expect("telemetry requested");
+    let (s, c, p) =
+        (&out.summary, out.churn.expect("churn on"), out.prefetch.expect("prefetch on"));
+    let expected = [
+        ("players", s.players as f64),
+        ("events", s.events as f64),
+        ("fog_share", s.fog_share),
+        ("satisfied_ratio", s.satisfied_ratio),
+        ("mean_continuity", s.mean_continuity),
+        ("mean_latency_ms", s.mean_latency_ms),
+        ("coverage", s.coverage),
+        ("cloud_mbps", s.cloud_mbps),
+        ("scheduler_drops", s.scheduler_drops as f64),
+        ("failures_injected", s.failures_injected as f64),
+        ("faults_activated", s.faults_activated as f64),
+        ("mean_detection_ms", s.mean_detection_ms),
+        ("churn.sessions_started", c.sessions_started as f64),
+        ("churn.sessions_completed", c.sessions_completed as f64),
+        ("churn.admitted_degraded", c.admitted_degraded as f64),
+        ("churn.admitted_shed", c.admitted_shed as f64),
+        ("churn.control_retries", c.control_retries as f64),
+        ("churn.control_expired", c.control_expired as f64),
+        ("churn.migrations_applied", c.migrations_applied as f64),
+        ("churn.supernode_arrivals", c.supernode_arrivals as f64),
+        ("churn.supernode_retirements", c.supernode_retirements as f64),
+        ("prefetch.forecast_ticks", p.forecast_ticks as f64),
+        ("prefetch.cache_hits", p.cache_hits as f64),
+        ("prefetch.cache_misses", p.cache_misses as f64),
+        ("prefetch.cache_evictions", p.cache_evictions as f64),
+        ("prefetch.hit_rate", p.hit_rate()),
+        ("prefetch.encode_ms_saved", p.encode_ms_saved),
+        ("prefetch.encode_jobs", p.encode_jobs as f64),
+        ("prefetch.encode_tasks", p.encode_tasks as f64),
+        ("prefetch.encode_retries", p.encode_retries as f64),
+        ("prefetch.encode_completed", p.encode_completed as f64),
+        ("prefetch.predeploys_issued", p.predeploys_issued as f64),
+    ];
+    let names: Vec<&str> = telemetry.scalars.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, expected.map(|(n, _)| n), "every merged scalar must be checked");
+    assert!(s.failures_injected > 0 && p.cache_hits > 0, "chaos and prefetch must be exercised");
+    let wrong: Vec<String> = expected
+        .iter()
+        .filter(|(name, want)| telemetry.get_scalar(name).map(f64::to_bits) != Some(want.to_bits()))
+        .map(|(name, want)| {
+            format!("{name}: merged {:?}, folded {want}", telemetry.get_scalar(name))
+        })
+        .collect();
+    assert!(wrong.is_empty(), "merged scalars differ from the folded outputs: {wrong:#?}");
 }
 
 proptest! {
