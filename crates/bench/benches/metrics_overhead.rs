@@ -11,20 +11,18 @@
 //!    event loop chopped at every tick boundary plus registry sampling
 //!    and SLO evaluation, with exposition encoding priced out.
 //!
-//! Both are best-of-three wall clock; the gate is the ratio. Because
-//! sampling is pull-based and read-only, the live run executes the
-//! identical event stream — the bench asserts the summaries are equal
-//! before trusting the timing.
+//! The runs alternate (plain, live, plain, …), best of three per side,
+//! and the gate is the ratio. Because sampling is pull-based and
+//! read-only, the live run executes the identical event stream — the
+//! gate checks the summaries are equal before trusting the timing.
 //!
 //! Writes `target/telemetry/BENCH_metrics_overhead.json`. With
 //! `CLOUDFOG_ENFORCE_BASELINE=1` (how CI runs it) the run fails if the
-//! ratio exceeds the absolute [`OVERHEAD_BUDGET`] or regresses more
-//! than [`REGRESSION_BUDGET`] above the committed baseline in
-//! `crates/bench/baseline/BENCH_metrics_overhead.json`.
+//! summaries differ, the ratio exceeds the absolute [`OVERHEAD_BUDGET`],
+//! or it regresses more than [`REGRESSION_BUDGET`] above the committed
+//! baseline in `crates/bench/baseline/BENCH_metrics_overhead.json`.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
+use cloudfog_bench::gate::{self, Best, Gate, Limit};
 use cloudfog_bench::Table;
 use cloudfog_core::systems::{LiveConfig, StreamingSim, StreamingSimConfig, SystemKind};
 use cloudfog_sim::live::NullSink;
@@ -52,58 +50,21 @@ fn cfg() -> StreamingSimConfig {
         .build()
 }
 
-/// Best-of-three wall seconds of the plain instrumented run.
-fn measure_plain() -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let out = StreamingSim::run_instrumented(cfg());
-        best = best.min(start.elapsed().as_secs_f64());
-        assert!(out.summary.events > 0);
-    }
-    best
-}
-
-/// Best-of-three wall seconds of the live run; also cross-checks that
-/// sampling left the run untouched and reports samples taken.
-fn measure_live() -> (f64, u64) {
+fn main() {
+    let mut gate = Gate::new("metrics_overhead");
     let live = LiveConfig::default();
-    let plain = StreamingSim::run_instrumented(cfg());
-    let mut best = f64::INFINITY;
+    let (mut plain, mut sampled) = (Best::default(), Best::default());
     let mut samples = 0;
     for _ in 0..3 {
-        let start = Instant::now();
-        let (out, report) = StreamingSim::run_live(cfg(), &live, &mut NullSink);
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(out.summary, plain.summary, "live sampling perturbed the run");
+        let out = plain.time(|| StreamingSim::run_instrumented(cfg()));
+        let (live_out, report) =
+            sampled.time(|| StreamingSim::run_live(cfg(), &live, &mut NullSink));
+        gate.check(live_out.summary == out.summary, "live sampling perturbed the run");
         samples = report.samples;
     }
-    (best, samples)
-}
-
-/// `<workspace>/target/telemetry`, independent of the bench's cwd.
-fn telemetry_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("target").join("telemetry")
-}
-
-fn baseline_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("baseline").join("BENCH_metrics_overhead.json")
-}
-
-/// Pull the first `"overhead_ratio":<number>` out of a baseline file.
-fn baseline_ratio(text: &str) -> Option<f64> {
-    let key = "\"overhead_ratio\":";
-    let at = text.find(key)? + key.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn main() {
-    let plain_secs = measure_plain();
-    let (live_secs, samples) = measure_live();
+    let (plain_secs, live_secs) = (plain.secs(), sampled.secs());
     let ratio = live_secs / plain_secs.max(1e-9);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = gate::cores();
 
     let mut t = Table::new("live metrics plane overhead")
         .headers(["measurement", "value"])
@@ -116,52 +77,14 @@ fn main() {
     t.row(["cores".into(), cores.to_string()]);
     t.print();
 
-    let json = format!(
-        "{{\"plain_wall_secs\":{plain_secs:.6},\"live_wall_secs\":{live_secs:.6},\
-         \"samples\":{samples},\"overhead_ratio\":{ratio:.4},\"budget\":{OVERHEAD_BUDGET},\
-         \"cores\":{cores}}}"
+    gate.check(
+        ratio <= OVERHEAD_BUDGET,
+        format!("live run is {ratio:.3}x the plain run (budget {OVERHEAD_BUDGET:.2}x)"),
     );
-    let dir = telemetry_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("metrics_overhead: cannot create {dir:?}: {e}");
-    } else {
-        let out = dir.join("BENCH_metrics_overhead.json");
-        match std::fs::write(&out, &json) {
-            Ok(()) => println!("wrote {}", out.display()),
-            Err(e) => eprintln!("metrics_overhead: cannot write {out:?}: {e}"),
-        }
-    }
-
-    let enforce = std::env::var("CLOUDFOG_ENFORCE_BASELINE").as_deref() == Ok("1");
-    let mut failed = false;
-    if ratio > OVERHEAD_BUDGET {
-        eprintln!(
-            "METRICS OVERHEAD OVER BUDGET: live run is {ratio:.3}x the plain run \
-             (budget {OVERHEAD_BUDGET:.2}x, {cores} core(s))"
-        );
-        failed = true;
-    }
-    match std::fs::read_to_string(baseline_path()).ok().as_deref().and_then(baseline_ratio) {
-        Some(base) => {
-            let ceiling = base + REGRESSION_BUDGET;
-            println!("baseline ratio {base:.3}x; ceiling {ceiling:.3}x; measured {ratio:.3}x");
-            if ratio > ceiling {
-                eprintln!(
-                    "METRICS OVERHEAD REGRESSION: {ratio:.3}x is more than {REGRESSION_BUDGET} \
-                     ratio points above the committed baseline {base:.3}x ({cores} core(s) here)"
-                );
-                failed = true;
-            }
-        }
-        None => {
-            eprintln!("no committed baseline at {}", baseline_path().display());
-            failed = true;
-        }
-    }
-    if failed {
-        if enforce {
-            std::process::exit(1);
-        }
-        println!("(set CLOUDFOG_ENFORCE_BASELINE=1 to make this fatal)");
-    }
+    gate.limit("overhead_ratio", ratio, Limit::Ceiling(REGRESSION_BUDGET));
+    gate.finish(|w| {
+        w.field("plain_wall_secs", plain_secs).field("live_wall_secs", live_secs);
+        w.field("samples", samples).field("overhead_ratio", ratio);
+        w.field("budget", OVERHEAD_BUDGET).field("cores", cores);
+    });
 }

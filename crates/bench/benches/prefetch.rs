@@ -9,24 +9,22 @@
 //!    prediction-on. Scored on the latency excursion the crowd carves
 //!    — the QoE dip depth and the recovery time — plus the cache hit
 //!    rate on the on side.
-//! 2. **Steady state**: the `BENCH_throughput` hot-path workload
-//!    (600 players, seed 7, 60 simulated seconds, no churn) measured
-//!    prediction-off and prediction-on on this machine, best of three
-//!    each. The on/off wall ratio prices what the plane costs when
-//!    nothing is burning; it must stay within [`STEADY_BUDGET`].
+//! 2. **Steady state**: the [`gate::hot_path`] workload (600 players,
+//!    seed 7, 60 simulated seconds, no churn) run prediction-off and
+//!    prediction-on alternately, best of three each. The on/off wall
+//!    ratio prices what the plane costs when nothing is burning; it
+//!    must stay within [`STEADY_BUDGET`].
 //!
 //! Writes `target/telemetry/BENCH_prefetch.json`. With
 //! `CLOUDFOG_ENFORCE_BASELINE=1` (how CI runs it) the run fails if
-//! the on-side dip depth is not below the off-side one, the hit rate
-//! falls below the committed floor, the dip depth regresses above the
-//! committed ceiling, or the steady-state ratio blows the budget.
+//! the on-side dip depth is not below the off-side one, recovery takes
+//! longer with prediction on, the steady-state ratio blows the budget,
+//! the hit rate falls below the committed floor, or the dip depth
+//! regresses above the committed ceiling.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
+use cloudfog_bench::gate::{self, Best, Gate, Limit};
 use cloudfog_bench::Table;
 use cloudfog_core::fault::{FaultScript, WatchdogParams};
-use cloudfog_core::systems::simulation::QoeSeries;
 use cloudfog_core::systems::{
     ChurnConfig, JoinPattern, PrefetchConfig, StreamingSim, StreamingSimConfig, SystemKind,
 };
@@ -47,7 +45,9 @@ const SPIKE_AT: SimDuration = SimDuration::from_secs(30);
 const HORIZON: SimDuration = SimDuration::from_secs(90);
 const TOLERANCE_MS: f64 = 7.5;
 
-fn flash_config(prefetch: Option<PrefetchConfig>) -> StreamingSimConfig {
+/// Latency excursion of the flash-crowd run, plus the hit rate when
+/// prediction is on.
+fn measure_flash(prefetch: Option<PrefetchConfig>) -> (SpikeReport, f64) {
     let mut b = StreamingSimConfig::builder(SystemKind::CloudFogA)
         .players(400)
         .seed(77)
@@ -71,68 +71,26 @@ fn flash_config(prefetch: Option<PrefetchConfig>) -> StreamingSimConfig {
     if let Some(p) = prefetch {
         b = b.prefetch(p);
     }
-    b.build()
-}
-
-/// Latency excursion of the flash-crowd run, plus the hit rate when
-/// prediction is on.
-fn measure_flash(prefetch: Option<PrefetchConfig>) -> (SpikeReport, f64) {
-    let out = StreamingSim::run_instrumented(flash_config(prefetch));
-    let series: QoeSeries = out.series.expect("series recording enabled");
+    let out = StreamingSim::run_instrumented(b.build());
+    let series = out.series.expect("series recording enabled");
     let spike = series.latency_ms.spike_report(SimTime::ZERO + SPIKE_AT, TOLERANCE_MS);
-    let hit_rate = out.prefetch.map(|p| p.hit_rate()).unwrap_or(0.0);
-    (spike, hit_rate)
-}
-
-fn steady_config(prefetch: Option<PrefetchConfig>) -> StreamingSimConfig {
-    let mut b = StreamingSimConfig::builder(SystemKind::CloudFogA)
-        .players(600)
-        .seed(7)
-        .ramp(SimDuration::from_secs(10))
-        .horizon(SimDuration::from_secs(60));
-    if let Some(p) = prefetch {
-        b = b.prefetch(p);
-    }
-    b.build()
-}
-
-/// Best-of-three wall seconds of the steady-state hot path.
-fn measure_steady(prefetch: Option<PrefetchConfig>) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let summary = StreamingSim::run(steady_config(prefetch));
-        best = best.min(start.elapsed().as_secs_f64());
-        assert!(summary.events > 0);
-    }
-    best
-}
-
-/// `<workspace>/target/telemetry`, independent of the bench's cwd.
-fn telemetry_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("target").join("telemetry")
-}
-
-fn baseline_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("baseline").join("BENCH_prefetch.json")
-}
-
-/// Pull `"<key>":<number>` out of the flat baseline artifact.
-fn baseline_value(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    (spike, out.prefetch.map_or(0.0, |p| p.hit_rate()))
 }
 
 fn main() {
+    let mut gate = Gate::new("prefetch");
     let (off, _) = measure_flash(None);
     let (on, hit_rate) = measure_flash(Some(PrefetchConfig::default()));
-    let steady_off = measure_steady(None);
-    let steady_on = measure_steady(Some(PrefetchConfig::default()));
+    let (mut steady_off, mut steady_on) = (Best::default(), Best::default());
+    for _ in 0..3 {
+        steady_off.time(|| StreamingSim::run(gate::hot_path().build()));
+        steady_on.time(|| {
+            StreamingSim::run(gate::hot_path().prefetch(PrefetchConfig::default()).build())
+        });
+    }
+    let (steady_off, steady_on) = (steady_off.secs(), steady_on.secs());
     let steady_ratio = steady_on / steady_off.max(1e-9);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = gate::cores();
     let horizon_secs = HORIZON.as_secs_f64();
     let (rec_off, rec_on) = (off.recovery_secs_or(horizon_secs), on.recovery_secs_or(horizon_secs));
 
@@ -155,86 +113,31 @@ fn main() {
     t.row(["cores".into(), "-".into(), cores.to_string()]);
     t.print();
 
-    let json = format!(
-        "{{\"flash\":{{\"dip_ms_off\":{:.3},\"dip_ms_on\":{:.3},\
-         \"recovery_s_off\":{rec_off:.1},\"recovery_s_on\":{rec_on:.1},\
-         \"hit_rate\":{hit_rate:.4}}},\
-         \"steady\":{{\"wall_secs_off\":{steady_off:.6},\"wall_secs_on\":{steady_on:.6},\
-         \"ratio\":{steady_ratio:.4},\"budget\":{STEADY_BUDGET}}},\"cores\":{cores}}}",
-        off.spike_height, on.spike_height
-    );
-    let dir = telemetry_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("prefetch: cannot create {dir:?}: {e}");
-    } else {
-        let out = dir.join("BENCH_prefetch.json");
-        match std::fs::write(&out, &json) {
-            Ok(()) => println!("wrote {}", out.display()),
-            Err(e) => eprintln!("prefetch: cannot write {out:?}: {e}"),
-        }
-    }
-
-    let enforce = std::env::var("CLOUDFOG_ENFORCE_BASELINE").as_deref() == Ok("1");
-    let mut failed = false;
-    if on.spike_height >= off.spike_height {
-        eprintln!(
-            "PREFETCH GATE: prediction-on dip {:.2} ms is not below prediction-off {:.2} ms \
-             ({cores} core(s))",
+    gate.check(
+        on.spike_height < off.spike_height,
+        format!(
+            "prediction-on dip {:.2} ms is not below prediction-off {:.2} ms",
             on.spike_height, off.spike_height
-        );
-        failed = true;
-    }
-    if rec_on > rec_off {
-        eprintln!("PREFETCH GATE: prediction-on recovery {rec_on:.0}s exceeds off {rec_off:.0}s");
-        failed = true;
-    }
-    if steady_ratio > STEADY_BUDGET {
-        eprintln!(
-            "PREFETCH STEADY-STATE OVER BUDGET: on/off wall ratio {steady_ratio:.3}x exceeds \
-             {STEADY_BUDGET:.2}x ({cores} core(s))"
-        );
-        failed = true;
-    }
-    match std::fs::read_to_string(baseline_path()).ok() {
-        Some(text) => {
-            if let Some(base_hit) = baseline_value(&text, "hit_rate") {
-                let floor = (base_hit - HIT_RATE_REGRESSION).max(0.0);
-                println!(
-                    "baseline hit rate {base_hit:.3}; floor {floor:.3}; measured {hit_rate:.3}"
-                );
-                if hit_rate < floor {
-                    eprintln!(
-                        "PREFETCH HIT-RATE REGRESSION: {hit_rate:.3} below floor {floor:.3} \
-                         (committed {base_hit:.3})"
-                    );
-                    failed = true;
-                }
-            }
-            if let Some(base_dip) = baseline_value(&text, "dip_ms_on") {
-                let ceiling = base_dip + DIP_REGRESSION_MS;
-                println!(
-                    "baseline on-dip {base_dip:.2} ms; ceiling {ceiling:.2}; measured {:.2}",
-                    on.spike_height
-                );
-                if on.spike_height > ceiling {
-                    eprintln!(
-                        "PREFETCH DIP REGRESSION: {:.2} ms is more than {DIP_REGRESSION_MS} ms \
-                         above the committed baseline {base_dip:.2}",
-                        on.spike_height
-                    );
-                    failed = true;
-                }
-            }
-        }
-        None => {
-            eprintln!("no committed baseline at {}", baseline_path().display());
-            failed = true;
-        }
-    }
-    if failed {
-        if enforce {
-            std::process::exit(1);
-        }
-        println!("(set CLOUDFOG_ENFORCE_BASELINE=1 to make this fatal)");
-    }
+        ),
+    );
+    gate.check(
+        rec_on <= rec_off,
+        format!("prediction-on recovery {rec_on:.0}s exceeds off {rec_off:.0}s"),
+    );
+    gate.check(
+        steady_ratio <= STEADY_BUDGET,
+        format!("steady on/off wall ratio {steady_ratio:.3}x exceeds {STEADY_BUDGET:.2}x"),
+    );
+    gate.limit("hit_rate", hit_rate, Limit::FloorMinus(HIT_RATE_REGRESSION));
+    gate.limit("dip_ms_on", on.spike_height, Limit::Ceiling(DIP_REGRESSION_MS));
+    gate.finish(|w| {
+        w.key("flash").begin_object();
+        w.field("dip_ms_off", off.spike_height).field("dip_ms_on", on.spike_height);
+        w.field("recovery_s_off", rec_off).field("recovery_s_on", rec_on);
+        w.field("hit_rate", hit_rate).end();
+        w.key("steady").begin_object();
+        w.field("wall_secs_off", steady_off).field("wall_secs_on", steady_on);
+        w.field("ratio", steady_ratio).field("budget", STEADY_BUDGET).end();
+        w.field("cores", cores);
+    });
 }

@@ -3,8 +3,8 @@
 //! One 8 000-player CloudFog/A run, measured two ways at equal
 //! population:
 //!
-//! 1. **Monolithic** (`workers=1` in the issue's framing): a single
-//!    `StreamingSim` world — one event queue holding every player.
+//! 1. **Monolithic**: a single `StreamingSim` world — one event queue
+//!    holding every player.
 //! 2. **Sharded curve**: the same run split into {2, 4, 8} sub-worlds
 //!    by `ShardedSim` on a single lane, exchanging events at 5 s tick
 //!    boundaries.
@@ -18,51 +18,26 @@
 //!
 //! Writes `target/telemetry/BENCH_shard_scaling.json`. The gate is
 //! two-sided: the best sharded events/sec must (a) strictly beat the
-//! monolithic baseline measured in the same process, and (b) not drop
-//! more than 25 % below the committed baseline in
+//! monolithic run measured in the same process, and (b) not drop more
+//! than 25 % below the committed baseline in
 //! `crates/bench/baseline/BENCH_shard_scaling.json`. With
-//! `CLOUDFOG_ENFORCE_BASELINE=1` both failures are fatal — CI's
+//! `CLOUDFOG_ENFORCE_BASELINE=1` either failure is fatal — CI's
 //! scale-smoke job runs it that way.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
+use cloudfog_bench::gate::{self, best_of, Gate, Limit};
 use cloudfog_bench::Table;
 use cloudfog_core::systems::{
     ShardedSim, ShardedSimConfig, StreamingSim, StreamingSimConfig, SystemKind,
 };
 use cloudfog_sim::time::SimDuration;
 
-/// Maximum tolerated drop below the committed baseline (fraction).
-const REGRESSION_BUDGET: f64 = 0.25;
 /// Total population; `PLAYERS / capacity` sub-worlds per curve point.
 const PLAYERS: usize = 8_000;
 /// Per-shard capacities swept for the scaling curve.
 const CAPACITIES: [usize; 3] = [4_000, 2_000, 1_000];
 const SEED: u64 = 7;
 
-fn monolithic_config() -> StreamingSimConfig {
-    StreamingSimConfig::builder(SystemKind::CloudFogA)
-        .players(PLAYERS)
-        .seed(SEED)
-        .ramp(SimDuration::from_secs(10))
-        .horizon(SimDuration::from_secs(30))
-        .build()
-}
-
-fn sharded_config(capacity: usize) -> ShardedSimConfig {
-    ShardedSimConfig::builder(SystemKind::CloudFogA)
-        .total_players(PLAYERS)
-        .shard_capacity(capacity)
-        .seed(SEED)
-        .lanes(1)
-        .ramp(SimDuration::from_secs(10))
-        .horizon(SimDuration::from_secs(30))
-        .tick(SimDuration::from_secs(5))
-        .build()
-}
-
-/// One measured point: events, best wall seconds, events/sec.
+/// One measured point: shards, events, best wall seconds, events/sec.
 struct Point {
     shards: usize,
     events: u64,
@@ -70,48 +45,35 @@ struct Point {
     events_per_sec: f64,
 }
 
-fn best_of_3(shards: usize, mut run: impl FnMut() -> u64) -> Point {
-    let mut events = 0;
-    let mut best_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        events = run();
-        let secs = start.elapsed().as_secs_f64();
-        if secs < best_secs {
-            best_secs = secs;
-        }
-    }
-    Point { shards, events, wall_secs: best_secs, events_per_sec: events as f64 / best_secs }
-}
-
-/// `<workspace>/target/telemetry`, independent of the bench's cwd.
-fn telemetry_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("target").join("telemetry")
-}
-
-fn baseline_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("baseline").join("BENCH_shard_scaling.json")
-}
-
-/// Pull the first `"sharded_events_per_sec":<number>` out of a
-/// baseline file — the artifact is flat enough that a full JSON parser
-/// would be noise.
-fn baseline_sharded_eps(text: &str) -> Option<f64> {
-    let key = "\"sharded_events_per_sec\":";
-    let at = text.find(key)? + key.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+fn best_of_3(shards: usize, run: impl FnMut() -> u64) -> Point {
+    let (wall_secs, events) = best_of(3, run);
+    Point { shards, events, wall_secs, events_per_sec: events as f64 / wall_secs }
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mono = best_of_3(1, || StreamingSim::run(monolithic_config()).events);
+    let mut gate = Gate::new("shard_scaling");
+    let mono = best_of_3(1, || {
+        let cfg = StreamingSimConfig::builder(SystemKind::CloudFogA)
+            .players(PLAYERS)
+            .seed(SEED)
+            .ramp(SimDuration::from_secs(10))
+            .horizon(SimDuration::from_secs(30))
+            .build();
+        StreamingSim::run(cfg).events
+    });
     let curve: Vec<Point> = CAPACITIES
         .iter()
         .map(|&cap| {
-            let cfg = sharded_config(cap);
-            best_of_3(cfg.shard_count(), move || ShardedSim::run(&cfg).summary.events)
+            let cfg = ShardedSimConfig::builder(SystemKind::CloudFogA)
+                .total_players(PLAYERS)
+                .shard_capacity(cap)
+                .seed(SEED)
+                .lanes(1)
+                .ramp(SimDuration::from_secs(10))
+                .horizon(SimDuration::from_secs(30))
+                .tick(SimDuration::from_secs(5))
+                .build();
+            best_of_3(cfg.shard_count(), || ShardedSim::run(&cfg).summary.events)
         })
         .collect();
     let best = curve
@@ -119,99 +81,46 @@ fn main() {
         .max_by(|a, b| a.events_per_sec.total_cmp(&b.events_per_sec))
         .expect("curve has points");
     let speedup = best.events_per_sec / mono.events_per_sec.max(1e-9);
+    let cores = gate::cores();
 
     let mut t = Table::new("shard scaling gate (monolithic vs sharded, equal population)")
         .headers(["configuration", "events", "wall (best of 3)", "events/sec"])
         .paper_shape("sharded events/sec must strictly beat the monolithic baseline");
-    t.row([
-        format!("monolithic ({PLAYERS} players)"),
-        mono.events.to_string(),
-        format!("{:.3}s", mono.wall_secs),
-        format!("{:.0}", mono.events_per_sec),
-    ]);
-    for p in &curve {
+    for p in std::iter::once(&mono).chain(&curve) {
         t.row([
-            format!("{} shards", p.shards),
+            if p.shards == 1 {
+                format!("monolithic ({PLAYERS} players)")
+            } else {
+                format!("{} shards", p.shards)
+            },
             p.events.to_string(),
             format!("{:.3}s", p.wall_secs),
             format!("{:.0}", p.events_per_sec),
         ]);
     }
-    t.row([
-        "best sharded speedup".into(),
-        String::new(),
-        String::new(),
-        format!("{speedup:.2}x @ {} shards", best.shards),
-    ]);
+    let best_row = format!("{speedup:.2}x @ {} shards", best.shards);
+    t.row(["best sharded speedup".into(), String::new(), String::new(), best_row]);
     t.row(["cores".into(), String::new(), String::new(), cores.to_string()]);
     t.print();
 
-    let curve_json: Vec<String> = curve
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"shards\":{},\"events\":{},\"wall_secs\":{:.6},\"events_per_sec\":{:.1}}}",
-                p.shards, p.events, p.wall_secs, p.events_per_sec
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"players\":{PLAYERS},\"monolithic\":{{\"events\":{},\"wall_secs\":{:.6},\
-         \"events_per_sec\":{:.1}}},\"curve\":[{}],\
-         \"sharded_events_per_sec\":{:.1},\"speedup\":{speedup:.3},\"cores\":{cores}}}",
-        mono.events,
-        mono.wall_secs,
-        mono.events_per_sec,
-        curve_json.join(","),
-        best.events_per_sec,
-    );
-    let dir = telemetry_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("shard_scaling: cannot create {dir:?}: {e}");
-    } else {
-        let out = dir.join("BENCH_shard_scaling.json");
-        match std::fs::write(&out, &json) {
-            Ok(()) => println!("wrote {}", out.display()),
-            Err(e) => eprintln!("shard_scaling: cannot write {out:?}: {e}"),
-        }
-    }
-
-    let enforce = std::env::var("CLOUDFOG_ENFORCE_BASELINE").as_deref() == Ok("1");
-    if best.events_per_sec <= mono.events_per_sec {
-        eprintln!(
-            "SHARDING DOES NOT PAY: best sharded {:.0} events/sec <= monolithic {:.0}",
+    gate.check(
+        best.events_per_sec > mono.events_per_sec,
+        format!(
+            "sharding does not pay: best sharded {:.0} events/sec <= monolithic {:.0}",
             best.events_per_sec, mono.events_per_sec
-        );
-        if enforce {
-            std::process::exit(1);
+        ),
+    );
+    gate.limit("sharded_events_per_sec", best.events_per_sec, Limit::Floor(0.25));
+    gate.finish(|w| {
+        w.field("players", PLAYERS).key("monolithic").begin_object();
+        w.field("events", mono.events).field("wall_secs", mono.wall_secs);
+        w.field("events_per_sec", mono.events_per_sec).end();
+        w.key("curve").begin_array();
+        for p in &curve {
+            w.begin_object().field("shards", p.shards).field("events", p.events);
+            w.field("wall_secs", p.wall_secs).field("events_per_sec", p.events_per_sec).end();
         }
-        println!("(set CLOUDFOG_ENFORCE_BASELINE=1 to make this fatal)");
-    }
-    match std::fs::read_to_string(baseline_path()).ok().as_deref().and_then(baseline_sharded_eps) {
-        Some(base) => {
-            let floor = base * (1.0 - REGRESSION_BUDGET);
-            println!(
-                "baseline {base:.0} sharded events/sec; floor {floor:.0}; measured {:.0}",
-                best.events_per_sec
-            );
-            if best.events_per_sec < floor {
-                eprintln!(
-                    "SHARD THROUGHPUT REGRESSION: {:.0} events/sec is more than {:.0}% below \
-                     the committed baseline {base:.0}",
-                    best.events_per_sec,
-                    REGRESSION_BUDGET * 100.0
-                );
-                if enforce {
-                    std::process::exit(1);
-                }
-                println!("(set CLOUDFOG_ENFORCE_BASELINE=1 to make this fatal)");
-            }
-        }
-        None => {
-            eprintln!("no committed baseline at {}", baseline_path().display());
-            if enforce {
-                std::process::exit(1);
-            }
-        }
-    }
+        w.end().field("sharded_events_per_sec", best.events_per_sec);
+        w.field("speedup", speedup).field("cores", cores);
+    });
 }

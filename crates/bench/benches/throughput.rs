@@ -2,113 +2,51 @@
 //!
 //! Two measurements:
 //!
-//! 1. **Hot path**: events/sec for one 600-player CloudFog/A run
-//!    (seed 7, 60 simulated seconds) — the workload the data-oriented
-//!    refactor targets. Measured telemetry-off with wall-clock timing
-//!    (best of three, to shed scheduler noise), plus the
-//!    telemetry-derived [`events_per_sec`] of an instrumented run for
-//!    cross-checking.
+//! 1. **Hot path**: events/sec of the [`gate::hot_path`] run (600
+//!    players, seed 7, 60 simulated seconds), telemetry off, best of
+//!    three, plus the telemetry-derived [`events_per_sec`] of one
+//!    instrumented run for cross-checking.
 //! 2. **Sweep scaling**: wall time of the Figure-8 system sweep at 1
-//!    worker vs `CLOUDFOG_SWEEP_WORKERS` (default 4) workers through
-//!    `cloudfog-pool`. The recorded speedup is only meaningful when
-//!    the machine actually has that many cores, so `cores` is recorded
-//!    next to it.
+//!    worker vs [`SWEEP_WORKERS`] workers through `cloudfog-pool`. The
+//!    speedup only means something when the machine has that many
+//!    cores, so `cores` is recorded next to it.
 //!
-//! The run writes `target/telemetry/BENCH_throughput.json` (workspace
-//! target dir, regardless of cwd). With `CLOUDFOG_ENFORCE_BASELINE=1`
-//! the run fails if hot-path events/sec drops more than 25 % below the
-//! committed baseline in `crates/bench/baseline/BENCH_throughput.json`
-//! — CI runs it that way.
+//! Writes `target/telemetry/BENCH_throughput.json`. The gate fails if
+//! hot-path events/sec drops more than 25 % below the committed
+//! baseline in `crates/bench/baseline/BENCH_throughput.json`; with
+//! `CLOUDFOG_ENFORCE_BASELINE=1` (how CI runs it) that is fatal.
 //!
 //! [`events_per_sec`]: cloudfog_sim::telemetry::TelemetryReport::events_per_sec
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
+use cloudfog_bench::gate::{self, best_of, Gate, Limit};
 use cloudfog_bench::{figures, RunScale, Table};
-use cloudfog_core::systems::{StreamingSim, StreamingSimConfig, SystemKind};
+use cloudfog_core::systems::StreamingSim;
 use cloudfog_sim::telemetry::TelemetryConfig;
-use cloudfog_sim::time::SimDuration;
 
-/// Maximum tolerated drop below the committed baseline (fraction).
-const REGRESSION_BUDGET: f64 = 0.25;
-
-fn hot_path_config(telemetry: bool) -> StreamingSimConfig {
-    let mut b = StreamingSimConfig::builder(SystemKind::CloudFogA)
-        .players(600)
-        .seed(7)
-        .ramp(SimDuration::from_secs(10))
-        .horizon(SimDuration::from_secs(60));
-    if telemetry {
-        b = b.telemetry(TelemetryConfig::default());
-    }
-    b.build()
-}
-
-/// Best-of-three telemetry-off hot-path throughput.
-fn measure_hot_path() -> (u64, f64, f64) {
-    let mut events = 0;
-    let mut best_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let summary = StreamingSim::run(hot_path_config(false));
-        let secs = start.elapsed().as_secs_f64();
-        events = summary.events;
-        if secs < best_secs {
-            best_secs = secs;
-        }
-    }
-    (events, best_secs, events as f64 / best_secs)
-}
-
-/// Events/sec of an instrumented run, derived from telemetry phases.
-fn measure_instrumented() -> f64 {
-    let out = StreamingSim::run_instrumented(hot_path_config(true));
-    out.telemetry
-        .expect("telemetry enabled")
-        .events_per_sec()
-        .expect("events scalar and event_loop phase present")
-}
+/// Pool workers of the sweep-scaling measurement.
+const SWEEP_WORKERS: usize = 4;
 
 /// Wall seconds of the Figure-8 sweep at a given pool worker count.
-fn measure_sweep(workers: usize) -> f64 {
+fn sweep_secs(workers: usize) -> f64 {
     let scale = RunScale { scale: 0.06, secs: 16, seed: 20150701, workers };
-    let start = Instant::now();
-    let runs = figures::latency_by_system(300, &scale);
+    let (secs, runs) = best_of(1, || figures::latency_by_system(300, &scale));
     assert_eq!(runs.len(), 4, "sweep produced every system row");
-    start.elapsed().as_secs_f64()
-}
-
-/// `<workspace>/target/telemetry`, independent of the bench's cwd.
-fn telemetry_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("target").join("telemetry")
-}
-
-fn baseline_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("baseline").join("BENCH_throughput.json")
-}
-
-/// Pull the first `"events_per_sec":<number>` out of a baseline file —
-/// the artifact is flat enough that a full JSON parser would be noise.
-fn baseline_events_per_sec(text: &str) -> Option<f64> {
-    let key = "\"events_per_sec\":";
-    let at = text.find(key)? + key.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    secs
 }
 
 fn main() {
-    let (events, wall_secs, events_per_sec) = measure_hot_path();
-    let instrumented_eps = measure_instrumented();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let sweep_workers: usize = std::env::var("CLOUDFOG_SWEEP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(2);
-    let sweep_w1 = measure_sweep(1);
-    let sweep_wn = measure_sweep(sweep_workers);
+    let mut gate = Gate::new("throughput");
+    let (wall_secs, summary) = best_of(3, || StreamingSim::run(gate::hot_path().build()));
+    let events = summary.events;
+    let events_per_sec = events as f64 / wall_secs;
+    let instrumented_eps = StreamingSim::run_instrumented(
+        gate::hot_path().telemetry(TelemetryConfig::default()).build(),
+    )
+    .telemetry
+    .and_then(|t| t.events_per_sec())
+    .expect("events scalar and event_loop phase present");
+    let cores = gate::cores();
+    let (sweep_w1, sweep_wn) = (sweep_secs(1), sweep_secs(SWEEP_WORKERS));
     let speedup = sweep_w1 / sweep_wn.max(1e-9);
 
     let mut t = Table::new("throughput gate (hot path + sweep scaling)")
@@ -119,59 +57,22 @@ fn main() {
     t.row(["hot-path events/sec".into(), format!("{events_per_sec:.0}")]);
     t.row(["instrumented events/sec".into(), format!("{instrumented_eps:.0}")]);
     t.row(["sweep wall @1 worker".into(), format!("{sweep_w1:.3}s")]);
-    t.row([format!("sweep wall @{sweep_workers} workers"), format!("{sweep_wn:.3}s")]);
+    t.row([format!("sweep wall @{SWEEP_WORKERS} workers"), format!("{sweep_wn:.3}s")]);
     t.row(["sweep speedup".into(), format!("{speedup:.2}x")]);
     t.row(["cores".into(), cores.to_string()]);
     t.print();
-    if cores < sweep_workers {
-        println!(
-            "note: {cores} core(s) < {sweep_workers} workers — speedup ~1.0 is expected here; \
-             run on a multi-core machine to see the scaling"
-        );
+    if cores < SWEEP_WORKERS {
+        println!("note: {cores} core(s) < {SWEEP_WORKERS} workers — speedup ~1.0 is expected here");
     }
 
-    let json = format!(
-        "{{\"hot_path\":{{\"events\":{events},\"wall_secs\":{wall_secs:.6},\
-         \"events_per_sec\":{events_per_sec:.1},\"instrumented_events_per_sec\":{instrumented_eps:.1}}},\
-         \"sweep\":{{\"workers\":{sweep_workers},\"wall_secs_1\":{sweep_w1:.6},\
-         \"wall_secs_n\":{sweep_wn:.6},\"speedup\":{speedup:.3},\"cores\":{cores}}}}}"
-    );
-    let dir = telemetry_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("throughput: cannot create {dir:?}: {e}");
-    } else {
-        let out = dir.join("BENCH_throughput.json");
-        match std::fs::write(&out, &json) {
-            Ok(()) => println!("wrote {}", out.display()),
-            Err(e) => eprintln!("throughput: cannot write {out:?}: {e}"),
-        }
-    }
-
-    let enforce = std::env::var("CLOUDFOG_ENFORCE_BASELINE").as_deref() == Ok("1");
-    match std::fs::read_to_string(baseline_path()).ok().as_deref().and_then(baseline_events_per_sec)
-    {
-        Some(base) => {
-            let floor = base * (1.0 - REGRESSION_BUDGET);
-            println!(
-                "baseline {base:.0} events/sec; floor {floor:.0}; measured {events_per_sec:.0}"
-            );
-            if events_per_sec < floor {
-                eprintln!(
-                    "THROUGHPUT REGRESSION: {events_per_sec:.0} events/sec is more than \
-                     {:.0}% below the committed baseline {base:.0} ({cores} core(s) here)",
-                    REGRESSION_BUDGET * 100.0
-                );
-                if enforce {
-                    std::process::exit(1);
-                }
-                println!("(set CLOUDFOG_ENFORCE_BASELINE=1 to make this fatal)");
-            }
-        }
-        None => {
-            eprintln!("no committed baseline at {}", baseline_path().display());
-            if enforce {
-                std::process::exit(1);
-            }
-        }
-    }
+    gate.limit("events_per_sec", events_per_sec, Limit::Floor(0.25));
+    gate.finish(|w| {
+        w.key("hot_path").begin_object();
+        w.field("events", events).field("wall_secs", wall_secs);
+        w.field("events_per_sec", events_per_sec);
+        w.field("instrumented_events_per_sec", instrumented_eps).end();
+        w.key("sweep").begin_object();
+        w.field("workers", SWEEP_WORKERS).field("wall_secs_1", sweep_w1);
+        w.field("wall_secs_n", sweep_wn).field("speedup", speedup).field("cores", cores).end();
+    });
 }

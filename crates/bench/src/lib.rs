@@ -1,8 +1,8 @@
 //! # cloudfog-bench
 //!
 //! Reproduction harnesses for every table and figure in the CloudFog
-//! paper's evaluation (§IV), plus criterion microbenchmarks of the
-//! engine and the two QoE strategies.
+//! paper's evaluation (§IV), the CI wall-time gates that guard its
+//! headline claims, and a few microbenchmarks.
 //!
 //! Run them all with `cargo bench` from the workspace root. Each
 //! `benches/fig*.rs` target is `harness = false`: it prints the same
@@ -24,12 +24,15 @@
 //! | `fig11_buffer_scheduling` | Fig. 11(a/b) schedule vs B |
 //! | `econ_model` | §III-A economics (Eqs. 1–6) |
 //! | `ablation_*` | design-choice ablations (DESIGN.md §4) |
-//! | `micro` | criterion microbenchmarks |
+//! | `throughput`, `shard_scaling`, `metrics_overhead`, `prefetch` | CI wall-time gates on the [`gate`] module |
+//! | `tracing_overhead` | causal-tracing cost (reports only) |
+//! | `micro` | per-call cost of the samplers and the rate controller |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod figures;
+pub mod gate;
 pub mod report;
 
 pub use figures::{RunScale, LOADS, REQUIREMENTS_MS};

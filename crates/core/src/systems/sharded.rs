@@ -34,11 +34,12 @@
 //! only the trace counts sum across shards.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use cloudfog_net::geo::Region;
 use cloudfog_sim::causal::CausalReport;
 use cloudfog_sim::live::MetricsSink;
-use cloudfog_sim::telemetry::{TelemetryConfig, TelemetryReport};
+use cloudfog_sim::telemetry::{Fnv1a, TelemetryConfig, TelemetryReport};
 use cloudfog_sim::time::SimDuration;
 
 use crate::adapt::AdaptPolicyKind;
@@ -505,20 +506,15 @@ impl ShardMerge {
     /// holding the same cells fingerprint identically no matter how
     /// they were assembled.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
+        let mut hash = Fnv1a::default();
         for cell in self.cells.values() {
-            let line = format!(
-                "{}|{:?}|{:?}|{:?}|{:?}\n",
+            let _ = writeln!(
+                hash,
+                "{}|{:?}|{:?}|{:?}|{:?}",
                 cell.shard, cell.region, cell.summary, cell.churn, cell.prefetch
             );
-            for byte in line.bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
         }
-        hash
+        hash.finish()
     }
 }
 

@@ -12,10 +12,11 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use cloudfog_core::systems::{RunOutput, RunSummary, ShardedSim, StreamingSim, SystemKind};
 use cloudfog_sim::live::{Alert, NullSink};
-use cloudfog_sim::telemetry::TelemetryReport;
+use cloudfog_sim::telemetry::{Fnv1a, TelemetryReport};
 
 use crate::invariant::{InvariantRegistry, Violation};
 use crate::scenario::Scenario;
@@ -184,22 +185,12 @@ impl MatrixReport {
     /// Two runs of the same matrix must produce the same fingerprint;
     /// the seed-sweep determinism test pins exactly that.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
+        let mut hash = Fnv1a::default();
         for cell in self.cells.values() {
-            let line = format!(
-                "{}|{:?}|{}",
-                cell.scenario.id,
-                cell.summary,
-                cell.telemetry.as_ref().map(|t| t.to_jsonl()).unwrap_or_default()
-            );
-            for byte in line.as_bytes() {
-                hash ^= u64::from(*byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
+            let telemetry = cell.telemetry.as_ref().map(|t| t.to_jsonl()).unwrap_or_default();
+            let _ = write!(hash, "{}|{:?}|{telemetry}", cell.scenario.id, cell.summary);
         }
-        hash
+        hash.finish()
     }
 }
 

@@ -14,8 +14,7 @@
 //! * [`engine`] — the `Model`/`Simulation` driver.
 //! * [`rng`] — seeded xoshiro256** PRNG and the paper's distributions
 //!   (Poisson, Pareto, power-law/Zipf, log-normal, …).
-//! * [`stats`] — Welford, histograms, time-weighted means, EWMA,
-//!   sliding-window means, ratio counters.
+//! * [`stats`] — Welford, histograms, sliding-window means.
 //! * [`series`] — time-bucketed metric series (QoE-over-time plots).
 //! * [`telemetry`] — ring-buffered event tracing, quantile/CDF
 //!   summaries, wall-clock phase profiling, JSONL run reports and the
@@ -74,8 +73,8 @@ pub mod prelude {
     pub use crate::engine::{Model, RunReport, Scheduler, Simulation, StopReason};
     pub use crate::event::EventQueue;
     pub use crate::rng::Rng;
-    pub use crate::series::{CounterSeries, DipReport, SpikeReport, TimeSeries};
-    pub use crate::stats::{Ewma, Histogram, Ratio, SlidingMean, TimeWeighted, Welford};
+    pub use crate::series::{CounterSeries, SpikeReport, TimeSeries};
+    pub use crate::stats::{Histogram, SlidingMean, Welford};
     pub use crate::telemetry::{
         CdfPoint, PhaseProfiler, Quantiles, TelemetryConfig, TelemetryReport, TraceRecord,
         TraceRing,

@@ -71,46 +71,22 @@ impl TimeSeries {
         self.buckets.get(idx).filter(|w| w.count() > 0).map(Welford::mean)
     }
 
-    /// Characterize the dip a disturbance at `spike_at` carved into
-    /// this series: the pre-spike baseline (mean of non-empty bucket
-    /// means strictly before the spike's bucket), the post-spike
-    /// trough, the dip depth, and how long the series took to climb
-    /// back within `tolerance` of the baseline. Use this for metrics
-    /// where the disturbance pushes the value *down* (continuity,
-    /// on-time ratio); see [`TimeSeries::spike_report`] for metrics it
-    /// pushes *up*.
-    pub fn dip_report(&self, spike_at: SimTime, tolerance: f64) -> DipReport {
-        self.excursion_report(spike_at, tolerance, 1.0)
-    }
-
-    /// Mirror of [`TimeSeries::dip_report`] for metrics a disturbance
-    /// pushes *up* (latency): the pre-spike baseline, the post-spike
-    /// peak, the spike height, and how long the series took to settle
-    /// back within `tolerance` above the baseline. The flash-crowd
-    /// experiments use this on interaction latency — the paper's
-    /// headline QoE metric — to compare the predictive prefetch plane
-    /// against the purely reactive model.
+    /// Characterize the excursion a disturbance at `spike_at` pushed
+    /// *up* into this series (latency): the pre-spike baseline (mean of
+    /// non-empty bucket means strictly before the spike's bucket), the
+    /// post-spike peak, the spike height, and how long the series took
+    /// to settle back within `tolerance` above the baseline. The
+    /// flash-crowd experiments use this on interaction latency — the
+    /// paper's headline QoE metric — to compare the predictive prefetch
+    /// plane against the purely reactive model.
     pub fn spike_report(&self, spike_at: SimTime, tolerance: f64) -> SpikeReport {
-        let d = self.excursion_report(spike_at, tolerance, -1.0);
-        SpikeReport {
-            baseline: -d.baseline,
-            peak: -d.trough,
-            spike_height: d.dip_depth,
-            recovery: d.recovery,
-        }
-    }
-
-    /// Shared excursion analysis: with `sign = 1` the excursion of
-    /// interest is downward; with `sign = -1` the series is negated so
-    /// an upward excursion becomes the dip.
-    fn excursion_report(&self, spike_at: SimTime, tolerance: f64, sign: f64) -> DipReport {
         let spike_idx = self.index(spike_at);
         let rows = self.rows();
         let pre: Vec<f64> = rows
             .iter()
             .take(spike_idx)
             .filter(|(_, _, count)| *count > 0)
-            .map(|(_, mean, _)| sign * *mean)
+            .map(|(_, mean, _)| *mean)
             .collect();
         let baseline =
             if pre.is_empty() { 0.0 } else { pre.iter().sum::<f64>() / pre.len() as f64 };
@@ -118,53 +94,28 @@ impl TimeSeries {
             .iter()
             .skip(spike_idx)
             .filter(|(_, _, count)| *count > 0)
-            .map(|(start, mean, _)| (*start, sign * *mean))
+            .map(|(start, mean, _)| (*start, *mean))
             .collect();
-        let trough = post.iter().map(|(_, mean)| *mean).fold(f64::INFINITY, f64::min);
-        let trough = if trough.is_finite() { trough } else { baseline };
-        let dip_depth = (baseline - trough).max(0.0);
-        // Recovery: the first post-trough bucket back within tolerance
-        // of the baseline, measured from the spike to that bucket's
-        // end. Zero when the series never meaningfully dipped.
-        let recovery = if dip_depth <= tolerance {
+        let peak = post.iter().map(|(_, mean)| *mean).fold(f64::NEG_INFINITY, f64::max);
+        let peak = if peak.is_finite() { peak } else { baseline };
+        let spike_height = (peak - baseline).max(0.0);
+        // Recovery: the first post-peak bucket back within tolerance of
+        // the baseline, measured from the spike to that bucket's end.
+        // Zero when the series never meaningfully spiked.
+        let recovery = if spike_height <= tolerance {
             Some(SimDuration::ZERO)
         } else {
-            let trough_at = post
+            let peak_at = post
                 .iter()
-                .find(|(_, mean)| (*mean - trough).abs() < 1e-12)
+                .find(|(_, mean)| (*mean - peak).abs() < 1e-12)
                 .map(|(start, _)| *start)
                 .unwrap_or(spike_at);
             post.iter()
-                .filter(|(start, _)| *start >= trough_at)
-                .find(|(_, mean)| *mean >= baseline - tolerance)
+                .filter(|(start, _)| *start >= peak_at)
+                .find(|(_, mean)| *mean <= baseline + tolerance)
                 .map(|(start, _)| (*start + self.bucket) - spike_at)
         };
-        DipReport { baseline, trough, dip_depth, recovery }
-    }
-}
-
-/// What a disturbance did to a [`TimeSeries`] — see
-/// [`TimeSeries::dip_report`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DipReport {
-    /// Mean of non-empty bucket means before the spike.
-    pub baseline: f64,
-    /// Lowest non-empty bucket mean at or after the spike.
-    pub trough: f64,
-    /// `max(0, baseline − trough)`.
-    pub dip_depth: f64,
-    /// Time from the spike until the series climbed back within
-    /// tolerance of the baseline (bucket-end resolution). `ZERO` when
-    /// it never meaningfully dipped; `None` when it never recovered
-    /// inside the recorded window.
-    pub recovery: Option<SimDuration>,
-}
-
-impl DipReport {
-    /// Recovery in seconds, with `never` (e.g. the horizon) standing
-    /// in when the series never climbed back.
-    pub fn recovery_secs_or(&self, never: f64) -> f64 {
-        self.recovery.map_or(never, |d| d.as_secs_f64())
+        SpikeReport { baseline, peak, spike_height, recovery }
     }
 }
 
@@ -280,32 +231,14 @@ mod tests {
     }
 
     #[test]
-    fn dip_report_measures_depth_and_recovery() {
-        let mut s = TimeSeries::new(SimDuration::from_secs(10));
-        // Baseline 0.9 for 3 buckets, crash to 0.5, climb back.
-        for (secs, v) in
-            [(5, 0.9), (15, 0.9), (25, 0.9), (35, 0.5), (45, 0.7), (55, 0.88), (65, 0.9)]
-        {
-            s.record(SimTime::from_secs(secs), v);
-        }
-        let d = s.dip_report(SimTime::from_secs(30), 0.05);
-        assert!((d.baseline - 0.9).abs() < 1e-12);
-        assert!((d.trough - 0.5).abs() < 1e-12);
-        assert!((d.dip_depth - 0.4).abs() < 1e-12);
-        // Recovered in the 50–60s bucket (0.88 ≥ 0.9 − 0.05): ends at
-        // 60s, spike at 30s → 30s to recover.
-        assert_eq!(d.recovery, Some(SimDuration::from_secs(30)));
-    }
-
-    #[test]
-    fn dip_report_flat_series_has_zero_dip() {
+    fn spike_report_flat_series_has_zero_spike() {
         let mut s = TimeSeries::new(SimDuration::from_secs(10));
         for secs in [5u64, 15, 25, 35, 45] {
-            s.record(SimTime::from_secs(secs), 0.8);
+            s.record(SimTime::from_secs(secs), 80.0);
         }
-        let d = s.dip_report(SimTime::from_secs(20), 0.02);
-        assert_eq!(d.dip_depth, 0.0);
-        assert_eq!(d.recovery, Some(SimDuration::ZERO));
+        let r = s.spike_report(SimTime::from_secs(20), 2.0);
+        assert_eq!(r.spike_height, 0.0);
+        assert_eq!(r.recovery, Some(SimDuration::ZERO));
     }
 
     #[test]
@@ -327,15 +260,15 @@ mod tests {
     }
 
     #[test]
-    fn dip_report_unrecovered_series_reports_none() {
+    fn spike_report_unsettled_series_reports_none() {
         let mut s = TimeSeries::new(SimDuration::from_secs(10));
-        for (secs, v) in [(5, 0.9), (15, 0.9), (25, 0.4), (35, 0.45)] {
+        for (secs, v) in [(5, 80.0), (15, 80.0), (25, 130.0), (35, 125.0)] {
             s.record(SimTime::from_secs(secs), v);
         }
-        let d = s.dip_report(SimTime::from_secs(20), 0.05);
-        assert!((d.dip_depth - 0.5).abs() < 1e-12);
-        assert_eq!(d.recovery, None);
-        assert_eq!(d.recovery_secs_or(99.0), 99.0);
+        let r = s.spike_report(SimTime::from_secs(20), 5.0);
+        assert!((r.spike_height - 50.0).abs() < 1e-12);
+        assert_eq!(r.recovery, None);
+        assert_eq!(r.recovery_secs_or(99.0), 99.0);
     }
 
     #[test]

@@ -5,15 +5,8 @@
 //!
 //! * [`Welford`] — numerically stable online mean/variance;
 //! * [`Histogram`] — fixed-width bins with percentile queries;
-//! * [`TimeWeighted`] — time-weighted average of a piecewise-constant
-//!   signal (e.g. buffer occupancy, utilization);
-//! * [`Ewma`] — exponentially weighted moving average (the propagation
-//!   estimator of Eq. 13 uses the sliding-window variant
-//!   [`SlidingMean`] to match the paper's "average of the last m
-//!   packets" exactly);
-//! * [`Ratio`] — success/trial counters (coverage, satisfaction).
-
-use crate::time::SimTime;
+//! * [`SlidingMean`] — mean of the last `m` observations, the
+//!   propagation estimator of Eq. 13 ("average of the last m packets").
 
 /// Welford's online algorithm for mean and variance.
 #[derive(Clone, Copy, Debug, Default)]
@@ -222,99 +215,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal.
-///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the value
-/// holds until the next change.
-#[derive(Clone, Copy, Debug)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    weighted_sum: f64,
-    started: bool,
-    start_time: SimTime,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_time: SimTime::ZERO,
-            last_value: 0.0,
-            weighted_sum: 0.0,
-            started: false,
-            start_time: SimTime::ZERO,
-        }
-    }
-
-    /// Record that the signal takes `value` from time `at` onward.
-    pub fn set(&mut self, at: SimTime, value: f64) {
-        if self.started {
-            debug_assert!(at >= self.last_time, "time-weighted signal set in the past");
-            let dt = at.saturating_since(self.last_time).as_secs_f64();
-            self.weighted_sum += self.last_value * dt;
-        } else {
-            self.started = true;
-            self.start_time = at;
-        }
-        self.last_time = at;
-        self.last_value = value;
-    }
-
-    /// Time-weighted mean over `[first set, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        let tail = now.saturating_since(self.last_time).as_secs_f64();
-        let total = now.saturating_since(self.start_time).as_secs_f64();
-        if total <= 0.0 {
-            return self.last_value;
-        }
-        (self.weighted_sum + self.last_value * tail) / total
-    }
-
-    /// The current (most recently set) value.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-}
-
-/// Exponentially weighted moving average.
-#[derive(Clone, Copy, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// EWMA with smoothing factor `alpha ∈ (0, 1]` (weight of the
-    /// newest observation).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        });
-    }
-
-    /// Current average (`None` before the first observation).
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 /// Mean over a sliding window of the last `m` observations — the
 /// paper's propagation-delay estimator (Eq. 13) averages the last `m`
 /// packets' propagation delays.
@@ -365,64 +265,9 @@ impl SlidingMean {
     }
 }
 
-/// A ratio counter: successes over trials.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// An empty ratio.
-    pub fn new() -> Self {
-        Ratio::default()
-    }
-
-    /// Record one trial with the given outcome.
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Record `hits` successes out of `total` trials.
-    pub fn record_many(&mut self, hits: u64, total: u64) {
-        debug_assert!(hits <= total);
-        self.hits += hits;
-        self.total += total;
-    }
-
-    /// Successes.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Trials.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// hits/total (0 when no trials).
-    pub fn value(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-
-    /// Merge another ratio.
-    pub fn merge(&mut self, other: &Ratio) {
-        self.hits += other.hits;
-        self.total += other.total;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn welford_matches_naive() {
@@ -507,28 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        tw.set(SimTime::from_secs(0), 1.0);
-        tw.set(SimTime::from_secs(10), 3.0);
-        // 10 s at 1.0 then 10 s at 3.0 → mean 2.0 at t=20.
-        let m = tw.mean(SimTime::from_secs(20));
-        assert!((m - 2.0).abs() < 1e-12, "{m}");
-        assert_eq!(tw.current(), 3.0);
-        assert_eq!(TimeWeighted::new().mean(SimTime::from_secs(5)), 0.0);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert!(e.value().is_none());
-        for _ in 0..50 {
-            e.push(10.0);
-        }
-        assert!((e.value().unwrap() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn sliding_mean_window() {
         let mut s = SlidingMean::new(3);
         assert!(s.mean().is_none());
@@ -539,21 +362,5 @@ mod tests {
         s.push(10.0); // evicts 1.0 → window {2,3,10}
         assert_eq!(s.mean().unwrap(), 5.0);
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn ratio_basics() {
-        let mut r = Ratio::new();
-        assert_eq!(r.value(), 0.0);
-        r.record(true);
-        r.record(false);
-        r.record_many(8, 8);
-        assert_eq!(r.hits(), 9);
-        assert_eq!(r.total(), 10);
-        assert!((r.value() - 0.9).abs() < 1e-12);
-        let mut other = Ratio::new();
-        other.record(false);
-        r.merge(&other);
-        assert_eq!(r.total(), 11);
     }
 }

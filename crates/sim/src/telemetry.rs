@@ -26,6 +26,7 @@
 //! * [`JsonWriter`] / [`ToJson`] — the one JSON encoder behind every
 //!   run artifact (this report, the causal exports, the live plane's
 //!   alerts and samples, the harness report).
+//! * [`Fnv1a`] — the 64-bit FNV-1a hash run fingerprints are taken with.
 //!
 //! Everything here is observation-only: no method draws randomness or
 //! schedules events, which is what makes "telemetry on vs off yields
@@ -660,10 +661,63 @@ impl<'a> JsonWriter<'a> {
     }
 }
 
+/// Incremental 64-bit FNV-1a, the hash every run fingerprint (harness
+/// matrix, shard merge) is taken with. Feed it bytes with
+/// [`Fnv1a::write`] or text with `write!`; splitting the input across
+/// calls does not change the hash.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Fold `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// The hash of `text` alone.
+    pub fn hash(text: &str) -> u64 {
+        let mut h = Fnv1a::default();
+        h.write(text.as_bytes());
+        h.finish()
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_in_any_split() {
+        assert_eq!(Fnv1a::hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::hash("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(Fnv1a::hash("foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a::default();
+        let (head, b) = ("fo", 'o');
+        write!(h, "{head}{b}b").unwrap();
+        h.write(b"ar");
+        assert_eq!(h.finish(), Fnv1a::hash("foobar"));
+    }
 
     fn rec(ms: u64, kind: &'static str, key: u64) -> TraceRecord {
         TraceRecord::new(SimTime::ZERO + SimDuration::from_millis(ms), kind, key, ms as f64)

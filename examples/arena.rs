@@ -22,6 +22,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 use cloudfog::prelude::*;
+use cloudfog::sim::telemetry::JsonWriter;
 
 struct Args {
     players: usize,
@@ -220,37 +221,26 @@ fn main() {
     println!("  wall: {wall:.1}s over {} cells", scored.len());
 
     let mut jsonl = String::new();
+    let mut w = JsonWriter::new(&mut jsonl);
     for c in &scored {
-        let mut drivers: Vec<String> =
-            c.drivers.iter().map(|(l, n)| format!("\"{l}\":{n}")).collect();
+        w.begin_object().field("arena", "cell").field("name", &c.name);
+        w.field("policy", c.policy.label()).field("satisfied", c.satisfied);
+        w.field("continuity", c.continuity).field("p99_segment_ms", c.p99_ms);
+        w.field("switches", c.switches).key("drivers").begin_object();
+        let mut drivers = c.drivers.clone();
         drivers.sort(); // deterministic key order inside the object
-        jsonl.push_str(&format!(
-            "{{\"arena\":\"cell\",\"name\":\"{}\",\"policy\":\"{}\",\"satisfied\":{:.6},\
-             \"continuity\":{:.6},\"p99_segment_ms\":{:.3},\"switches\":{},\"drivers\":{{{}}}}}\n",
-            c.name,
-            c.policy.label(),
-            c.satisfied,
-            c.continuity,
-            c.p99_ms,
-            c.switches,
-            drivers.join(",")
-        ));
+        for (label, n) in drivers {
+            w.field(label, n);
+        }
+        w.end().end().newline();
     }
     for (i, p) in ranked.iter().enumerate() {
-        jsonl.push_str(&format!(
-            "{{\"arena\":\"rank\",\"rank\":{},\"policy\":\"{}\",\"cells\":{},\
-             \"satisfied\":{:.6},\"continuity\":{:.6},\"p99_segment_ms\":{:.3},\
-             \"switches\":{},\"dominant_driver\":\"{}\",\"dominant_count\":{}}}\n",
-            i + 1,
-            p.policy.label(),
-            p.cells,
-            p.satisfied,
-            p.continuity,
-            p.p99_ms,
-            p.switches,
-            p.dominant,
-            p.dominant_count
-        ));
+        w.begin_object().field("arena", "rank").field("rank", i + 1);
+        w.field("policy", p.policy.label()).field("cells", p.cells);
+        w.field("satisfied", p.satisfied).field("continuity", p.continuity);
+        w.field("p99_segment_ms", p.p99_ms).field("switches", p.switches);
+        w.field("dominant_driver", p.dominant).field("dominant_count", p.dominant_count);
+        w.end().newline();
     }
     if let Some(dir) = args.out.parent() {
         std::fs::create_dir_all(dir).expect("failed to create report directory");

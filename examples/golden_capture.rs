@@ -2,17 +2,8 @@
 
 use cloudfog_core::fault::{FaultScript, WatchdogParams};
 use cloudfog_core::systems::{StreamingSim, StreamingSimConfig, SystemKind};
-use cloudfog_sim::telemetry::TelemetryConfig;
+use cloudfog_sim::telemetry::{Fnv1a, TelemetryConfig};
 use cloudfog_sim::time::SimDuration;
-
-fn fnv(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn main() {
     let kinds =
@@ -34,11 +25,11 @@ fn main() {
                     .watchdog(WatchdogParams::default());
             }
             let out = StreamingSim::run_instrumented(b.build());
-            let summary_fp = fnv(&format!("{:?}", out.summary));
+            let summary_fp = Fnv1a::hash(&format!("{:?}", out.summary));
             let mut t = out.telemetry.clone().expect("telemetry on");
             t.phases.clear();
-            let telemetry_fp = fnv(&t.to_jsonl());
-            let causal_fp = fnv(&out.causal.as_ref().expect("causal on").to_jsonl());
+            let telemetry_fp = Fnv1a::hash(&t.to_jsonl());
+            let causal_fp = Fnv1a::hash(&out.causal.as_ref().expect("causal on").to_jsonl());
             println!(
                 "({:?}, {}, {:#018x}, {:#018x}, {:#018x}),",
                 kind, chaos, summary_fp, telemetry_fp, causal_fp
