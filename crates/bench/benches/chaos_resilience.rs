@@ -10,7 +10,7 @@
 //! is immune to fog faults but pays its usual latency tax.
 
 use cloudfog_bench::{pct, RunScale, Table};
-use cloudfog_core::fault::{FaultScript, WatchdogParams};
+use cloudfog_core::fault::FaultScript;
 use cloudfog_core::systems::{StreamingSim, StreamingSimConfig, SystemKind};
 use cloudfog_sim::time::SimDuration;
 
@@ -44,7 +44,7 @@ fn main() {
             .supernode_mtbf(SimDuration::from_secs((scale.secs / 8).max(3)))
             .supernode_mttr(SimDuration::from_secs(5))
             .fault_script(script.clone())
-            .watchdog(WatchdogParams::default())
+            .watchdog()
             .build();
         let s = StreamingSim::run(cfg);
         t.row([

@@ -24,7 +24,7 @@
 
 use cloudfog_bench::gate::{self, Best, Gate, Limit};
 use cloudfog_bench::Table;
-use cloudfog_core::fault::{FaultScript, WatchdogParams};
+use cloudfog_core::fault::FaultScript;
 use cloudfog_core::systems::{
     ChurnConfig, JoinPattern, PrefetchConfig, StreamingSim, StreamingSimConfig, SystemKind,
 };
@@ -66,7 +66,7 @@ fn measure_flash(prefetch: Option<PrefetchConfig>) -> (SpikeReport, f64) {
             ..ChurnConfig::default()
         })
         .fault_script(FaultScript::generate_outages(77, HORIZON, 2))
-        .watchdog(WatchdogParams::default())
+        .watchdog()
         .series_bucket(SimDuration::from_secs(5));
     if let Some(p) = prefetch {
         b = b.prefetch(p);

@@ -450,16 +450,6 @@ pub trait AdaptPolicy: Send {
         segment_duration: SimDuration,
         rng: &mut Rng,
     ) -> (RateDecision, AdaptExplain);
-
-    /// [`AdaptPolicy::observe_explained`] without the provenance.
-    fn observe(&mut self, inputs: &PolicyInputs, rng: &mut Rng) -> RateDecision {
-        self.observe_explained(inputs, rng).0
-    }
-
-    /// [`AdaptPolicy::evaluate_explained`] without the provenance.
-    fn evaluate(&mut self, segment_duration: SimDuration, rng: &mut Rng) -> RateDecision {
-        self.evaluate_explained(segment_duration, rng).0
-    }
 }
 
 /// The paper's §III-B controller behind the [`AdaptPolicy`] trait —
@@ -478,11 +468,6 @@ impl BufferOccupancyPolicy {
         if let Some(n) = params.up_probe_after {
             ctl = ctl.with_up_probe(n);
         }
-        BufferOccupancyPolicy { ctl }
-    }
-
-    /// Wrap an already-configured controller.
-    pub fn from_controller(ctl: RateController) -> Self {
         BufferOccupancyPolicy { ctl }
     }
 }

@@ -27,6 +27,14 @@ pub enum Testbed {
     PlanetLab,
 }
 
+/// Fewest players one simulated world may hold (the floor of
+/// [`ExperimentProfile::peersim`]).
+pub const MIN_WORLD_PLAYERS: usize = 10;
+
+/// Most players one simulated world may hold: the paper's 10 000-player
+/// PeerSim universe.
+pub const MAX_WORLD_PLAYERS: usize = 10_000;
+
 /// Per-testbed scale parameters.
 #[derive(Clone, Debug)]
 pub struct ExperimentProfile {
@@ -47,7 +55,7 @@ impl ExperimentProfile {
     /// quick runs can shrink the universe proportionally).
     pub fn peersim(scale: f64) -> Self {
         assert!(scale > 0.0 && scale <= 1.0, "scale in (0,1]");
-        let players = ((10_000.0 * scale).round() as usize).max(10);
+        let players = ((10_000.0 * scale).round() as usize).max(MIN_WORLD_PLAYERS);
         ExperimentProfile {
             testbed: Testbed::PeerSim,
             population: PopulationConfig {
@@ -192,40 +200,40 @@ pub struct SystemParams {
     pub server_load_low: f64,
 }
 
-impl Default for SystemParams {
-    fn default() -> Self {
-        SystemParams {
-            theta: 0.5,
-            decay_lambda: 1.0,
-            candidate_limit: 100,
-            backup_limit: 10,
-            hysteresis_window: 3,
-            satisfaction_bar: 0.95,
-            playout_processing: SimDuration::from_millis(20),
-            cloud_compute: SimDuration::from_millis(8),
-            render_time: SimDuration::from_millis(5),
-            update_rate_mbps: 0.10,
-            segment_duration: SimDuration::from_millis(200),
-            response_chunk: SimDuration::from_millis(100),
-            actions_per_sec: 5.0,
-            mtu: 1_500,
-            sigma_per_packet: SimDuration::from_micros(500),
-            propagation_window: 16,
-            base_loss_rate: 0.002,
-            loss_per_1000km: 0.010,
-            lmax_fraction: 0.5,
-            video_congestion_factor: 2.0,
-            edge_capacity: 40,
-            up_probe_after: None,
-            bandwidth_headroom: 1.15,
-            bandwidth_ewma_alpha: 0.3,
-            server_load_high: 0.6,
-            server_load_low: 0.3,
-        }
-    }
-}
-
 impl SystemParams {
+    /// The constants every streaming run uses: the §IV defaults and the
+    /// streaming model's physical constants. A run cannot override
+    /// them; only the pinned load model and the ablation benches build
+    /// other values.
+    pub const PAPER: SystemParams = SystemParams {
+        theta: 0.5,
+        decay_lambda: 1.0,
+        candidate_limit: 100,
+        backup_limit: 10,
+        hysteresis_window: 3,
+        satisfaction_bar: 0.95,
+        playout_processing: SimDuration::from_millis(20),
+        cloud_compute: SimDuration::from_millis(8),
+        render_time: SimDuration::from_millis(5),
+        update_rate_mbps: 0.10,
+        segment_duration: SimDuration::from_millis(200),
+        response_chunk: SimDuration::from_millis(100),
+        actions_per_sec: 5.0,
+        mtu: 1_500,
+        sigma_per_packet: SimDuration::from_micros(500),
+        propagation_window: 16,
+        base_loss_rate: 0.002,
+        loss_per_1000km: 0.010,
+        lmax_fraction: 0.5,
+        video_congestion_factor: 2.0,
+        edge_capacity: 40,
+        up_probe_after: None,
+        bandwidth_headroom: 1.15,
+        bandwidth_ewma_alpha: 0.3,
+        server_load_high: 0.6,
+        server_load_low: 0.3,
+    };
+
     /// Bytes in a segment of `bitrate_kbps` video lasting
     /// [`SystemParams::segment_duration`].
     pub fn segment_bytes(&self, bitrate_kbps: u32) -> u64 {
@@ -254,6 +262,12 @@ impl SystemParams {
         let loss = loss.max(1e-6);
         let mss_bits = self.mtu as f64 * 8.0;
         mss_bits / (rtt_ms / 1_000.0 * loss.sqrt()) / 1_000_000.0
+    }
+}
+
+impl Default for SystemParams {
+    fn default() -> Self {
+        SystemParams::PAPER
     }
 }
 

@@ -13,10 +13,11 @@
 //!   deadline *expires* and falls back (assignment falls back to the
 //!   cloud, migrations and deployments are abandoned).
 //! * [`BackoffPolicy`] — bounded jittered exponential backoff between
-//!   attempts. Jitter is drawn from a dedicated simulation RNG stream,
-//!   so retry schedules are deterministic per seed and decorrelated
-//!   across ops — no synchronized retry storms, and bit-identical
-//!   replays.
+//!   attempts; every run uses [`OP_BACKOFF`] under the per-op
+//!   [`OP_DEADLINE`]. Jitter is drawn from a dedicated simulation RNG
+//!   stream, so retry schedules are deterministic per seed and
+//!   decorrelated across ops — no synchronized retry storms, and
+//!   bit-identical replays.
 //! * [`AdmissionParams`] / [`AdmissionDecision`] — brownout-style
 //!   admission control: when a region's fog saturates, new sessions
 //!   are admitted at degraded quality or shed straight to the cloud
@@ -123,17 +124,6 @@ pub struct BackoffPolicy {
     pub jitter: f64,
 }
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base: SimDuration::from_millis(200),
-            max_delay: SimDuration::from_secs(4),
-            max_attempts: 6,
-            jitter: 0.25,
-        }
-    }
-}
-
 impl BackoffPolicy {
     /// Delay before the *next* attempt, given that attempt
     /// `attempts_made` (1-based) just failed. `None` once the attempt
@@ -156,46 +146,19 @@ impl BackoffPolicy {
         let u = 1.0 + jitter * (rng.f64() * 2.0 - 1.0);
         Some(SimDuration::from_secs_f64(capped.as_secs_f64() * u))
     }
-
-    /// Worst-case total backoff across every allowed retry (no
-    /// jitter above `1 + jitter` can exceed this bound).
-    pub fn worst_case_total(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for n in 1..self.max_attempts {
-            let exp = (n - 1).min(20);
-            let raw = self.base * (1u64 << exp);
-            let capped = raw.min(self.max_delay);
-            total += SimDuration::from_secs_f64(capped.as_secs_f64() * (1.0 + self.jitter));
-        }
-        total
-    }
 }
 
-/// Control-plane failure-model knobs: one deadline for every op plus
-/// the retry backoff policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ControlPlaneParams {
-    /// Per-op deadline, measured from issue time.
-    pub op_deadline: SimDuration,
-    /// Backoff between failed attempts.
-    pub backoff: BackoffPolicy,
-}
+/// Per-op deadline, measured from issue time: an attempt at or after
+/// `issued_at + OP_DEADLINE` expires the op instead of retrying.
+pub const OP_DEADLINE: SimDuration = SimDuration::from_secs(10);
 
-impl Default for ControlPlaneParams {
-    fn default() -> Self {
-        ControlPlaneParams {
-            op_deadline: SimDuration::from_secs(10),
-            backoff: BackoffPolicy::default(),
-        }
-    }
-}
-
-impl ControlPlaneParams {
-    /// Deadline for an op issued `now`.
-    pub fn deadline_from(&self, now: SimTime) -> SimTime {
-        now + self.op_deadline
-    }
-}
+/// Backoff between failed control-plane attempts.
+pub const OP_BACKOFF: BackoffPolicy = BackoffPolicy {
+    base: SimDuration::from_millis(200),
+    max_delay: SimDuration::from_secs(4),
+    max_attempts: 6,
+    jitter: 0.25,
+};
 
 /// Brownout admission thresholds over regional fog utilization
 /// (assigned players / total capacity across the region's live
@@ -374,7 +337,7 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_per_seed() {
-        let policy = BackoffPolicy::default();
+        let policy = OP_BACKOFF;
         let schedule = |seed: u64| {
             let mut rng = Rng::new(seed);
             (1..policy.max_attempts)
@@ -421,8 +384,6 @@ mod tests {
             let d = policy.delay_after(1, &mut rng).unwrap().as_secs_f64();
             assert!((0.3..=0.5).contains(&d), "jittered delay {d} outside [0.3, 0.5]");
         }
-        let bound = policy.worst_case_total();
-        assert_eq!(bound, SimDuration::from_secs_f64(0.4 * 1.25));
     }
 
     #[test]
@@ -440,13 +401,11 @@ mod tests {
 
     #[test]
     fn deadlines_measure_from_issue_time() {
-        let params = ControlPlaneParams::default();
         let now = SimTime::from_secs(5);
-        assert_eq!(params.deadline_from(now), now + params.op_deadline);
         let op = ControlOp {
             kind: ControlOpKind::Assign { player: PlayerId(3), degraded: false },
             issued_at: now,
-            deadline: params.deadline_from(now),
+            deadline: now + OP_DEADLINE,
             attempts: 1,
             done: false,
         };

@@ -14,12 +14,12 @@
 //!   bursty packet loss (Gilbert–Elliott), access-bandwidth collapse,
 //!   and gray failures (alive to the control plane, degraded on the
 //!   data plane).
-//! * [`DetectorParams`] — the heartbeat failure detector: a supernode
+//! * [`detector`] — the heartbeat failure detector: a supernode
 //!   is *suspected* after missed heartbeats, re-probed with
 //!   exponential backoff, and *confirmed* dead only after the probes
 //!   are exhausted. Players fail over at confirmation, so detection
 //!   latency is a real, measured cost.
-//! * [`WatchdogParams`] — the client-side QoE watchdog: a player whose
+//! * [`watchdog`] — the client-side QoE watchdog: a player whose
 //!   short-window continuity stays below threshold for several
 //!   consecutive checks (the §III-B consecutive-estimation rule)
 //!   initiates re-assignment away from its supernode — the only
@@ -207,71 +207,44 @@ impl FaultScript {
     }
 }
 
-/// Heartbeat failure-detector policy (suspect → probe with backoff →
-/// confirm). Defaults confirm a hard failure roughly 3 s after it
-/// happens: 2 missed 500 ms heartbeats to suspect, then probes at
-/// +250 ms, +500 ms, +1 s.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DetectorParams {
+/// The heartbeat failure detector (suspect → probe with backoff →
+/// confirm). It confirms a hard failure roughly 3 s after it happens:
+/// 2 missed 500 ms heartbeats to suspect, then probes at +250 ms,
+/// +500 ms, +1 s.
+pub mod detector {
+    use cloudfog_sim::time::SimDuration;
+
     /// Gap between heartbeat sweeps.
-    pub heartbeat_interval: SimDuration,
+    pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(500);
     /// Missed heartbeats before a supernode is suspected.
-    pub missed_to_suspect: u32,
+    pub const MISSED_TO_SUSPECT: u32 = 2;
     /// Delay before the first re-probe of a suspect; doubles per probe.
-    pub probe_backoff_base: SimDuration,
+    pub const PROBE_BACKOFF_BASE: SimDuration = SimDuration::from_millis(250);
     /// Failed probes before the failure is confirmed and players fail
     /// over.
-    pub probes_to_confirm: u32,
-}
-
-impl Default for DetectorParams {
-    fn default() -> Self {
-        DetectorParams {
-            heartbeat_interval: SimDuration::from_millis(500),
-            missed_to_suspect: 2,
-            probe_backoff_base: SimDuration::from_millis(250),
-            probes_to_confirm: 3,
-        }
-    }
-}
-
-impl DetectorParams {
+    pub const PROBES_TO_CONFIRM: u32 = 3;
     /// Worst-case confirmation latency after a failure: the full
     /// missed-heartbeat window plus every probe backoff.
-    pub fn worst_case_detection(&self) -> SimDuration {
-        let mut total = self.heartbeat_interval * u64::from(self.missed_to_suspect + 1);
-        let mut backoff = self.probe_backoff_base;
-        for _ in 0..self.probes_to_confirm {
-            total += backoff;
-            backoff = backoff * 2;
-        }
-        total
-    }
+    pub const WORST_CASE_DETECTION: SimDuration = SimDuration::from_micros(
+        HEARTBEAT_INTERVAL.as_micros() * (MISSED_TO_SUSPECT as u64 + 1)
+            + PROBE_BACKOFF_BASE.as_micros() * ((1 << PROBES_TO_CONFIRM) - 1),
+    );
 }
 
-/// QoE watchdog policy: hysteresis against flapping mirrors the
-/// §III-B rule of acting only on several consecutive estimations.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WatchdogParams {
+/// The QoE watchdog, when a run turns it on. Its hysteresis against
+/// flapping mirrors the §III-B rule of acting only on several
+/// consecutive estimations.
+pub mod watchdog {
+    use cloudfog_sim::time::SimDuration;
+
     /// A check fails when window continuity is below this.
-    pub continuity_threshold: f64,
+    pub const CONTINUITY_THRESHOLD: f64 = 0.6;
     /// Consecutive failed checks before re-assignment.
-    pub consecutive_checks: u32,
+    pub const CONSECUTIVE_CHECKS: u32 = 3;
     /// Gap between checks (one continuity window).
-    pub check_interval: SimDuration,
+    pub const CHECK_INTERVAL: SimDuration = SimDuration::from_secs(1);
     /// Minimum time between re-assignments of the same player.
-    pub cooldown: SimDuration,
-}
-
-impl Default for WatchdogParams {
-    fn default() -> Self {
-        WatchdogParams {
-            continuity_threshold: 0.6,
-            consecutive_checks: 3,
-            check_interval: SimDuration::from_secs(1),
-            cooldown: SimDuration::from_secs(10),
-        }
-    }
+    pub const COOLDOWN: SimDuration = SimDuration::from_secs(10);
 }
 
 #[cfg(test)]
@@ -333,9 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn default_detector_confirms_within_seconds() {
-        let d = DetectorParams::default();
-        let worst = d.worst_case_detection();
+    fn detector_confirms_within_seconds() {
+        let worst = detector::WORST_CASE_DETECTION;
+        assert_eq!(worst, SimDuration::from_millis(1_500 + 250 + 500 + 1_000));
         assert!(worst >= SimDuration::from_secs(2), "{worst:?}");
         assert!(worst <= SimDuration::from_secs(5), "{worst:?}");
     }

@@ -165,11 +165,6 @@ impl SupernodeTable {
         self.get(sn).retired
     }
 
-    /// Ids of all in-service supernodes.
-    pub fn live_ids(&self) -> impl Iterator<Item = SupernodeId> + '_ {
-        self.nodes.iter().filter(|n| n.is_live()).map(|n| n.id)
-    }
-
     /// Total assigned players across all supernodes.
     pub fn total_assigned(&self) -> usize {
         self.nodes.iter().map(|n| n.assigned.len()).sum()
@@ -273,9 +268,9 @@ mod tests {
         assert!(!table.get(sn).has_capacity());
         table.retire(sn);
         assert!(table.is_retired(sn));
-        assert_eq!(table.live_ids().count(), 1);
+        assert_eq!(table.iter().filter(|n| n.is_live()).count(), 1);
         table.revive(sn);
-        assert_eq!(table.live_ids().count(), 2);
+        assert_eq!(table.iter().filter(|n| n.is_live()).count(), 2);
     }
 
     #[test]

@@ -69,8 +69,7 @@ pub mod prelude {
     pub use crate::cache::{CacheStats, SegmentCache, SegmentKey};
     pub use crate::config::{scale_from_env, ExperimentProfile, SystemParams, Testbed};
     pub use crate::control::{
-        AdmissionDecision, AdmissionParams, BackoffPolicy, ControlFailure, ControlOp,
-        ControlOpKind, ControlPlaneParams,
+        AdmissionDecision, AdmissionParams, BackoffPolicy, ControlFailure, ControlOp, ControlOpKind,
     };
     pub use crate::coop::{
         apply_migrations, apply_migrations_checked, plan_rebalance, CoopPolicy, Migration,
@@ -80,7 +79,7 @@ pub mod prelude {
         bandwidth_reduction, clear_market, deployment_gain, optimal_reward, provider_savings,
         supernode_profit, MarketOutcome, MarketParams, SupernodeOffer,
     };
-    pub use crate::fault::{DetectorParams, FaultEvent, FaultKind, FaultScript, WatchdogParams};
+    pub use crate::fault::{FaultEvent, FaultKind, FaultScript};
     pub use crate::infra::{assign_player, Assignment, SupernodeId, SupernodeTable};
     pub use crate::infra::{plan_deployment, DeploymentPlan, PlanParams};
     pub use crate::metrics::{MetricsCollector, TrafficSource};

@@ -221,11 +221,6 @@ impl MetricsCollector {
         (on_time, late, dropped)
     }
 
-    /// Per-player stats (for drill-down).
-    pub fn player_stats(&self, id: PlayerId) -> Option<&PlayerStreamStats> {
-        self.players.get(id.index()).filter(|s| s.segments > 0)
-    }
-
     /// §IV satisfied-player ratio over players with traffic.
     pub fn satisfied_ratio(&self, bar: f64) -> f64 {
         if self.seen == 0 {
@@ -314,11 +309,6 @@ impl MetricsCollector {
             return 0.0;
         }
         self.cloud_bytes() as f64 * 8.0 / secs / 1_000_000.0
-    }
-
-    /// Update-message bytes sent cloud→supernodes.
-    pub fn update_bytes_total(&self) -> u64 {
-        self.update_bytes
     }
 
     /// Per-game QoE breakdown: `(game, players, mean continuity,

@@ -104,42 +104,6 @@ pub mod metric {
     /// like [`LAT_SEGMENT`]).
     pub const LAT_TRANSMISSION: &str = "latency_ms.transmission";
 
-    /// Every live-plane metric name, for exhaustive tooling.
-    pub const ALL: [&str; 32] = [
-        QOE_CONTINUITY,
-        QOE_SATISFIED,
-        LATENCY_MEAN,
-        SESSIONS_ACTIVE,
-        SESSIONS_RESIDENTS,
-        BUFFER_BACKLOG,
-        LOAD_SUPERNODE_MAX,
-        LOAD_SUPERNODE_MEAN,
-        PACKETS_ON_TIME,
-        PACKETS_TOTAL,
-        PACKETS_DROPPED,
-        SCHED_DROPS,
-        CONTROL_RETRIES,
-        CONTROL_EXPIRED,
-        ADMIT_NORMAL,
-        ADMIT_DEGRADED,
-        ADMIT_SHED,
-        CHURN_STARTED,
-        CHURN_COMPLETED,
-        CHURN_MIGRATIONS,
-        CHURN_SN_ARRIVALS,
-        CHURN_SN_RETIREMENTS,
-        FAILURES_INJECTED,
-        FAULTS_ACTIVATED,
-        CACHE_HITS,
-        CACHE_MISSES,
-        CACHE_EVICTIONS,
-        CACHE_BYTES,
-        PREFETCH_PREDICTIONS,
-        PREFETCH_PREDEPLOYS,
-        LAT_SEGMENT,
-        LAT_TRANSMISSION,
-    ];
-
     /// O(1) handles into a registry built by [`install`] — the
     /// sampling path never does name lookups.
     #[derive(Clone, Copy, Debug)]

@@ -108,11 +108,6 @@ impl SenderBuffer {
         self.queue.is_empty()
     }
 
-    /// Total surviving bytes queued.
-    pub fn queued_bytes(&self, params: &SystemParams) -> u64 {
-        self.queue.iter().map(|s| s.surviving_bytes(params)).sum()
-    }
-
     /// Total packets still scheduled for transmission (post-drop).
     ///
     /// The backlog-pressure signal a sharded driver samples at a tick
@@ -495,16 +490,6 @@ mod tests {
                 drops[1]
             );
         }
-    }
-
-    #[test]
-    fn queued_bytes_accounts_drops() {
-        let p = params();
-        let mut buf = SenderBuffer::new(SchedulingPolicy::DeadlineDriven, Mbps(2.0), &p);
-        buf.enqueue(seg(1, 0, 0, 10), SimTime::from_millis(10), &p);
-        let s = buf.peek().unwrap();
-        let expected = (s.surviving_packets() as u64) * p.mtu as u64;
-        assert_eq!(buf.queued_bytes(&p), expected);
     }
 
     #[test]

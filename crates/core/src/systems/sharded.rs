@@ -43,8 +43,9 @@ use cloudfog_sim::telemetry::{Fnv1a, TelemetryConfig, TelemetryReport};
 use cloudfog_sim::time::SimDuration;
 
 use crate::adapt::AdaptPolicyKind;
+use crate::config::{MAX_WORLD_PLAYERS, MIN_WORLD_PLAYERS};
 use crate::coop::ShardExchangePolicy;
-use crate::fault::{FaultScript, WatchdogParams};
+use crate::fault::FaultScript;
 use crate::systems::deployment::SystemKind;
 use crate::systems::driver::{self, Live, Run};
 use crate::systems::live::{LiveConfig, LiveReport};
@@ -218,9 +219,31 @@ impl ShardedSimConfigBuilder {
     }
 
     /// Finalize the config.
+    ///
+    /// # Panics
+    ///
+    /// Naming the field, on a zero `tick`, on `total_players` below
+    /// `MIN_WORLD_PLAYERS`, and on a `shard_capacity` whose partition
+    /// makes worlds outside `[MIN_WORLD_PLAYERS, MAX_WORLD_PLAYERS]`.
     pub fn build(self) -> ShardedSimConfig {
-        assert!(self.cfg.tick > SimDuration::ZERO, "tick must be positive");
-        self.cfg
+        let cfg = self.cfg;
+        assert!(cfg.tick > SimDuration::ZERO, "tick must be positive");
+        assert!(
+            cfg.total_players >= MIN_WORLD_PLAYERS,
+            "total_players must be at least {MIN_WORLD_PLAYERS}, got {}",
+            cfg.total_players
+        );
+        // `partition` sizes differ by at most one.
+        let shards = cfg.shard_count();
+        let (smallest, largest) = (cfg.total_players / shards, cfg.total_players.div_ceil(shards));
+        assert!(
+            smallest >= MIN_WORLD_PLAYERS && largest <= MAX_WORLD_PLAYERS,
+            "shard_capacity {} splits {} players into worlds of {smallest}..={largest}, \
+             outside [{MIN_WORLD_PLAYERS}, {MAX_WORLD_PLAYERS}]",
+            cfg.shard_capacity,
+            cfg.total_players
+        );
+        cfg
     }
 }
 
@@ -285,7 +308,7 @@ fn world_config(cfg: &ShardedSimConfig, spec: &ShardSpec) -> StreamingSimConfig 
     if cfg.chaos {
         builder = builder
             .fault_script(FaultScript::generate(spec.seed ^ SHARD_CHAOS_SALT, cfg.horizon, 2))
-            .watchdog(WatchdogParams::default());
+            .watchdog();
     }
     if cfg.churn {
         builder = builder.churn(ChurnConfig::default());

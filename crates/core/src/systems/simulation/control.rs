@@ -16,30 +16,34 @@ use cloudfog_workload::session::SessionState;
 
 use super::{Ev, Sched, StreamingSim, NUM_REGIONS};
 use crate::control::{
-    AdmissionDecision, AdmissionParams, ControlOp, ControlOpKind, ControlPlaneParams,
+    AdmissionDecision, AdmissionParams, ControlOp, ControlOpKind, OP_BACKOFF, OP_DEADLINE,
 };
 use crate::coop::{self, CoopPolicy, Migration};
 use crate::infra::SupernodeId;
 use crate::obs;
 use crate::systems::deployment::{Deployment, SystemKind};
 
-/// Live-service churn knobs: the session lifecycle state machine, the
-/// fallible control plane, and brownout admission control. `None` on
-/// [`StreamingSimConfig::churn`](super::StreamingSimConfig::churn) keeps the fixed-cohort model —
-/// bit-for-bit identical event streams and summaries.
+/// Connection handshake time (Connecting → Connected), applied after
+/// the assign op succeeds or falls back.
+const CONNECT_DELAY: SimDuration = SimDuration::from_millis(400);
+
+/// Drain window: a leaving player stops acting immediately but keeps
+/// receiving in-flight segments this long before teardown
+/// (Draining → Gone).
+const DRAIN_WINDOW: SimDuration = SimDuration::from_secs(2);
+
+/// Live-service churn knobs: brownout admission and the fleet's
+/// arrival, retirement and rebalance rates. The session lifecycle
+/// timers, the control plane's deadline and backoff
+/// ([`OP_DEADLINE`], [`OP_BACKOFF`]) and the rebalance planner's
+/// [`CoopPolicy`] are fixed. `None` on
+/// [`StreamingSimConfig::churn`](super::StreamingSimConfig::churn)
+/// keeps the fixed-cohort model — bit-for-bit identical event streams
+/// and summaries.
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnConfig {
     /// Brownout admission thresholds over regional fog utilization.
     pub admission: AdmissionParams,
-    /// Control-plane failure model: per-op deadline + retry backoff.
-    pub control: ControlPlaneParams,
-    /// Connection handshake time (Connecting → Connected), applied
-    /// after the assign op succeeds or falls back.
-    pub connect_delay: SimDuration,
-    /// Drain window: a leaving player stops acting immediately but
-    /// keeps receiving in-flight segments this long before teardown
-    /// (Draining → Gone).
-    pub drain_window: SimDuration,
     /// Mean supernode arrivals per second (0 = no mid-run arrivals).
     /// Each arrival promotes a random capable, still-unregistered
     /// player via a fallible Deploy op.
@@ -51,21 +55,15 @@ pub struct ChurnConfig {
     /// Cooperative rebalance sweep period (`None` = no sweeps). Each
     /// planned migration is issued as its own fallible Migrate op.
     pub rebalance_interval: Option<SimDuration>,
-    /// Policy for the rebalance planner.
-    pub coop: CoopPolicy,
 }
 
 impl Default for ChurnConfig {
     fn default() -> Self {
         ChurnConfig {
             admission: AdmissionParams::default(),
-            control: ControlPlaneParams::default(),
-            connect_delay: SimDuration::from_millis(400),
-            drain_window: SimDuration::from_secs(2),
             supernode_arrival_rate: 0.0,
             supernode_retire_rate: 0.0,
             rebalance_interval: None,
-            coop: CoopPolicy::default(),
         }
     }
 }
@@ -287,7 +285,7 @@ impl Control {
         self.join_plans[p.index()] = Some(JoinPlan { decision, forced_cloud });
         if forced_cloud || !fog {
             // Cloud path: the fog control plane is not involved.
-            sched.schedule_in(self.cfg.connect_delay, Ev::Control(ControlEv::Connected(p)));
+            sched.schedule_in(CONNECT_DELAY, Ev::Control(ControlEv::Connected(p)));
         } else {
             let degraded = decision == AdmissionDecision::Degraded;
             self.issue_op(sim, ControlOpKind::Assign { player: p, degraded }, sched);
@@ -306,7 +304,7 @@ impl Control {
         if self.session_states[p.index()].advance(SessionState::Draining).is_err() {
             self.stats.illegal_transitions += 1;
         }
-        sched.schedule_in(self.cfg.drain_window, Ev::Control(ControlEv::Gone(p)));
+        sched.schedule_in(DRAIN_WINDOW, Ev::Control(ControlEv::Gone(p)));
     }
 
     /// Placement landed: `Connecting → Connected → InGame`, then start
@@ -352,7 +350,7 @@ impl Control {
         self.pending_ops.push(ControlOp {
             kind,
             issued_at: now,
-            deadline: self.cfg.control.deadline_from(now),
+            deadline: now + OP_DEADLINE,
             attempts: 0,
             done: false,
         });
@@ -377,7 +375,7 @@ impl Control {
             self.apply_op(sim, op.kind, sched);
             return;
         }
-        match self.cfg.control.backoff.delay_after(op.attempts, &mut self.rng) {
+        match OP_BACKOFF.delay_after(op.attempts, &mut self.rng) {
             Some(delay) if now + delay < op.deadline => {
                 self.stats.control_retries += 1;
                 sim.trace_event(now, obs::kind::CONTROL_RETRY, idx as u64, f64::from(op.attempts));
@@ -399,8 +397,7 @@ impl Control {
         let now = sched.now();
         match kind {
             ControlOpKind::Assign { player, .. } => {
-                sched
-                    .schedule_in(self.cfg.connect_delay, Ev::Control(ControlEv::Connected(player)));
+                sched.schedule_in(CONNECT_DELAY, Ev::Control(ControlEv::Connected(player)));
             }
             ControlOpKind::Migrate { player, from, to } => {
                 // Sim-layer staleness guard mirrors the table-layer one:
@@ -441,7 +438,7 @@ impl Control {
             if let Some(plan) = self.join_plans[player.index()].as_mut() {
                 plan.forced_cloud = true;
             }
-            sched.schedule_in(self.cfg.connect_delay, Ev::Control(ControlEv::Connected(player)));
+            sched.schedule_in(CONNECT_DELAY, Ev::Control(ControlEv::Connected(player)));
         }
     }
 
@@ -531,7 +528,7 @@ impl Control {
                 sim.deployment.topology(),
                 &player_host,
                 &demand,
-                &self.cfg.coop,
+                &CoopPolicy::default(),
             )
         };
         for m in plan {

@@ -17,7 +17,7 @@ use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::player::PlayerId;
 
 use super::{Ev, PathHop, Sched, StreamingSim, StreamingSimConfig, NUM_REGIONS};
-use crate::fault::FaultKind;
+use crate::fault::{detector, watchdog, FaultKind};
 use crate::infra::{Supernode, SupernodeId, SupernodeTable};
 use crate::obs;
 use crate::streaming::Segment;
@@ -193,11 +193,10 @@ impl Faults {
 ///
 /// # Panics
 ///
-/// On a zero period — `supernode_mtbf`, the detector's
-/// `heartbeat_interval` when failures can happen, the watchdog's
-/// `check_interval` — which would fire forever at one instant.
+/// On a zero `supernode_mtbf`, which would fail supernodes forever at
+/// one instant.
 pub(super) fn seed(sim: &mut Simulation<StreamingSim>) {
-    let StreamingSimConfig { ramp, supernode_mtbf, detector, watchdog, .. } = sim.model.cfg;
+    let StreamingSimConfig { ramp, supernode_mtbf, watchdog, .. } = sim.model.cfg;
     let starts: Vec<SimTime> = sim
         .model
         .cfg
@@ -210,16 +209,16 @@ pub(super) fn seed(sim: &mut Simulation<StreamingSim>) {
         sim.seed_at(SimTime::ZERO + ramp, Ev::Fault(FaultEv::Failure));
     }
     if supernode_mtbf.is_some() || !starts.is_empty() {
-        let hb = detector.heartbeat_interval;
-        assert!(hb > SimDuration::ZERO, "DetectorParams::heartbeat_interval must be positive");
-        sim.seed_at(SimTime::ZERO + hb, Ev::Fault(FaultEv::HeartbeatSweep));
-    }
-    if let Some(wd) = watchdog {
-        assert!(
-            wd.check_interval > SimDuration::ZERO,
-            "WatchdogParams::check_interval must be positive"
+        sim.seed_at(
+            SimTime::ZERO + detector::HEARTBEAT_INTERVAL,
+            Ev::Fault(FaultEv::HeartbeatSweep),
         );
-        sim.seed_at(SimTime::ZERO + ramp + wd.check_interval, Ev::Fault(FaultEv::WatchdogSweep));
+    }
+    if watchdog {
+        sim.seed_at(
+            SimTime::ZERO + ramp + watchdog::CHECK_INTERVAL,
+            Ev::Fault(FaultEv::WatchdogSweep),
+        );
     }
     for (i, at) in starts.into_iter().enumerate() {
         sim.seed_at(at, Ev::Fault(FaultEv::Start(i)));
@@ -296,8 +295,7 @@ impl StreamingSim {
     /// beat; enough misses start the probe cascade. Gray failures keep
     /// answering and sail through — only the watchdog catches those.
     fn heartbeat_sweep(&mut self, sched: &mut Sched<'_>) {
-        let det = self.cfg.detector;
-        sched.schedule_in(det.heartbeat_interval, Ev::Fault(FaultEv::HeartbeatSweep));
+        sched.schedule_in(detector::HEARTBEAT_INTERVAL, Ev::Fault(FaultEv::HeartbeatSweep));
         let dead: Vec<SupernodeId> = self.faults.dead_since.keys().copied().collect();
         for sn in dead {
             if self.deployment.supernodes.is_retired(sn) {
@@ -309,9 +307,9 @@ impl StreamingSim {
                 probing: false,
             });
             s.missed += 1;
-            if s.missed >= det.missed_to_suspect && !s.probing {
+            if s.missed >= detector::MISSED_TO_SUSPECT && !s.probing {
                 s.probing = true;
-                sched.schedule_in(det.probe_backoff_base, Ev::Fault(FaultEv::Probe(sn)));
+                sched.schedule_in(detector::PROBE_BACKOFF_BASE, Ev::Fault(FaultEv::Probe(sn)));
             }
         }
     }
@@ -324,11 +322,10 @@ impl StreamingSim {
             self.faults.suspects.remove(&sn);
             return;
         }
-        let det = self.cfg.detector;
         let Some(state) = self.faults.suspects.get_mut(&sn) else { return };
         state.probes += 1;
-        if state.probes < det.probes_to_confirm {
-            let backoff = det.probe_backoff_base * (1u64 << state.probes.min(16));
+        if state.probes < detector::PROBES_TO_CONFIRM {
+            let backoff = detector::PROBE_BACKOFF_BASE * (1u64 << state.probes.min(16));
             sched.schedule_in(backoff, Ev::Fault(FaultEv::Probe(sn)));
             return;
         }
@@ -360,11 +357,11 @@ impl StreamingSim {
     }
 
     /// Client-side QoE watchdog: windowed continuity per player with
-    /// consecutive-check hysteresis (the §III-B estimation rule).
+    /// consecutive-check hysteresis (the §III-B estimation rule). Only
+    /// seeded when the watchdog is on.
     fn watchdog_sweep(&mut self, sched: &mut Sched<'_>) {
-        let Some(wd) = self.cfg.watchdog else { return };
         let now = sched.now();
-        sched.schedule_in(wd.check_interval, Ev::Fault(FaultEv::WatchdogSweep));
+        sched.schedule_in(watchdog::CHECK_INTERVAL, Ev::Fault(FaultEv::WatchdogSweep));
         let mut moves = Vec::new();
         // Slab order is ascending PlayerId.
         for idx in 0..self.active.len() {
@@ -381,13 +378,13 @@ impl StreamingSim {
                 continue; // no evidence this window
             }
             let continuity = on_time as f64 / total as f64;
-            if continuity < wd.continuity_threshold {
+            if continuity < watchdog::CONTINUITY_THRESHOLD {
                 a.low_checks += 1;
             } else {
                 a.low_checks = 0;
             }
-            if a.low_checks >= wd.consecutive_checks
-                && now.saturating_since(a.last_reassign) >= wd.cooldown
+            if a.low_checks >= watchdog::CONSECUTIVE_CHECKS
+                && now.saturating_since(a.last_reassign) >= watchdog::COOLDOWN
             {
                 a.low_checks = 0;
                 a.last_reassign = now;

@@ -53,21 +53,21 @@ use cloudfog_sim::rng::Rng;
 use cloudfog_sim::series::{CounterSeries, TimeSeries};
 use cloudfog_sim::telemetry::{TelemetryConfig, TelemetryReport, TraceRecord, TraceRing};
 use cloudfog_sim::time::{SimDuration, SimTime};
-use cloudfog_workload::arrival::{DiurnalArrivals, PoissonArrivals, SessionCycle};
+use cloudfog_workload::arrival::{PoissonArrivals, SessionCycle};
 use cloudfog_workload::games::{GameId, QualityLevel, GAMES, QUALITY_LEVELS};
 use cloudfog_workload::gaze::GazeModel;
 use cloudfog_workload::player::PlayerId;
 
 pub use control::{ChurnConfig, ChurnStats};
-pub use prefetch::{PrefetchConfig, PrefetchStats};
+pub use prefetch::{PrefetchConfig, PrefetchStats, ENCODE_MAX_ATTEMPTS};
 
 use control::{Control, ControlEv};
 use faults::{FaultEv, Faults};
 use prefetch::{PrefetchEv, PrefetchState};
 
 use crate::adapt::{AdaptPolicy, AdaptPolicyKind, PolicyInputs, RateDecision, SwitchDriver};
-use crate::config::{ExperimentProfile, SystemParams};
-use crate::fault::{DetectorParams, FaultScript, WatchdogParams};
+use crate::config::{ExperimentProfile, SystemParams, MAX_WORLD_PLAYERS, MIN_WORLD_PLAYERS};
+use crate::fault::FaultScript;
 use crate::infra::SupernodeId;
 use crate::metrics::{MetricsCollector, TrafficSource};
 use crate::obs;
@@ -83,17 +83,6 @@ pub enum JoinPattern {
     /// Everyone joins once, spread uniformly over the ramp (default:
     /// keeps sweep cells comparable).
     Ramp,
-    /// Joins follow a diurnal non-homogeneous Poisson process (§IV
-    /// runs 4 simulated days; populations breathe with the clock).
-    /// Player ids cycle through the population.
-    Diurnal {
-        /// Base join rate (players per second).
-        base_rate: f64,
-        /// Swing amplitude in [0, 1).
-        amplitude: f64,
-        /// Peak hour of day (0–24).
-        peak_hour: f64,
-    },
     /// A steady Poisson trickle with a scripted flash crowd on top:
     /// background joins at `base_rate`, plus a second burst process at
     /// `spike_rate` over the spike window. Player ids cycle through
@@ -117,10 +106,9 @@ pub enum JoinPattern {
 pub struct StreamingSimConfig {
     /// System under test.
     pub kind: SystemKind,
-    /// Universe profile (player count, datacenters, …).
+    /// Universe profile (player count, datacenters, …), derived from
+    /// the builder's player count.
     pub profile: ExperimentProfile,
-    /// Protocol constants.
-    pub params: SystemParams,
     /// RNG seed.
     pub seed: u64,
     /// Players join uniformly over this window (then churn per their
@@ -148,14 +136,12 @@ pub struct StreamingSimConfig {
     pub join_pattern: JoinPattern,
     /// Scripted chaos faults replayed during the run (`None` = no
     /// chaos). The script composes with MTBF churn; both feed the same
-    /// heartbeat detector.
+    /// heartbeat detector ([`crate::fault::detector`]), which is active
+    /// whenever either is configured.
     pub fault_script: Option<FaultScript>,
-    /// Heartbeat failure-detector policy. Active whenever churn or a
-    /// fault script is configured; inert otherwise.
-    pub detector: DetectorParams,
-    /// QoE watchdog letting players escape gray-failed supernodes
-    /// (`None` = disabled).
-    pub watchdog: Option<WatchdogParams>,
+    /// The QoE watchdog ([`crate::fault::watchdog`]) letting players
+    /// escape gray-failed supernodes.
+    pub watchdog: bool,
     /// Telemetry recording: histograms, event trace, phase profiling
     /// (`None` = fully disabled — the hot path pays nothing, and the
     /// [`RunSummary`] is bit-identical either way).
@@ -198,7 +184,6 @@ impl StreamingSimConfig {
             cfg: StreamingSimConfig {
                 kind,
                 profile: ExperimentProfile::peersim(0.1),
-                params: SystemParams::default(),
                 seed: 0,
                 ramp: SimDuration::from_secs(10),
                 horizon: SimDuration::from_secs(60),
@@ -209,8 +194,7 @@ impl StreamingSimConfig {
                 series_bucket: None,
                 join_pattern: JoinPattern::Ramp,
                 fault_script: None,
-                detector: DetectorParams::default(),
-                watchdog: None,
+                watchdog: false,
                 telemetry: None,
                 churn: None,
                 prefetch: None,
@@ -218,7 +202,6 @@ impl StreamingSimConfig {
                 segment_id_base: 0,
             },
             players: 1_000,
-            custom_profile: false,
         }
     }
 }
@@ -226,18 +209,17 @@ impl StreamingSimConfig {
 /// Typed builder for [`StreamingSimConfig`] (the supported way to
 /// configure a run — no more constructing 16 fields by hand).
 ///
-/// Unless [`profile`](StreamingSimConfigBuilder::profile) is set
-/// explicitly, [`build`](StreamingSimConfigBuilder::build) derives a
-/// scaled-down PeerSim profile from the requested player count.
+/// [`build`](StreamingSimConfigBuilder::build) derives a scaled-down
+/// PeerSim profile from the requested player count.
 #[derive(Clone, Debug)]
 pub struct StreamingSimConfigBuilder {
     cfg: StreamingSimConfig,
     players: usize,
-    custom_profile: bool,
 }
 
 impl StreamingSimConfigBuilder {
-    /// Target player count (drives the derived profile scale).
+    /// Player count, in `[MIN_WORLD_PLAYERS, MAX_WORLD_PLAYERS]`
+    /// (drives the derived profile scale).
     pub fn players(mut self, players: usize) -> Self {
         self.players = players;
         self
@@ -258,19 +240,6 @@ impl StreamingSimConfigBuilder {
     /// Simulated horizon.
     pub fn horizon(mut self, horizon: SimDuration) -> Self {
         self.cfg.horizon = horizon;
-        self
-    }
-
-    /// Explicit universe profile (overrides the player-derived one).
-    pub fn profile(mut self, profile: ExperimentProfile) -> Self {
-        self.cfg.profile = profile;
-        self.custom_profile = true;
-        self
-    }
-
-    /// Protocol constants.
-    pub fn params(mut self, params: SystemParams) -> Self {
-        self.cfg.params = params;
         self
     }
 
@@ -316,15 +285,10 @@ impl StreamingSimConfigBuilder {
         self
     }
 
-    /// Heartbeat failure-detector policy.
-    pub fn detector(mut self, detector: DetectorParams) -> Self {
-        self.cfg.detector = detector;
-        self
-    }
-
-    /// QoE watchdog (escape hatch from gray-failed supernodes).
-    pub fn watchdog(mut self, watchdog: WatchdogParams) -> Self {
-        self.cfg.watchdog = Some(watchdog);
+    /// Turn on the QoE watchdog (escape hatch from gray-failed
+    /// supernodes).
+    pub fn watchdog(mut self) -> Self {
+        self.cfg.watchdog = true;
         self
     }
 
@@ -365,11 +329,24 @@ impl StreamingSimConfigBuilder {
     }
 
     /// Finalize the config.
+    ///
+    /// # Panics
+    ///
+    /// Naming the field, on a player count outside
+    /// `[MIN_WORLD_PLAYERS, MAX_WORLD_PLAYERS]`, a zero horizon, or a
+    /// flash crowd with a non-positive join rate.
     pub fn build(mut self) -> StreamingSimConfig {
-        if !self.custom_profile {
-            let scale = (self.players as f64 / 10_000.0).clamp(0.001, 1.0);
-            self.cfg.profile = ExperimentProfile::peersim(scale);
+        let players = self.players;
+        assert!(
+            (MIN_WORLD_PLAYERS..=MAX_WORLD_PLAYERS).contains(&players),
+            "players must be in [{MIN_WORLD_PLAYERS}, {MAX_WORLD_PLAYERS}], got {players}"
+        );
+        assert!(self.cfg.horizon > SimDuration::ZERO, "horizon must be positive");
+        if let JoinPattern::FlashCrowd { base_rate, spike_rate, .. } = self.cfg.join_pattern {
+            assert!(base_rate > 0.0, "JoinPattern::FlashCrowd::base_rate must be positive");
+            assert!(spike_rate > 0.0, "JoinPattern::FlashCrowd::spike_rate must be positive");
         }
+        self.cfg.profile = ExperimentProfile::peersim(players as f64 / 10_000.0);
         self.cfg
     }
 }
@@ -822,12 +799,6 @@ impl StreamingSim {
             JoinPattern::Ramp => {
                 (0..n).map(|p| SimTime::ZERO + ramp.mul_f64(p as f64 / n.max(1) as f64)).collect()
             }
-            JoinPattern::Diurnal { base_rate, amplitude, peak_hour } => {
-                let rng = sim.model.rng_assign.fork();
-                DiurnalArrivals::new(base_rate, amplitude, peak_hour, SimTime::ZERO, rng)
-                    .take_while(|t| *t < end)
-                    .collect()
-            }
             JoinPattern::FlashCrowd { base_rate, spike_at, spike_rate, spike_duration } => {
                 let base_rng = sim.model.rng_assign.fork();
                 let spike_rng = sim.model.rng_assign.fork();
@@ -898,7 +869,7 @@ impl StreamingSim {
     }
 
     fn action_period(&self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.cfg.params.actions_per_sec)
+        SimDuration::from_secs_f64(1.0 / SystemParams::PAPER.actions_per_sec)
     }
 
     /// Raise (`up`) or lower the cloud's update feed to `source` by
@@ -946,7 +917,8 @@ impl StreamingSim {
             }
         }
         let update_bytes =
-            (self.cfg.params.update_rate_mbps * self.update_feed_secs * 1_000_000.0 / 8.0) as u64;
+            (SystemParams::PAPER.update_rate_mbps * self.update_feed_secs * 1_000_000.0 / 8.0)
+                as u64;
         self.metrics.record_update_bytes(update_bytes);
         self.metrics.finish(end);
         if let Some(ctl) = self.control.as_mut() {
@@ -955,7 +927,7 @@ impl StreamingSim {
     }
 
     fn summarize(&self, events: u64) -> RunSummary {
-        let params = &self.cfg.params;
+        let params = &SystemParams::PAPER;
         let last_game = &self.last_game;
         let coverage = self.metrics.coverage(|pid: PlayerId| {
             last_game[pid.index()]
@@ -1079,7 +1051,7 @@ impl StreamingSim {
         reg.set_gauge(ids.qoe_continuity, self.metrics.mean_continuity());
         reg.set_gauge(
             ids.qoe_satisfied,
-            self.metrics.satisfied_ratio(self.cfg.params.satisfaction_bar),
+            self.metrics.satisfied_ratio(SystemParams::PAPER.satisfaction_bar),
         );
         reg.set_gauge(ids.latency_mean, self.metrics.latency_distribution().mean());
         // Supernode load: live non-draining sessions per serving host.
@@ -1220,7 +1192,7 @@ impl StreamingSim {
             self.deployment.resolve_source_with_backups(
                 p,
                 &game,
-                &self.cfg.params,
+                &SystemParams::PAPER,
                 &mut self.rng_assign,
             )
         };
@@ -1230,7 +1202,7 @@ impl StreamingSim {
         // `build` applies the startup prebuffer (clients buffer one
         // segment ahead) for every policy.
         let controller = (self.cfg.kind.uses_adaptation() && quality_cap.is_none())
-            .then(|| self.cfg.policy.build(&game, &self.cfg.params));
+            .then(|| self.cfg.policy.build(&game, &SystemParams::PAPER));
         let quality = match quality_cap {
             Some(cap) => {
                 let level =
@@ -1292,12 +1264,10 @@ impl StreamingSim {
         // system — in the cloud, on an edge server, or on a supernode.
         // It is charged to the §I 20 ms playout/processing budget, so
         // the segment's *network* clock starts after it.
-        let full_processing = self.cfg.params.cloud_compute + self.cfg.params.render_time;
+        let full_processing = SystemParams::PAPER.cloud_compute + SystemParams::PAPER.render_time;
         let mut processing = full_processing;
-        let cached = self
-            .prefetch
-            .as_mut()
-            .map(|ps| ps.lookup(now, game.id, quality, full_processing, &self.cfg.params));
+        let cached =
+            self.prefetch.as_mut().map(|ps| ps.lookup(now, game.id, quality, full_processing));
         if let Some((hit, evicted)) = cached {
             if hit {
                 processing = SimDuration::ZERO;
@@ -1318,7 +1288,7 @@ impl StreamingSim {
         let enqueue_at = now + delay;
         let network_t0 = now + processing;
         let mut segment =
-            Segment::new(id, p, &game, quality, network_t0, enqueue_at, &self.cfg.params);
+            Segment::new(id, p, &game, quality, network_t0, enqueue_at, &SystemParams::PAPER);
         segment.enqueued_at = enqueue_at;
         if let Some(causal) = self.causal() {
             // Lifecycle span opens: the action happened at `now`, the
@@ -1361,7 +1331,7 @@ impl StreamingSim {
         let tracing = self.tracing();
         let Some(sender) = self.senders[host.index()].as_mut() else { return };
         let (report, provenance) =
-            sender.buffer.enqueue_traced(segment, now, &self.cfg.params, tracing);
+            sender.buffer.enqueue_traced(segment, now, &SystemParams::PAPER, tracing);
         self.scheduler_drops += report.packets_dropped as u64;
         if !sender.busy {
             sender.busy = true;
@@ -1432,7 +1402,7 @@ impl StreamingSim {
         // Staleness skip: a segment already hopeless (deadline missed
         // by several segment durations) is not worth transmitting —
         // real streamers skip frames. Its packets count as late.
-        let hopeless = segment.expected_arrival() + self.cfg.params.segment_duration * 5;
+        let hopeless = segment.expected_arrival() + SystemParams::PAPER.segment_duration * 5;
         if now > hopeless {
             self.metrics.record_arrival(&segment, now, now);
             if let Some(a) = self.active[segment.player.index()].as_mut() {
@@ -1445,7 +1415,7 @@ impl StreamingSim {
             return;
         }
 
-        let bytes = segment.surviving_bytes(&self.cfg.params);
+        let bytes = segment.surviving_bytes(&SystemParams::PAPER);
         // Port occupancy: the sender's uplink is a shared serial
         // resource — the next queued segment starts once this one has
         // left the uplink.
@@ -1457,7 +1427,8 @@ impl StreamingSim {
         // cannot deliver above the path rate, so sustained demand
         // beyond it accumulates delay — this is what the §III-B
         // controller senses and corrects.
-        let flow_rate = self.deployment.flow_rate_mbps(segment.player, &source, &self.cfg.params);
+        let flow_rate =
+            self.deployment.flow_rate_mbps(segment.player, &source, &SystemParams::PAPER);
         let mut flow_time = Mbps(flow_rate).transmission_time(bytes);
         // Chaos: a bandwidth collapse at either end, or a gray-failed
         // sender, stretches transmission — and via the port occupancy
@@ -1524,7 +1495,7 @@ impl StreamingSim {
         // Receiver-driven adaptation: one estimation step for the
         // configured policy, with the measured download rate
         // d(t) = τ / inter-arrival over the last estimation interval.
-        let params = self.cfg.params;
+        let params = &SystemParams::PAPER;
         let mut decision = RateDecision::Hold;
         let mut explain = None;
         if let Some(active) = self.active[segment.player.index()].as_mut() {
@@ -1639,7 +1610,7 @@ impl StreamingSim {
             SchedulingPolicy::Fifo
         };
         let uplink = self.deployment.topology().host(source.host).upload;
-        let params = &self.cfg.params;
+        let params = &SystemParams::PAPER;
         let slot = &mut self.senders[source.host.index()];
         if slot.is_none() {
             *slot = Some(Sender { buffer: SenderBuffer::new(policy, uplink, params), busy: false });
@@ -1724,7 +1695,7 @@ impl StreamingSim {
             &self.deployment.supernodes,
             host,
             &game,
-            &self.cfg.params,
+            &SystemParams::PAPER,
             &candidates,
             &mut self.rng_assign,
         );
@@ -1774,8 +1745,8 @@ impl Model for StreamingSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{AdmissionParams, ControlPlaneParams};
-    use crate::fault::FaultKind;
+    use crate::control::{AdmissionParams, OP_BACKOFF};
+    use crate::fault::{detector, FaultKind};
 
     fn quick(kind: SystemKind, players: usize, seed: u64) -> RunSummary {
         let cfg = StreamingSimConfig::builder(kind)
@@ -1914,24 +1885,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_join_pattern_runs_and_differs_from_ramp() {
-        let mk = |pattern| {
-            let cfg = StreamingSimConfig::builder(SystemKind::CloudFogB)
-                .players(150)
-                .seed(14)
-                .ramp(SimDuration::from_secs(5))
-                .horizon(SimDuration::from_secs(40))
-                .join_pattern(pattern)
-                .build();
-            StreamingSim::run(cfg)
-        };
-        let ramp = mk(JoinPattern::Ramp);
-        let diurnal = mk(JoinPattern::Diurnal { base_rate: 3.0, amplitude: 0.8, peak_hour: 0.0 });
-        assert!(diurnal.events > 100, "diurnal joins must generate traffic");
-        assert_ne!(ramp.events, diurnal.events, "patterns must differ");
-    }
-
-    #[test]
     fn no_churn_without_mtbf() {
         let s = quick(SystemKind::CloudFogB, 100, 11);
         assert_eq!(s.failures_injected, 0);
@@ -1947,7 +1900,7 @@ mod tests {
             .horizon(SimDuration::from_secs(30))
             .supernode_mtbf(SimDuration::from_secs(2))
             .build();
-        let worst_ms = cfg.detector.worst_case_detection().as_millis_f64();
+        let worst_ms = detector::WORST_CASE_DETECTION.as_millis_f64();
         let s = StreamingSim::run(cfg);
         assert!(s.failures_injected > 0);
         assert!(s.mean_detection_ms > 0.0, "confirmations must be timed");
@@ -1965,7 +1918,7 @@ mod tests {
 
     #[test]
     fn gray_failure_caught_only_by_watchdog() {
-        let run = |watchdog: Option<WatchdogParams>| {
+        let run = |watchdog: bool| {
             let mut builder = StreamingSimConfig::builder(SystemKind::CloudFogB)
                 .players(400)
                 .seed(22)
@@ -1976,16 +1929,16 @@ mod tests {
                     SimDuration::from_secs(25),
                     FaultKind::GrayFailure { degradation: 0.1 },
                 ));
-            if let Some(watchdog) = watchdog {
-                builder = builder.watchdog(watchdog);
+            if watchdog {
+                builder = builder.watchdog();
             }
             StreamingSim::run(builder.build())
         };
-        let blind = run(None);
+        let blind = run(false);
         assert_eq!(blind.watchdog_reassignments, 0);
         // Heartbeats answer fine: the detector confirms nothing.
         assert!(blind.mean_detection_ms == 0.0, "gray failures evade heartbeats");
-        let guarded = run(Some(WatchdogParams::default()));
+        let guarded = run(true);
         assert!(
             guarded.watchdog_reassignments > 0,
             "the watchdog must move players off the gray supernode"
@@ -2078,7 +2031,7 @@ mod tests {
                 .supernode_mtbf(SimDuration::from_secs(4))
                 .supernode_mttr(SimDuration::from_secs(5))
                 .fault_script(FaultScript::generate(99, horizon, 5))
-                .watchdog(WatchdogParams::default())
+                .watchdog()
                 .build();
             StreamingSim::run(cfg)
         };
@@ -2215,8 +2168,7 @@ mod tests {
         assert!(c.control_expired > 0, "ops outliving the deadline must expire");
         assert!(c.sessions_connected > 0, "expired assigns still connect via the cloud");
         assert_conserved(&c);
-        let max_retries =
-            c.control_ops * u64::from(ControlPlaneParams::default().backoff.max_attempts - 1);
+        let max_retries = c.control_ops * u64::from(OP_BACKOFF.max_attempts - 1);
         assert!(c.control_retries <= max_retries, "{} > {max_retries}", c.control_retries);
     }
 
@@ -2352,7 +2304,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_periods_panic_naming_the_field() {
+    fn degenerate_inputs_panic_naming_the_field() {
+        use crate::systems::ShardedSimConfig;
         use std::panic::catch_unwind;
         const ZERO: SimDuration = SimDuration::ZERO;
         fn base() -> StreamingSimConfigBuilder {
@@ -2365,9 +2318,23 @@ mod tests {
         fn run(b: StreamingSimConfigBuilder) {
             StreamingSim::run(b.build());
         }
-        // Each case would fire its periodic event forever at one
-        // instant; each must panic at setup, naming the field.
-        let cases: [(&str, fn()); 7] = [
+        fn crowd(base_rate: f64, spike_rate: f64) -> JoinPattern {
+            let (spike_at, spike_duration) = (SimDuration::from_secs(1), SimDuration::from_secs(2));
+            JoinPattern::FlashCrowd { base_rate, spike_at, spike_rate, spike_duration }
+        }
+        fn sharded(total: usize, capacity: usize) {
+            let cfg = ShardedSimConfig::builder(SystemKind::CloudFogB)
+                .total_players(total)
+                .shard_capacity(capacity)
+                .horizon(SimDuration::from_secs(5))
+                .tick(SimDuration::from_secs(1))
+                .build();
+            crate::systems::ShardedSim::run(&cfg);
+        }
+        // Each case either would fire its periodic event forever at one
+        // instant or would run a world other than the one asked for;
+        // each must panic at setup, naming the field.
+        let cases: [(&str, fn()); 14] = [
             ("tick", || {
                 StreamingSim::run_with_probe(base().build(), ZERO, &mut |_| {});
             }),
@@ -2378,18 +2345,20 @@ mod tests {
             ("PrefetchConfig::tick", || {
                 run(base().prefetch(PrefetchConfig { tick: ZERO, ..Default::default() }))
             }),
-            ("DetectorParams::heartbeat_interval", || {
-                let detector = DetectorParams { heartbeat_interval: ZERO, ..Default::default() };
-                run(base().supernode_mtbf(SimDuration::from_secs(3)).detector(detector))
-            }),
-            ("WatchdogParams::check_interval", || {
-                run(base().watchdog(WatchdogParams { check_interval: ZERO, ..Default::default() }))
-            }),
             ("ChurnConfig::rebalance_interval", || {
                 run(base()
                     .churn(ChurnConfig { rebalance_interval: Some(ZERO), ..Default::default() }))
             }),
             ("supernode_mtbf", || run(base().supernode_mtbf(ZERO))),
+            ("players", || run(base().players(0))),
+            ("players", || run(base().players(MIN_WORLD_PLAYERS - 1))),
+            ("players", || run(base().players(MAX_WORLD_PLAYERS + 1))),
+            ("horizon", || run(base().horizon(ZERO))),
+            ("FlashCrowd::base_rate", || run(base().join_pattern(crowd(0.0, 20.0)))),
+            ("FlashCrowd::spike_rate", || run(base().join_pattern(crowd(2.0, 0.0)))),
+            ("total_players", || sharded(0, 1_000)),
+            ("shard_capacity", || sharded(100, MIN_WORLD_PLAYERS - 1)),
+            ("shard_capacity", || sharded(2 * MAX_WORLD_PLAYERS + 2, MAX_WORLD_PLAYERS + 1)),
         ];
         for (field, case) in cases {
             let payload = catch_unwind(case).expect_err(field);

@@ -20,6 +20,21 @@ use crate::config::SystemParams;
 use crate::control::ControlOpKind;
 use crate::obs;
 
+/// Content chunk duration — the time quantum of cache keys. Segments
+/// encoded for the same `(game, quality, chunk)` are interchangeable
+/// across players.
+const CHUNK: SimDuration = SimDuration::from_secs(1);
+
+/// How many of the hottest games (by live sessions) each tick's
+/// pre-encode parent job covers.
+const HOT_GAMES: usize = 2;
+
+/// Per-attempt failure probability of a pre-encode child task.
+const ENCODE_FAIL_RATE: f64 = 0.05;
+
+/// Attempt budget per pre-encode child task.
+pub const ENCODE_MAX_ATTEMPTS: u32 = 3;
+
 /// Predictive prefetch plane knobs: the per-region demand forecaster,
 /// the bounded encoded-segment cache, and the conversion of forecasts
 /// into lead-time pre-provisioning (pre-deploys + pre-encode jobs).
@@ -30,17 +45,13 @@ pub struct PrefetchConfig {
     /// Forecast tick: how often demand is sampled and predictions are
     /// refreshed. Must be positive.
     pub tick: SimDuration,
-    /// Content chunk duration — the time quantum of cache keys.
-    /// Segments encoded for the same `(game, quality, chunk)` are
-    /// interchangeable across players.
-    pub chunk: SimDuration,
     /// Ring-buffer history length per region (samples).
     pub history: usize,
     /// EWMA smoothing factor in (0, 1].
     pub ewma_alpha: f64,
     /// Diurnal-seasonal swing amplitude in [0, 1).
     pub seasonal_amplitude: f64,
-    /// Diurnal peak hour (0–24), matching the arrival model.
+    /// Diurnal peak hour (0–24).
     pub seasonal_peak_hour: f64,
     /// Forecast lead, in ticks: predictions (and pre-encoded chunks)
     /// target this far ahead.
@@ -52,16 +63,6 @@ pub struct PrefetchConfig {
     pub deploy_threshold: f64,
     /// Cap on pre-deploys issued per forecast tick.
     pub max_predeploys_per_tick: u32,
-    /// How many of the hottest games (by live sessions) each tick's
-    /// pre-encode parent job covers.
-    pub hot_games: usize,
-    /// Worker count for the pre-encode child tasks fanned over
-    /// `cloudfog-pool` (any value produces identical results).
-    pub encode_workers: usize,
-    /// Per-attempt failure probability of a pre-encode child task.
-    pub encode_fail_rate: f64,
-    /// Retry budget per pre-encode child task.
-    pub encode_max_attempts: u32,
     /// Cache bound: maximum resident entries.
     pub max_entries: usize,
     /// Cache bound: maximum resident bytes.
@@ -72,7 +73,6 @@ impl Default for PrefetchConfig {
     fn default() -> Self {
         PrefetchConfig {
             tick: SimDuration::from_secs(1),
-            chunk: SimDuration::from_secs(1),
             history: 64,
             ewma_alpha: 0.3,
             seasonal_amplitude: 0.3,
@@ -80,10 +80,6 @@ impl Default for PrefetchConfig {
             lead_ticks: 3,
             deploy_threshold: 0.6,
             max_predeploys_per_tick: 1,
-            hot_games: 2,
-            encode_workers: 1,
-            encode_fail_rate: 0.05,
-            encode_max_attempts: 3,
             max_entries: 1_024,
             capacity_bytes: 8 * 1024 * 1024,
         }
@@ -102,7 +98,7 @@ impl Default for PrefetchConfig {
 ///   (`prefetch.no_phantom_capacity` — pre-deployed capacity obeys
 ///   the same conservation as reactive deploys);
 /// * `encode_completed ≤ encode_tasks` and `encode_retries ≤
-///   encode_tasks × (encode_max_attempts − 1)`.
+///   encode_tasks × (ENCODE_MAX_ATTEMPTS − 1)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PrefetchStats {
     /// Forecast ticks executed.
@@ -238,15 +234,15 @@ impl PrefetchState {
         game: GameId,
         quality: QualityLevel,
         encode: SimDuration,
-        params: &SystemParams,
     ) -> (bool, Option<(u64, f64)>) {
-        let chunk = now.as_micros() / self.cfg.chunk.as_micros().max(1);
+        let chunk = now.as_micros() / CHUNK.as_micros();
         let key = SegmentKey { game, quality: quality.level, chunk };
         if self.cache.lookup(&key) {
             self.stats.encode_ms_saved += encode.as_millis_f64();
             return (true, None);
         }
-        let evicted = self.cache.insert(key, params.segment_bytes(quality.bitrate_kbps));
+        let evicted =
+            self.cache.insert(key, SystemParams::PAPER.segment_bytes(quality.bitrate_kbps));
         (false, (evicted > 0).then(|| (evicted, self.cache.bytes() as f64)))
     }
 
@@ -254,9 +250,8 @@ impl PrefetchState {
     /// forecasters, and convert predictions into lead-time work —
     /// fallible `Deploy` pre-provisioning where forecast demand
     /// presses against live fog capacity, and a pre-encode parent job
-    /// whose per-`(game, quality, chunk)` child tasks fan out on the
-    /// worker pool and publish upcoming windows into the segment
-    /// cache before the requests land.
+    /// whose per-`(game, quality, chunk)` child tasks publish upcoming
+    /// windows into the segment cache before the requests land.
     pub(super) fn handle(&mut self, sim: &mut StreamingSim, ev: PrefetchEv, sched: &mut Sched<'_>) {
         let PrefetchEv::Tick = ev;
         let pcfg = self.cfg;
@@ -299,20 +294,17 @@ impl PrefetchState {
             sim.with_control(|ctl, sim| self.predeploy(ctl, sim, &predicted, sched));
         }
 
-        // Pre-encode: one parent job per tick fans per-(game, quality,
-        // upcoming-chunk) child tasks out on the worker pool. Retry
-        // draws happen sequentially up front so the worker count can
-        // never touch the random stream (worker count stays
-        // bit-invisible); the pool computes encoded sizes and results
-        // fold back into the cache in index order.
+        // Pre-encode: one parent job per tick plans per-(game, quality,
+        // upcoming-chunk) child tasks, drawing every retry first, then
+        // publishes the completed ones into the cache in plan order.
         if qualities_in_use.is_empty() {
             return;
         }
         let mut hot: Vec<(u64, GameId)> = game_sessions.iter().map(|(g, n)| (*n, *g)).collect();
         hot.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        hot.truncate(pcfg.hot_games);
+        hot.truncate(HOT_GAMES);
         let hot: BTreeSet<GameId> = hot.into_iter().map(|(_, g)| g).collect();
-        let cur_chunk = now.as_micros() / pcfg.chunk.as_micros().max(1);
+        let cur_chunk = now.as_micros() / CHUNK.as_micros();
         let mut tasks: Vec<(SegmentKey, u32)> = Vec::new();
         for &(game, level, bitrate) in &qualities_in_use {
             if !hot.contains(&game) {
@@ -325,8 +317,8 @@ impl PrefetchState {
                 }
                 self.stats.encode_tasks += 1;
                 let mut ok = false;
-                for _ in 0..pcfg.encode_max_attempts {
-                    if self.rng.chance(pcfg.encode_fail_rate) {
+                for _ in 0..ENCODE_MAX_ATTEMPTS {
+                    if self.rng.chance(ENCODE_FAIL_RATE) {
                         self.stats.encode_retries += 1;
                     } else {
                         ok = true;
@@ -343,13 +335,8 @@ impl PrefetchState {
             return;
         }
         self.stats.encode_jobs += 1;
-        let params = &sim.cfg.params;
-        let encoded =
-            cloudfog_pool::map_indexed(pcfg.encode_workers, &tasks, |_, (key, bitrate)| {
-                (*key, params.segment_bytes(*bitrate))
-            });
-        for (key, bytes) in encoded {
-            self.cache.insert(key, bytes);
+        for (key, bitrate) in tasks {
+            self.cache.insert(key, SystemParams::PAPER.segment_bytes(bitrate));
         }
     }
 

@@ -39,20 +39,14 @@ pub struct CellResult {
     pub alerts: Vec<Alert>,
 }
 
-/// Run one scenario to completion and package the deterministic parts.
-/// Cells carrying a [`ShardProfile`](crate::scenario::ShardProfile)
-/// run region-sharded; everything else runs one monolithic world.
-/// Cells with a [`LiveConfig`](cloudfog_core::systems::LiveConfig) run
+/// Run one scenario to completion: the cell's deterministic parts, plus
+/// the monolithic [`RunOutput`] the run-level invariants are written
+/// against (`None` for sharded cells, which carry their own correctness
+/// harness — the 1-vs-N-lane identity gate — so only matrix-level
+/// invariants see them). Cells carrying a
+/// [`ShardProfile`](crate::scenario::ShardProfile) run region-sharded;
+/// cells with a [`LiveConfig`](cloudfog_core::systems::LiveConfig) run
 /// through the live entry points and record their fired alerts.
-pub fn run_scenario(scenario: &Scenario) -> CellResult {
-    dispatch(scenario).0
-}
-
-/// The one sharded × live dispatch: the cell, plus the monolithic
-/// [`RunOutput`] the run-level invariants are written against (`None`
-/// for sharded cells, which carry their own correctness harness — the
-/// 1-vs-N-lane identity gate — so only matrix-level invariants see
-/// them).
 fn dispatch(scenario: &Scenario) -> (CellResult, Option<RunOutput>) {
     match (scenario.sharded_config(), &scenario.live) {
         (Some(cfg), live) => {

@@ -13,6 +13,9 @@
 
 use std::collections::BTreeMap;
 
+use cloudfog_core::control::OP_BACKOFF;
+use cloudfog_core::fault::detector;
+use cloudfog_core::systems::simulation::ENCODE_MAX_ATTEMPTS;
 use cloudfog_core::systems::{RunOutput, SystemKind};
 
 use crate::exec::MatrixReport;
@@ -279,8 +282,7 @@ impl Invariant for FaultRecoveryBounded {
         if !heals {
             return Ok(()); // faults outlive the run: no recovery claim
         }
-        let cfg = scenario.config();
-        let window = cfg.detector.worst_case_detection() + cfg.detector.heartbeat_interval;
+        let window = detector::WORST_CASE_DETECTION + detector::HEARTBEAT_INTERVAL;
         let bound = s.failures_injected as f64 * s.players as f64 * window.as_secs_f64();
         if s.orphaned_player_secs > bound {
             return Err(format!(
@@ -534,15 +536,9 @@ impl Invariant for RetryBounded {
         "retry.bounded"
     }
 
-    fn check_run(&self, scenario: &Scenario, output: &RunOutput) -> Result<(), String> {
+    fn check_run(&self, _scenario: &Scenario, output: &RunOutput) -> Result<(), String> {
         let Some(c) = &output.churn else { return Ok(()) };
-        let max_attempts = scenario
-            .churn
-            .as_ref()
-            .map(|p| p.churn_config().control.backoff.max_attempts)
-            .unwrap_or_else(|| {
-                cloudfog_core::control::ControlPlaneParams::default().backoff.max_attempts
-            });
+        let max_attempts = OP_BACKOFF.max_attempts;
         let bound = c.control_ops * u64::from(max_attempts.saturating_sub(1));
         if c.control_retries > bound {
             return Err(format!(
@@ -695,7 +691,7 @@ impl Invariant for PrefetchNoPhantomCapacity {
         "prefetch.no_phantom_capacity"
     }
 
-    fn check_run(&self, scenario: &Scenario, output: &RunOutput) -> Result<(), String> {
+    fn check_run(&self, _scenario: &Scenario, output: &RunOutput) -> Result<(), String> {
         let Some(p) = &output.prefetch else { return Ok(()) };
         match &output.churn {
             Some(c) => {
@@ -722,14 +718,12 @@ impl Invariant for PrefetchNoPhantomCapacity {
                 p.encode_completed, p.encode_tasks
             ));
         }
-        if let Some(cfg) = scenario.prefetch {
-            let retry_bound = p.encode_tasks * u64::from(cfg.encode_max_attempts);
-            if p.encode_retries > retry_bound {
-                return Err(format!(
-                    "{} pre-encode retries exceed {} tasks × {} attempts = {}",
-                    p.encode_retries, p.encode_tasks, cfg.encode_max_attempts, retry_bound
-                ));
-            }
+        let retry_bound = p.encode_tasks * u64::from(ENCODE_MAX_ATTEMPTS);
+        if p.encode_retries > retry_bound {
+            return Err(format!(
+                "{} pre-encode retries exceed {} tasks × {} attempts = {}",
+                p.encode_retries, p.encode_tasks, ENCODE_MAX_ATTEMPTS, retry_bound
+            ));
         }
         Ok(())
     }

@@ -9,7 +9,7 @@
 //! under every worker schedule.
 
 use cloudfog_core::adapt::AdaptPolicyKind;
-use cloudfog_core::fault::{FaultScript, WatchdogParams};
+use cloudfog_core::fault::FaultScript;
 use cloudfog_core::systems::{
     ChurnConfig, JoinPattern, LiveConfig, PrefetchConfig, ShardedSimConfig, StreamingSimConfig,
     SystemKind,
@@ -115,7 +115,7 @@ impl ChurnProfile {
     }
 
     /// The lifecycle/control-plane configuration this profile enables
-    /// (admission, deadlines and backoff stay at their defaults).
+    /// (admission stays at its default).
     pub fn churn_config(&self) -> ChurnConfig {
         ChurnConfig {
             supernode_arrival_rate: self.supernode_arrival_rate,
@@ -235,7 +235,7 @@ impl Scenario {
             .horizon(self.horizon)
             .policy(self.policy);
         if let Some(script) = self.template.script(self.seed, self.horizon) {
-            b = b.fault_script(script).watchdog(WatchdogParams::default());
+            b = b.fault_script(script).watchdog();
         }
         if let Some(churn) = &self.churn {
             b = b.join_pattern(churn.join_pattern()).churn(churn.churn_config());
@@ -572,7 +572,7 @@ mod tests {
         assert_eq!(cfg.kind, SystemKind::CloudFogA);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.fault_script.as_ref().map(|f| f.len()), Some(2));
-        assert!(cfg.watchdog.is_some(), "chaos cells get the QoE watchdog");
+        assert!(cfg.watchdog, "chaos cells get the QoE watchdog");
     }
 
     #[test]

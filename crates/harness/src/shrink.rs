@@ -13,6 +13,7 @@
 //! builder code with the seed and the truncated script inline.
 
 use cloudfog_core::adapt::AdaptPolicyKind;
+use cloudfog_core::config::MIN_WORLD_PLAYERS;
 use cloudfog_core::fault::{FaultEvent, FaultKind, FaultScript};
 use cloudfog_core::systems::{StreamingSim, SystemKind};
 use cloudfog_sim::time::SimDuration;
@@ -25,13 +26,14 @@ use crate::scenario::{ChurnProfile, FaultTemplate, Scenario};
 pub struct ShrinkBudget {
     /// Maximum simulation re-runs (each candidate costs one run).
     pub max_runs: usize,
-    /// Smallest population worth trying.
+    /// Smallest population worth trying (never below
+    /// [`MIN_WORLD_PLAYERS`], the smallest world a run builds).
     pub min_players: usize,
 }
 
 impl Default for ShrinkBudget {
     fn default() -> Self {
-        ShrinkBudget { max_runs: 48, min_players: 8 }
+        ShrinkBudget { max_runs: 48, min_players: MIN_WORLD_PLAYERS }
     }
 }
 
@@ -84,7 +86,7 @@ impl Reproducer {
             for e in script.events() {
                 out.push_str(&render_event(e));
             }
-            out.push_str(").watchdog(WatchdogParams::default())");
+            out.push_str(").watchdog()");
         }
         if let Some(churn) = &self.churn {
             out.push_str(&render_churn(churn));
@@ -195,8 +197,9 @@ fn candidates(current: &Scenario, budget: &ShrinkBudget) -> Vec<Scenario> {
     };
     let script = current.script();
     // Halve, then three-quarter, the population.
+    let floor = budget.min_players.max(MIN_WORLD_PLAYERS);
     for (num, den) in [(1, 2), (3, 4)] {
-        let players = (current.players * num / den).max(budget.min_players);
+        let players = (current.players * num / den).max(floor);
         if players < current.players {
             push(players, current.horizon, script.clone());
         }
@@ -318,7 +321,7 @@ mod tests {
             ".players(75)",
             ".seed(7)",
             "FaultKind::LatencyStorm { region: Region::West, multiplier: 3.5 }",
-            ".watchdog(WatchdogParams::default())",
+            ".watchdog()",
             ".build()",
         ] {
             assert!(line.contains(needle), "missing {needle} in {line}");

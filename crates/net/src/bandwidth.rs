@@ -1,12 +1,13 @@
-//! Bandwidth units and the fair-share upload model.
+//! Bandwidth units.
 //!
 //! The paper accounts bandwidth in two places: the *cloud*'s outbound
 //! traffic (the cost driver, Figures 7a/b) and each *supernode*'s
-//! upload capacity `c_j`, shared by the players it serves. We model a
-//! sender's uplink as a single FIFO port of fixed capacity: when `k`
-//! flows are active each gets `capacity / k` (TCP-style fair share —
-//! the PlanetLab experiments used TCP), and a segment's transmission
-//! delay is `size / share`.
+//! upload capacity `c_j`, shared by the players it serves. [`Mbps`] is
+//! the unit both use. The uplink model itself lives in the streaming
+//! simulation: each sender has one port that transmits its queued
+//! segments one at a time (`cloudfog_core::schedule::SenderBuffer`
+//! orders the queue), each at a rate capped by the TCP throughput of
+//! the path, so a segment's transmission delay is `size / rate`.
 
 use cloudfog_sim::time::SimDuration;
 
@@ -31,64 +32,9 @@ impl Mbps {
         SimDuration::from_micros((bytes as f64 / self.bytes_per_micro()).ceil() as u64)
     }
 
-    /// Kilobits per second.
-    pub fn as_kbps(self) -> f64 {
-        self.0 * 1_000.0
-    }
-
     /// From kilobits per second.
     pub fn from_kbps(kbps: f64) -> Mbps {
         Mbps(kbps / 1_000.0)
-    }
-}
-
-/// A sender's uplink: fixed capacity fairly shared by active flows.
-#[derive(Clone, Copy, Debug)]
-pub struct UploadPort {
-    /// Port capacity.
-    pub capacity: Mbps,
-    /// Number of concurrently active flows.
-    pub active_flows: u32,
-}
-
-impl UploadPort {
-    /// A port with the given capacity and no active flows.
-    pub fn new(capacity: Mbps) -> Self {
-        UploadPort { capacity, active_flows: 0 }
-    }
-
-    /// Per-flow fair share at the current flow count (full capacity
-    /// when idle — the next flow gets everything).
-    pub fn fair_share(&self) -> Mbps {
-        if self.active_flows <= 1 {
-            self.capacity
-        } else {
-            Mbps(self.capacity.0 / self.active_flows as f64)
-        }
-    }
-
-    /// Register a flow start.
-    pub fn open_flow(&mut self) {
-        self.active_flows += 1;
-    }
-
-    /// Register a flow end.
-    pub fn close_flow(&mut self) {
-        debug_assert!(self.active_flows > 0, "closing a flow on an idle port");
-        self.active_flows = self.active_flows.saturating_sub(1);
-    }
-
-    /// Transmission time of `bytes` for one flow at the current share.
-    pub fn transmission_time(&self, bytes: u64) -> SimDuration {
-        self.fair_share().transmission_time(bytes)
-    }
-
-    /// Utilization if `demand` Mbps were requested (capped at 1).
-    pub fn utilization(&self, demand: Mbps) -> f64 {
-        if self.capacity.0 <= 0.0 {
-            return 1.0;
-        }
-        (demand.0 / self.capacity.0).min(1.0)
     }
 }
 
@@ -104,46 +50,13 @@ mod tests {
     }
 
     #[test]
-    fn kbps_roundtrip() {
+    fn from_kbps_scales_down() {
         let r = Mbps::from_kbps(1_800.0);
         assert!((r.0 - 1.8).abs() < 1e-12);
-        assert!((r.as_kbps() - 1_800.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_rate_never_finishes() {
         assert_eq!(Mbps(0.0).transmission_time(1), SimDuration::MAX);
-    }
-
-    #[test]
-    fn fair_share_splits_capacity() {
-        let mut port = UploadPort::new(Mbps(100.0));
-        assert_eq!(port.fair_share().0, 100.0);
-        port.open_flow();
-        assert_eq!(port.fair_share().0, 100.0);
-        port.open_flow();
-        port.open_flow();
-        port.open_flow();
-        assert_eq!(port.fair_share().0, 25.0);
-        port.close_flow();
-        assert!((port.fair_share().0 - 100.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn segment_time_grows_with_contention() {
-        let mut port = UploadPort::new(Mbps(10.0));
-        port.open_flow();
-        let solo = port.transmission_time(125_000);
-        port.open_flow();
-        let shared = port.transmission_time(125_000);
-        assert_eq!(solo, SimDuration::from_millis(100));
-        assert_eq!(shared, SimDuration::from_millis(200));
-    }
-
-    #[test]
-    fn utilization_caps_at_one() {
-        let port = UploadPort::new(Mbps(50.0));
-        assert!((port.utilization(Mbps(25.0)) - 0.5).abs() < 1e-12);
-        assert_eq!(port.utilization(Mbps(500.0)), 1.0);
     }
 }

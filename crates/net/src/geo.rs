@@ -232,20 +232,6 @@ pub fn scatter_around(city_idx: usize, rng: &mut Rng) -> Coord {
     Coord { x: c.x + rng.normal(0.0, METRO_SCATTER_KM), y: c.y + rng.normal(0.0, METRO_SCATTER_KM) }
 }
 
-/// The anchor city nearest to `coord` (linear scan; 48 anchors).
-pub fn nearest_city(coord: &Coord) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (i, c) in ANCHOR_CITIES.iter().enumerate() {
-        let d = coord.distance_km(&c.coord());
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,22 +294,6 @@ mod tests {
             let p = scatter_around(idx, &mut rng);
             let d = p.distance_km(&ANCHOR_CITIES[idx].coord());
             assert!(d < METRO_SCATTER_KM * 8.0, "scatter {d} km");
-        }
-    }
-
-    #[test]
-    fn nearest_city_of_anchor_is_itself() {
-        for (i, c) in ANCHOR_CITIES.iter().enumerate() {
-            let nearest = nearest_city(&c.coord());
-            // A couple of anchors are close (NYC/Newark); accept any
-            // anchor within 25 km.
-            let d = ANCHOR_CITIES[nearest].coord().distance_km(&c.coord());
-            assert!(
-                nearest == i || d < 25.0,
-                "{} resolved to {}",
-                c.name,
-                ANCHOR_CITIES[nearest].name
-            );
         }
     }
 

@@ -25,11 +25,6 @@ impl Ipv4 {
     pub fn octets(self) -> [u8; 4] {
         self.0.to_be_bytes()
     }
-
-    /// The /16 prefix (upper 16 bits).
-    pub fn prefix16(self) -> u16 {
-        (self.0 >> 16) as u16
-    }
 }
 
 impl fmt::Debug for Ipv4 {
@@ -86,11 +81,6 @@ impl GeoIpTable {
     pub fn locate(&self, ip: Ipv4) -> Option<Coord> {
         self.city_of(ip).map(|c| ANCHOR_CITIES[c].coord())
     }
-
-    /// Number of addresses allocated in `city_idx` so far.
-    pub fn allocated_in(&self, city_idx: usize) -> u32 {
-        self.next_host[city_idx] as u32
-    }
 }
 
 #[cfg(test)]
@@ -102,9 +92,8 @@ mod tests {
         let mut table = GeoIpTable::new();
         let a = table.allocate(3);
         let b = table.allocate(3);
-        assert_eq!(a.prefix16(), b.prefix16());
+        assert_eq!(a.0 >> 16, b.0 >> 16, "same /16 prefix");
         assert_eq!(b.0, a.0 + 1);
-        assert_eq!(table.allocated_in(3), 2);
     }
 
     #[test]
@@ -112,7 +101,7 @@ mod tests {
         let mut table = GeoIpTable::new();
         let a = table.allocate(0);
         let b = table.allocate(1);
-        assert_ne!(a.prefix16(), b.prefix16());
+        assert_ne!(a.0 >> 16, b.0 >> 16, "different /16 prefixes");
     }
 
     #[test]

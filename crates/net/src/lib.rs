@@ -28,7 +28,7 @@ pub mod trace;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::bandwidth::{Mbps, UploadPort};
+    pub use crate::bandwidth::Mbps;
     pub use crate::geo::{Coord, Region, ANCHOR_CITIES};
     pub use crate::gilbert::GilbertElliott;
     pub use crate::ip::{GeoIpTable, Ipv4};

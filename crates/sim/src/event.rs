@@ -95,11 +95,6 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Drop all pending events (the sequence counter keeps advancing, so
     /// determinism across a clear is preserved).
     pub fn clear(&mut self) {
@@ -145,17 +140,17 @@ mod tests {
         q.push(SimTime::from_secs(1), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
-    fn clear_preserves_sequence_counter() {
+    fn clear_then_reuse_keeps_fifo_ties() {
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, 1);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 1);
         q.push(SimTime::ZERO, 2);
-        assert_eq!(q.scheduled_total(), 2);
+        q.push(SimTime::ZERO, 3);
+        assert_eq!(q.pop().map(|s| s.event), Some(2));
+        assert_eq!(q.pop().map(|s| s.event), Some(3));
     }
 }

@@ -110,13 +110,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform index into a slice of length `len`.
     #[inline]
     pub fn index(&mut self, len: usize) -> usize {
@@ -167,24 +160,6 @@ impl Rng {
     pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
         debug_assert!(x_min > 0.0 && alpha > 0.0);
         x_min / self.f64_open().powf(1.0 / alpha)
-    }
-
-    /// Bounded Zipf sample over ranks `1..=n` with exponent `skew`,
-    /// via inverse-CDF on the generalized harmonic weights. O(n) per
-    /// call in the worst case but typically called with small `n`
-    /// (e.g. friend counts); for hot paths precompute with
-    /// [`ZipfTable`].
-    pub fn zipf(&mut self, n: u64, skew: f64) -> u64 {
-        debug_assert!(n > 0);
-        let h: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(skew)).sum();
-        let mut u = self.f64() * h;
-        for k in 1..=n {
-            u -= 1.0 / (k as f64).powf(skew);
-            if u <= 0.0 {
-                return k;
-            }
-        }
-        n
     }
 
     /// Standard normal variate (Box–Muller, with caching of the second
@@ -376,20 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn zipf_is_skewed_and_bounded() {
-        let mut rng = Rng::new(6);
-        let mut counts = [0u32; 20];
-        for _ in 0..50_000 {
-            let k = rng.zipf(20, 0.5);
-            assert!((1..=20).contains(&k));
-            counts[(k - 1) as usize] += 1;
-        }
-        assert!(counts[0] > counts[9], "rank 1 should beat rank 10");
-        assert!(counts[0] > counts[19] * 2);
-    }
-
-    #[test]
-    fn zipf_table_matches_direct_distribution() {
+    fn zipf_table_is_skewed_and_bounded() {
         let table = ZipfTable::new(50, 0.5);
         assert_eq!(table.len(), 50);
         let mut rng = Rng::new(7);

@@ -65,12 +65,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Mean within the bucket containing `at` (`None` when empty).
-    pub fn mean_at(&self, at: SimTime) -> Option<f64> {
-        let idx = self.index(at);
-        self.buckets.get(idx).filter(|w| w.count() > 0).map(Welford::mean)
-    }
-
     /// Characterize the excursion a disturbance at `spike_at` pushed
     /// *up* into this series (latency): the pre-spike baseline (mean of
     /// non-empty bucket means strictly before the spike's bucket), the
@@ -208,16 +202,6 @@ mod tests {
         assert_eq!(rows[0].2, 2);
         assert_eq!(rows[1].2, 0, "gap bucket present but empty");
         assert_eq!(rows[2].1, 5.0);
-    }
-
-    #[test]
-    fn mean_at_queries() {
-        let mut s = TimeSeries::new(SimDuration::from_secs(5));
-        assert!(s.mean_at(SimTime::from_secs(2)).is_none());
-        s.record(SimTime::from_secs(2), 4.0);
-        s.record(SimTime::from_secs(3), 6.0);
-        assert_eq!(s.mean_at(SimTime::from_secs(4)), Some(5.0));
-        assert!(s.mean_at(SimTime::from_secs(7)).is_none());
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl PoissonArrivals {
         assert!(rate_per_sec > 0.0);
         PoissonArrivals { rate_per_sec, next: start, rng }
     }
-
-    /// The paper's default: 5 players per second from t = 0.
-    pub fn paper_default(rng: Rng) -> Self {
-        Self::new(5.0, SimTime::ZERO, rng)
-    }
 }
 
 impl Iterator for PoissonArrivals {
@@ -87,66 +82,6 @@ impl SessionCycle {
     }
 }
 
-/// A non-homogeneous Poisson join process with a diurnal rate curve.
-///
-/// The paper runs experiments over 4 simulated days; real MMOG
-/// populations breathe with the day (evening peaks, pre-dawn troughs).
-/// The instantaneous rate is
-///
-/// ```text
-/// λ(t) = base_rate × (1 + amplitude·sin(2π·(hour − peak + 6)/24))
-/// ```
-///
-/// so the rate tops out at `base×(1+amplitude)` at `peak_hour` and
-/// bottoms at `base×(1−amplitude)` twelve hours away. Sampling uses
-/// thinning (Lewis & Shedler), which stays exact for any bounded rate.
-#[derive(Clone, Debug)]
-pub struct DiurnalArrivals {
-    base_rate: f64,
-    amplitude: f64,
-    peak_hour: f64,
-    next: SimTime,
-    rng: Rng,
-}
-
-impl DiurnalArrivals {
-    /// Joins around `base_rate` per second, swinging ±`amplitude`
-    /// (0..1) with the clock, peaking at `peak_hour` (0–24, e.g. 20 =
-    /// 8 pm).
-    pub fn new(base_rate: f64, amplitude: f64, peak_hour: f64, start: SimTime, rng: Rng) -> Self {
-        assert!(base_rate > 0.0);
-        assert!((0.0..1.0).contains(&amplitude), "amplitude in [0,1)");
-        DiurnalArrivals { base_rate, amplitude, peak_hour, next: start, rng }
-    }
-
-    /// Instantaneous rate at `t` (arrivals per second).
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        let hour = (t.as_secs_f64() / 3_600.0) % 24.0;
-        let phase = 2.0 * std::f64::consts::PI * (hour - self.peak_hour + 6.0) / 24.0;
-        self.base_rate * (1.0 + self.amplitude * phase.sin())
-    }
-
-    fn max_rate(&self) -> f64 {
-        self.base_rate * (1.0 + self.amplitude)
-    }
-}
-
-impl Iterator for DiurnalArrivals {
-    type Item = SimTime;
-
-    fn next(&mut self) -> Option<SimTime> {
-        // Thinning: propose at the max rate, accept with λ(t)/λ_max.
-        loop {
-            let gap = self.rng.exponential(self.max_rate());
-            self.next += SimDuration::from_secs_f64(gap);
-            let accept = self.rate_at(self.next) / self.max_rate();
-            if self.rng.chance(accept) {
-                return Some(self.next);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,14 +97,6 @@ mod tests {
         for w in times.windows(2) {
             assert!(w[1] > w[0]);
         }
-    }
-
-    #[test]
-    fn paper_default_is_five_per_second() {
-        let arrivals = PoissonArrivals::paper_default(Rng::new(2));
-        let times: Vec<SimTime> = arrivals.take(1_000).collect();
-        let span = times.last().unwrap().as_secs_f64();
-        assert!((span - 200.0).abs() < 30.0, "span {span}");
     }
 
     #[test]
@@ -208,52 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_rate_peaks_at_peak_hour() {
-        let arrivals = DiurnalArrivals::new(5.0, 0.6, 20.0, SimTime::ZERO, Rng::new(8));
-        let at = |h: f64| arrivals.rate_at(SimTime::from_secs((h * 3600.0) as u64));
-        assert!((at(20.0) - 8.0).abs() < 0.01, "peak = base×1.6");
-        assert!((at(8.0) - 2.0).abs() < 0.01, "trough = base×0.4 twelve hours away");
-        assert!(at(14.0) > at(8.0) && at(14.0) < at(20.0), "monotone on the rise");
-    }
-
-    #[test]
-    fn diurnal_long_run_rate_matches_base() {
-        // Over whole days, the average rate integrates back to base.
-        let arrivals = DiurnalArrivals::new(5.0, 0.6, 20.0, SimTime::ZERO, Rng::new(9));
-        let horizon = 2.0 * 24.0 * 3_600.0;
-        let count = arrivals.take_while(|t| t.as_secs_f64() < horizon).count();
-        let mean_rate = count as f64 / horizon;
-        assert!((mean_rate - 5.0).abs() < 0.15, "mean rate {mean_rate}");
-    }
-
-    #[test]
-    fn diurnal_peak_windows_are_busier() {
-        let arrivals = DiurnalArrivals::new(5.0, 0.8, 20.0, SimTime::ZERO, Rng::new(10));
-        let mut peak = 0usize;
-        let mut trough = 0usize;
-        for t in arrivals.take_while(|t| t.as_secs_f64() < 24.0 * 3_600.0) {
-            let hour = t.as_secs_f64() / 3_600.0 % 24.0;
-            if (19.0..21.0).contains(&hour) {
-                peak += 1;
-            }
-            if (7.0..9.0).contains(&hour) {
-                trough += 1;
-            }
-        }
-        assert!(peak as f64 > trough as f64 * 3.0, "peak {peak} vs trough {trough}");
-    }
-
-    #[test]
-    fn diurnal_arrivals_are_strictly_increasing() {
-        let arrivals = DiurnalArrivals::new(2.0, 0.5, 12.0, SimTime::from_secs(100), Rng::new(11));
-        let times: Vec<SimTime> = arrivals.take(500).collect();
-        for w in times.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        assert!(times[0] > SimTime::from_secs(100));
-    }
-
-    #[test]
     fn poisson_same_seed_is_bit_identical() {
         let a: Vec<SimTime> =
             PoissonArrivals::new(5.0, SimTime::ZERO, Rng::new(42)).take(5_000).collect();
@@ -263,38 +144,6 @@ mod tests {
         let c: Vec<SimTime> =
             PoissonArrivals::new(5.0, SimTime::ZERO, Rng::new(43)).take(5_000).collect();
         assert_ne!(a, c, "different seeds must decorrelate");
-    }
-
-    #[test]
-    fn diurnal_rate_at_peak_trough_and_shape() {
-        let arrivals = DiurnalArrivals::new(4.0, 0.5, 20.0, SimTime::ZERO, Rng::new(12));
-        let at = |h: f64| arrivals.rate_at(SimTime::from_secs((h * 3600.0) as u64));
-        // Exact extremes: base×(1±amplitude).
-        assert!((at(20.0) - 6.0).abs() < 1e-9, "peak at peak_hour");
-        assert!((at(8.0) - 2.0).abs() < 1e-9, "trough twelve hours away");
-        // Crossings a quarter-day from the peak sit at the base rate.
-        assert!((at(14.0) - 4.0).abs() < 1e-9, "quarter-phase crossing");
-        assert!((at(2.0) - 4.0).abs() < 1e-9, "quarter-phase crossing");
-        // Positivity across the whole clock for amplitude < 1.
-        for h in 0..24 {
-            assert!(at(h as f64) > 0.0);
-        }
-    }
-
-    #[test]
-    fn diurnal_rate_at_wraps_around_midnight_and_days() {
-        // Peak at 23:00: the curve must wrap smoothly through 00:00.
-        let arrivals = DiurnalArrivals::new(3.0, 0.6, 23.0, SimTime::ZERO, Rng::new(13));
-        let at = |h: f64| arrivals.rate_at(SimTime::from_micros((h * 3_600e6) as u64));
-        assert!((at(23.0) - 4.8).abs() < 1e-9, "peak just before midnight");
-        assert!((at(11.0) - 1.2).abs() < 1e-9, "trough just before noon");
-        // One hour either side of the peak is symmetric across the
-        // midnight wrap.
-        assert!((at(22.0) - at(24.0)).abs() < 1e-9, "22:00 mirrors 00:00 around a 23:00 peak");
-        // And the clock is 24 h-periodic: day 3 looks like day 0.
-        for h in [0.0, 5.5, 11.0, 17.25, 23.0] {
-            assert!((at(h) - at(h + 72.0)).abs() < 1e-9, "hour {h} repeats three days later");
-        }
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! crowd lands is already too late. [`DemandForecaster`] is the
 //! prediction half of that loop: a fixed-size ring buffer of demand
 //! samples taken at tick boundaries, an EWMA level, a short-window
-//! linear trend, and a diurnal-seasonal factor echoing
-//! [`DiurnalArrivals::rate_at`](crate::arrival::DiurnalArrivals::rate_at)
-//! (rate peaks at `peak_hour` and bottoms twelve hours away).
+//! linear trend, and a diurnal-seasonal factor: a daily sinusoid that
+//! peaks at `peak_hour` and bottoms twelve hours away.
 //!
 //! Everything here is pure `f64` arithmetic over explicitly passed
 //! state — no RNG, no clocks, no allocation after construction — so
@@ -84,10 +83,9 @@ impl DemandForecaster {
         self.samples += 1;
     }
 
-    /// The diurnal-seasonal factor at `t` — the same sinusoid as
-    /// `DiurnalArrivals::rate_at`, normalized to mean 1.0: peaks at
-    /// `1 + amplitude` at `peak_hour`, bottoms at `1 − amplitude`
-    /// twelve hours away.
+    /// The diurnal-seasonal factor at `t` — a daily sinusoid with mean
+    /// 1.0: peaks at `1 + amplitude` at `peak_hour`, bottoms at
+    /// `1 − amplitude` twelve hours away.
     pub fn seasonal_factor(&self, t: SimTime) -> f64 {
         let hour = (t.as_secs_f64() / 3_600.0) % 24.0;
         let phase = 2.0 * std::f64::consts::PI * (hour - self.peak_hour + 6.0) / 24.0;

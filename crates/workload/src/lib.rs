@@ -8,7 +8,7 @@
 //! * [`player`] — players, Pareto capacities, 50/30/20 play classes.
 //! * [`social`] — power-law friend graph and friend-majority game
 //!   choice.
-//! * [`arrival`] — Poisson joins (5 players/s) and play/rest cycles.
+//! * [`arrival`] — Poisson joins and play/rest cycles.
 //! * [`forecast`] — deterministic per-region demand forecasting
 //!   (ring-buffer history, EWMA + diurnal-seasonal model) for the
 //!   predictive prefetch plane.
@@ -33,7 +33,7 @@ pub mod social;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::arrival::{DiurnalArrivals, PoissonArrivals, SessionCycle};
+    pub use crate::arrival::{PoissonArrivals, SessionCycle};
     pub use crate::forecast::DemandForecaster;
     pub use crate::games::{adjust_up_factor, Game, GameId, QualityLevel, GAMES, QUALITY_LEVELS};
     pub use crate::gaze::GazeModel;

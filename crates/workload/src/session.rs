@@ -95,14 +95,6 @@ impl SessionState {
         }
     }
 
-    /// True while a session is in flight: it has started and has not
-    /// finished. Exactly the states counted by the join/leave
-    /// conservation law.
-    pub fn in_session(self) -> bool {
-        use SessionState::*;
-        matches!(self, Connecting | Connected | InGame | Draining)
-    }
-
     /// True iff a *new* join may start from this state.
     pub fn may_join(self) -> bool {
         matches!(self, SessionState::NotConnected | SessionState::Gone)
@@ -160,15 +152,6 @@ mod tests {
             }
         }
         assert_eq!(legal, 6);
-    }
-
-    #[test]
-    fn in_session_matches_the_conservation_law() {
-        assert!(!NotConnected.in_session());
-        assert!(!Gone.in_session());
-        for s in [Connecting, Connected, InGame, Draining] {
-            assert!(s.in_session(), "{s:?} is in flight");
-        }
     }
 
     #[test]

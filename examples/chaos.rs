@@ -39,7 +39,7 @@ fn config(kind: SystemKind, chaotic: bool) -> StreamingSimConfig {
         .ramp(SimDuration::from_secs(10))
         .horizon(SimDuration::from_secs(60));
     if chaotic {
-        builder = builder.fault_script(script()).watchdog(WatchdogParams::default());
+        builder = builder.fault_script(script()).watchdog();
     }
     builder.build()
 }

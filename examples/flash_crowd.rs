@@ -44,7 +44,7 @@ fn main() {
             ..ChurnConfig::default()
         })
         .fault_script(outages)
-        .watchdog(WatchdogParams::default())
+        .watchdog()
         .series_bucket(SimDuration::from_secs(5));
     if prefetch {
         builder = builder.prefetch(PrefetchConfig::default());

@@ -1,6 +1,6 @@
 //! Temporary capture tool: print determinism-gate fingerprints.
 
-use cloudfog_core::fault::{FaultScript, WatchdogParams};
+use cloudfog_core::fault::FaultScript;
 use cloudfog_core::systems::{StreamingSim, StreamingSimConfig, SystemKind};
 use cloudfog_sim::telemetry::{Fnv1a, TelemetryConfig};
 use cloudfog_sim::time::SimDuration;
@@ -22,7 +22,7 @@ fn main() {
                     .supernode_mtbf(SimDuration::from_secs(4))
                     .supernode_mttr(SimDuration::from_secs(5))
                     .fault_script(FaultScript::generate(99, horizon, 5))
-                    .watchdog(WatchdogParams::default());
+                    .watchdog();
             }
             let out = StreamingSim::run_instrumented(b.build());
             let summary_fp = Fnv1a::hash(&format!("{:?}", out.summary));

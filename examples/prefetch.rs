@@ -63,7 +63,7 @@ fn config(args: &Args, prefetch: Option<PrefetchConfig>) -> StreamingSimConfig {
             ..ChurnConfig::default()
         })
         .fault_script(FaultScript::generate_outages(args.seed, HORIZON, 2))
-        .watchdog(WatchdogParams::default())
+        .watchdog()
         .series_bucket(SimDuration::from_secs(5));
     if let Some(p) = prefetch {
         b = b.prefetch(p);

@@ -96,7 +96,7 @@ fn chaos_fault_scripts_replay_bit_for_bit() {
                 SimDuration::from_secs(6),
                 FaultKind::GrayFailure { degradation: 0.2 },
             ))
-            .watchdog(WatchdogParams::default())
+            .watchdog()
             .build();
         StreamingSim::run(cfg)
     };
@@ -146,7 +146,7 @@ fn churn_runs_replay_bit_for_bit() {
                 ..ChurnConfig::default()
             })
             .fault_script(FaultScript::generate_outages(9, horizon, 2))
-            .watchdog(WatchdogParams::default())
+            .watchdog()
             .build()
     };
     let run = || StreamingSim::run_instrumented(config());

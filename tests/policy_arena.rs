@@ -6,7 +6,7 @@
 
 use cloudfog::core::config::SystemParams;
 use cloudfog::prelude::*;
-use cloudfog_core::fault::{FaultScript, WatchdogParams};
+use cloudfog_core::fault::FaultScript;
 use proptest::prelude::*;
 
 fn fnv(s: &str) -> u64 {
@@ -31,7 +31,7 @@ fn chaos_config(policy: Option<AdaptPolicyKind>) -> cloudfog_core::systems::Stre
         .supernode_mtbf(SimDuration::from_secs(4))
         .supernode_mttr(SimDuration::from_secs(5))
         .fault_script(FaultScript::generate(7, horizon, 3))
-        .watchdog(WatchdogParams::default());
+        .watchdog();
     if let Some(kind) = policy {
         b = b.policy(kind);
     }

@@ -1,5 +1,5 @@
-//! The predictive prefetch plane's contracts: determinism, worker-count
-//! and lane-count bit-invisibility, cache bounds, and the zero-cost-off
+//! The predictive prefetch plane's contracts: determinism, lane-count
+//! bit-invisibility, cache bounds, and the zero-cost-off
 //! guarantee (prefetch-off runs are pinned byte-for-byte by
 //! `tests/refactor_gate.rs`; here we pin that the plane reports nothing
 //! when off and everything when on).
@@ -90,25 +90,6 @@ fn cache_stays_bounded_and_predeploys_ride_control_ops() {
         p.predeploys_issued,
         churn.control_ops
     );
-}
-
-/// The pre-encode worker count is bit-invisible: retry draws happen
-/// sequentially before the fan-out, so 1, 4, or 7 workers produce the
-/// same summary and the same counters.
-#[test]
-fn encode_worker_count_is_bit_invisible() {
-    let run = |workers: usize| {
-        StreamingSim::run_instrumented(flash_config(PrefetchConfig {
-            encode_workers: workers,
-            ..PrefetchConfig::default()
-        }))
-    };
-    let one = run(1);
-    for workers in [4, 7] {
-        let n = run(workers);
-        assert_eq!(one.summary, n.summary, "{workers} encode workers changed the run");
-        assert_eq!(stats(&one), stats(&n), "{workers} encode workers changed the counters");
-    }
 }
 
 /// Without churn there is no control plane, so the plane forecasts and

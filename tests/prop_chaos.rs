@@ -105,7 +105,7 @@ proptest! {
             .supernode_mtbf(SimDuration::from_secs(mtbf_secs))
             .supernode_mttr(SimDuration::from_secs(2))
             .fault_script(FaultScript::generate(script_seed, horizon, faults))
-            .watchdog(WatchdogParams::default())
+            .watchdog()
             .build();
         let s = StreamingSim::run(cfg);
         prop_assert!((0.0..=1.0).contains(&s.mean_continuity));

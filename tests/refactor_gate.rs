@@ -9,7 +9,7 @@
 //! variant, with and without chaos. A mismatch here means the
 //! "refactor" changed observable behavior.
 
-use cloudfog_core::fault::{FaultScript, WatchdogParams};
+use cloudfog_core::fault::FaultScript;
 use cloudfog_core::systems::{StreamingSim, StreamingSimConfig, SystemKind};
 use cloudfog_sim::telemetry::TelemetryConfig;
 use cloudfog_sim::time::SimDuration;
@@ -52,7 +52,7 @@ fn run(kind: SystemKind, chaos: bool) -> (u64, u64, u64) {
             .supernode_mtbf(SimDuration::from_secs(4))
             .supernode_mttr(SimDuration::from_secs(5))
             .fault_script(FaultScript::generate(99, horizon, 5))
-            .watchdog(WatchdogParams::default());
+            .watchdog();
     }
     let out = StreamingSim::run_instrumented(b.build());
     let summary_fp = fnv(&format!("{:?}", out.summary));
