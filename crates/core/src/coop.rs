@@ -18,7 +18,7 @@
 //! The ablation bench `ablation_coop` measures the queueing relief.
 
 use cloudfog_net::bandwidth::Mbps;
-use cloudfog_net::topology::{DelaySource, HostId, Topology};
+use cloudfog_net::topology::{HostId, Topology};
 use cloudfog_sim::time::SimDuration;
 use cloudfog_workload::player::PlayerId;
 

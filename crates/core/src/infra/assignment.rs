@@ -18,7 +18,7 @@
 //! paper: geolocation is city-accurate only, and probing is what
 //! corrects it.
 
-use cloudfog_net::topology::{DelaySource, HostId, Topology};
+use cloudfog_net::topology::{HostId, Topology};
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::time::SimDuration;
 use cloudfog_workload::games::Game;

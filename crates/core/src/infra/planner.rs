@@ -14,7 +14,7 @@
 //! a given reward rate, which the coverage experiments can then
 //! evaluate.
 
-use cloudfog_net::topology::{DelaySource, Topology};
+use cloudfog_net::topology::Topology;
 use cloudfog_sim::time::SimDuration;
 use cloudfog_workload::player::PlayerId;
 use cloudfog_workload::population::Population;

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use cloudfog_net::topology::{DelaySource, HostId, HostKind, LinkProfile, Topology};
+use cloudfog_net::topology::{HostId, HostKind, LinkProfile, Topology};
 use cloudfog_sim::rng::Rng;
 use cloudfog_workload::games::Game;
 use cloudfog_workload::player::PlayerId;

@@ -137,12 +137,9 @@ impl Faults {
         table.iter().filter(move |sn| self.is_healthy(sn))
     }
 
-    /// Jittered, chaos-multiplied delay of a precomputed hop —
-    /// bit-identical to `Topology::sample_one_way` on the same
-    /// endpoints followed by the latency-storm multiplier (worse of
-    /// the two endpoint regions): same jitter draw, same rounding,
-    /// same multiplier short-circuit, and no draw at all when the
-    /// endpoints coincide.
+    /// Jittered delay of a precomputed hop ([`LatencyModel::sample_hop`])
+    /// times the latency-storm multiplier of the worse of its two
+    /// endpoint regions.
     #[inline]
     pub(super) fn hop_delay(
         &self,
@@ -150,10 +147,7 @@ impl Faults {
         hop: PathHop,
         rng: &mut Rng,
     ) -> SimDuration {
-        if hop.same {
-            return SimDuration::ZERO;
-        }
-        let base = SimDuration::from_millis_f64(hop.ms * model.sample_jitter(rng));
+        let base = model.sample_hop(hop.ms, rng);
         let mult =
             self.chaos.latency_mult[hop.ra as usize].max(self.chaos.latency_mult[hop.rb as usize]);
         if mult != 1.0 {

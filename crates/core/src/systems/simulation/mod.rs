@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 
 use cloudfog_net::bandwidth::Mbps;
 use cloudfog_net::geo::Region;
-use cloudfog_net::topology::{DelaySource, HostId};
+use cloudfog_net::topology::HostId;
 use cloudfog_sim::causal::{
     AdaptProvenance, CausalLog, CausalReport, Outcome as SegmentOutcome, Stage,
 };
@@ -532,15 +532,11 @@ impl QoeSeries {
 /// draws jitter. `ms` is exactly `Topology::one_way_ms(a, b)` for the
 /// hop's endpoints — a pure function of the frozen topology — and
 /// `ra`/`rb` are the endpoint region indices for the chaos multiplier.
-/// `same` preserves the `a == b` early-out of
-/// `Topology::sample_one_way`, which returns zero *without* consuming
-/// an RNG draw.
 #[derive(Clone, Copy)]
 struct PathHop {
     ms: f64,
     ra: u16,
     rb: u16,
-    same: bool,
 }
 
 /// The three static hops a player's segments traverse. Recomputed on
@@ -1642,7 +1638,6 @@ impl StreamingSim {
             ms: topo.one_way_ms(a, b),
             ra: topo.host(a).region.index() as u16,
             rb: topo.host(b).region.index() as u16,
-            same: a == b,
         }
     }
 
@@ -1656,7 +1651,7 @@ impl StreamingSim {
             let sn_dc = self.deployment.nearest_datacenter(source.host);
             self.path_hop(sn_dc.host, source.host)
         } else {
-            PathHop { ms: 0.0, ra: 0, rb: 0, same: true }
+            PathHop { ms: 0.0, ra: 0, rb: 0 }
         };
         PathCache {
             action: self.path_hop(host, dc.host),

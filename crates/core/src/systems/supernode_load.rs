@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use cloudfog_net::bandwidth::Mbps;
 use cloudfog_net::latency::LatencyModel;
-use cloudfog_net::topology::{DelaySource, HostId, HostKind, LinkProfile, Topology};
+use cloudfog_net::topology::{HostId, HostKind, LinkProfile, Topology};
 use cloudfog_sim::engine::{Model, Scheduler, Simulation};
 use cloudfog_sim::event::EventQueue;
 use cloudfog_sim::rng::Rng;

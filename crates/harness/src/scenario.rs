@@ -255,14 +255,26 @@ impl Scenario {
     }
 
     /// Expand to the sharded run configuration, when this cell carries
-    /// a [`ShardProfile`]. The chaos and churn recipes map onto the
-    /// sharded driver's per-shard generated scripts and default churn:
-    /// sharded cells compare against each other, not bit-for-bit
-    /// against their monolithic siblings (a different partition is a
-    /// different world — the bit-identity contract is across *lane
-    /// counts*, which the profile's label deliberately omits).
+    /// a [`ShardProfile`]. Sharded cells compare against each other,
+    /// not bit-for-bit against their monolithic siblings (a different
+    /// partition is a different world — the bit-identity contract is
+    /// across *lane counts*, which the profile's label deliberately
+    /// omits).
+    ///
+    /// # Panics
+    ///
+    /// When the cell sets a chaos ([`Scenario::template`]) or churn
+    /// ([`Scenario::churn`]) recipe: the sharded driver cannot replay
+    /// either, and a cell named after a recipe it does not run would
+    /// report the wrong world.
     pub fn sharded_config(&self) -> Option<ShardedSimConfig> {
         let shard = self.shard.as_ref()?;
+        let name = &self.name;
+        assert!(
+            matches!(self.template, FaultTemplate::None),
+            "{name}: the sharded driver cannot run Scenario::template"
+        );
+        assert!(self.churn.is_none(), "{name}: the sharded driver cannot run Scenario::churn");
         let mut b = ShardedSimConfig::builder(self.kind)
             .total_players(self.players)
             .seed(self.seed)
@@ -271,9 +283,7 @@ impl Scenario {
             .policy(self.policy)
             .shard_capacity(shard.capacity)
             .tick(shard.tick)
-            .lanes(shard.lanes)
-            .chaos(!matches!(self.template, FaultTemplate::None))
-            .churn(self.churn.is_some());
+            .lanes(shard.lanes);
         if let Some(t) = &self.telemetry {
             b = b.telemetry(t.clone());
         }
@@ -695,8 +705,35 @@ mod tests {
         assert_eq!(cfg.shard_capacity, 50);
         assert_eq!(cfg.lanes, 2);
         assert_eq!(cfg.shard_count(), 2);
-        assert!(!cfg.chaos, "clean template ⇒ chaos off");
-        assert!(!cfg.churn, "no churn profile ⇒ churn off");
+    }
+
+    #[test]
+    fn sharded_cells_reject_recipes_the_sharded_driver_drops() {
+        let script = FaultTemplate::Generated { salt: 1, count: 1 }
+            .script(1, SimDuration::from_secs(60))
+            .expect("generated template yields a script");
+        let churn = ChurnProfile::flash_crowd(SimDuration::from_secs(60));
+        let cases = [
+            (FaultTemplate::Generated { salt: 1, count: 3 }, None, "Scenario::template"),
+            (FaultTemplate::GeneratedOutages { salt: 1, count: 5 }, None, "Scenario::template"),
+            (FaultTemplate::Fixed(script), None, "Scenario::template"),
+            (FaultTemplate::None, Some(churn), "Scenario::churn"),
+        ];
+        for (template, churn, field) in cases {
+            let cells = ScenarioMatrix::new()
+                .systems(&[SystemKind::CloudFogA])
+                .seeds([1])
+                .players(&[100])
+                .template(template)
+                .churn(churn)
+                .shard(Some(ShardProfile::with_capacity(50)))
+                .build();
+            let cell = &cells[0];
+            let panic = std::panic::catch_unwind(|| cell.sharded_config())
+                .expect_err("a dropped recipe must be rejected");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains(field), "{}: {msg}", cell.name);
+        }
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl LatencyModel {
         SimDuration::from_millis_f64(self.one_way_ms(a_id, a, b_id, b))
     }
 
-    /// Static round-trip time (symmetric paths).
-    pub fn rtt_ms(&self, a_id: u64, a: &Coord, b_id: u64, b: &Coord) -> f64 {
-        2.0 * self.one_way_ms(a_id, a, b_id, b)
-    }
-
     /// Per-packet jitter multiplier (≥ ~0.7, median 1.0), drawn from
     /// the caller's RNG stream.
     pub fn sample_jitter(&self, rng: &mut Rng) -> f64 {
@@ -137,16 +132,16 @@ impl LatencyModel {
         rng.log_normal(0.0, self.jitter_sigma)
     }
 
-    /// One jittered one-way delay sample.
-    pub fn sample_one_way(
-        &self,
-        a_id: u64,
-        a: &Coord,
-        b_id: u64,
-        b: &Coord,
-        rng: &mut Rng,
-    ) -> SimDuration {
-        SimDuration::from_millis_f64(self.one_way_ms(a_id, a, b_id, b) * self.sample_jitter(rng))
+    /// One jittered sample of a hop whose static one-way delay is
+    /// `ms`: a zero-length hop is zero and draws nothing from `rng`;
+    /// any other hop is `ms` times one [`Self::sample_jitter`] draw.
+    /// The one jitter rule every delay sample goes through.
+    #[inline]
+    pub fn sample_hop(&self, ms: f64, rng: &mut Rng) -> SimDuration {
+        if ms == 0.0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_millis_f64(ms * self.sample_jitter(rng))
     }
 }
 
@@ -186,7 +181,7 @@ mod tests {
         // Consumer-path coast-to-coast RTTs of the PlanetLab era sat
         // in the 60–140 ms band (Choy et al. measured medians ≥ 80 ms
         // for a third of users even to their *nearest* EC2 site).
-        let rtt = model.rtt_ms(1, &nyc(), 2, &la());
+        let rtt = 2.0 * model.one_way_ms(1, &nyc(), 2, &la());
         assert!((55.0..140.0).contains(&rtt), "NYC-LA RTT {rtt} ms");
     }
 
@@ -195,7 +190,7 @@ mod tests {
         let model = LatencyModel::peersim(7);
         let a = Coord { x: 0.0, y: 0.0 };
         let b = Coord { x: 20.0, y: 10.0 };
-        let rtt = model.rtt_ms(10, &a, 11, &b);
+        let rtt = 2.0 * model.one_way_ms(10, &a, 11, &b);
         assert!(rtt < 40.0, "metro RTT {rtt} ms");
         assert!(rtt > 2.0, "metro RTT {rtt} ms suspiciously low");
     }
@@ -244,6 +239,24 @@ mod tests {
         model.jitter_sigma = 0.0;
         let mut rng = Rng::new(1);
         assert_eq!(model.sample_jitter(&mut rng), 1.0);
+    }
+
+    #[test]
+    fn sample_hop_is_one_jitter_draw_on_the_static_delay() {
+        let model = LatencyModel::planetlab(5);
+        let mut rng = Rng::new(21);
+        // A zero-length hop is zero and leaves the stream untouched.
+        let mut untouched = rng.clone();
+        assert_eq!(model.sample_hop(0.0, &mut rng), SimDuration::ZERO);
+        assert_eq!(rng.next_u64(), untouched.next_u64());
+        // Any other hop consumes exactly one draw: ms × that jitter.
+        let mut replay = rng.clone();
+        let jitter = model.sample_jitter(&mut replay);
+        assert_eq!(model.sample_hop(12.5, &mut rng), SimDuration::from_millis_f64(12.5 * jitter));
+        assert_eq!(rng.next_u64(), replay.next_u64());
+        // Without jitter the sample is the static delay.
+        let still = LatencyModel { jitter_sigma: 0.0, ..model };
+        assert_eq!(still.sample_hop(12.5, &mut rng), SimDuration::from_millis_f64(12.5));
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //!   mechanism the cloud uses to find "physically close" supernodes).
 //! * [`latency`] — distance → delay model calibrated to PlanetLab-era
 //!   RTTs (coast-to-coast ≈ 70–100 ms RTT).
-//! * [`bandwidth`] — Mbps units, transmission times, fair-share uplink.
+//! * [`bandwidth`] — Mbps units and transmission times.
 //! * [`gilbert`] — Gilbert–Elliott two-state burst-loss channel, the
 //!   packet-loss overlay the chaos layer drives.
-//! * [`topology`] — host tables and the [`topology::DelaySource`] oracle.
-//! * [`trace`] — freeze delays into a CSV trace and replay it, exactly
-//!   how the paper fed a PlanetLab trace into PeerSim.
+//! * [`topology`] — host tables and the one delay oracle,
+//!   [`topology::Topology`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,7 +23,6 @@ pub mod gilbert;
 pub mod ip;
 pub mod latency;
 pub mod topology;
-pub mod trace;
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -33,6 +31,5 @@ pub mod prelude {
     pub use crate::gilbert::GilbertElliott;
     pub use crate::ip::{GeoIpTable, Ipv4};
     pub use crate::latency::LatencyModel;
-    pub use crate::topology::{DelaySource, Host, HostId, HostKind, LinkProfile, Topology};
-    pub use crate::trace::LatencyTrace;
+    pub use crate::topology::{Host, HostId, HostKind, LinkProfile, Topology};
 }

@@ -3,11 +3,9 @@
 //! A [`Topology`] is the set of simulated machines — players,
 //! supernode candidates and datacenters alike — with their true
 //! positions, advertised (geolocated) positions, addresses and link
-//! capacities. Delay between two hosts comes from a [`DelaySource`]:
-//! either the analytic [`crate::latency::LatencyModel`]
-//! directly, or a pre-generated [`LatencyTrace`](crate::trace::LatencyTrace)
-//! (the PeerSim experiments in the paper were driven by a PlanetLab
-//! trace; both paths are supported and interchangeable).
+//! capacities. It is also the one delay oracle: delay between two
+//! hosts comes from its [`LatencyModel`], calibrated to the PlanetLab
+//! latencies the paper's PeerSim experiments were driven by.
 
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::time::SimDuration;
@@ -62,31 +60,12 @@ pub struct Host {
     pub download: Mbps,
 }
 
-/// Where delays come from.
-pub trait DelaySource {
-    /// Static one-way delay in ms between host indices `a` and `b`.
-    fn one_way_ms(&self, a: HostId, b: HostId) -> f64;
-
-    /// One jittered one-way delay sample.
-    fn sample_one_way(&self, a: HostId, b: HostId, rng: &mut Rng) -> SimDuration;
-
-    /// Static round-trip time in ms.
-    fn rtt_ms(&self, a: HostId, b: HostId) -> f64 {
-        2.0 * self.one_way_ms(a, b)
-    }
-}
-
 /// The set of simulated machines.
 #[derive(Clone, Debug)]
 pub struct Topology {
     hosts: Vec<Host>,
     geoip: GeoIpTable,
     model: LatencyModel,
-    /// Optional recorded trace overriding the analytic model for the
-    /// host pairs it covers — how the paper drove PeerSim from a
-    /// PlanetLab measurement trace. Hosts added after the trace was
-    /// recorded (e.g. datacenters) fall back to the model.
-    trace: Option<crate::trace::LatencyTrace>,
 }
 
 /// Uplink/downlink capacity profile for newly added hosts.
@@ -153,20 +132,7 @@ impl LinkProfile {
 impl Topology {
     /// An empty topology using `model` as its delay oracle.
     pub fn new(model: LatencyModel) -> Self {
-        Topology { hosts: Vec::new(), geoip: GeoIpTable::new(), model, trace: None }
-    }
-
-    /// Drive delays from a recorded trace for the host pairs it
-    /// covers (later-added hosts use the analytic model). This is the
-    /// paper's PeerSim setup: "communication latency between nodes in
-    /// the simulation was set based on the trace from the PlanetLab".
-    pub fn attach_trace(&mut self, trace: crate::trace::LatencyTrace) {
-        self.trace = Some(trace);
-    }
-
-    /// The attached trace, if any.
-    pub fn trace(&self) -> Option<&crate::trace::LatencyTrace> {
-        self.trace.as_ref()
+        Topology { hosts: Vec::new(), geoip: GeoIpTable::new(), model }
     }
 
     /// Add a host scattered around a weighted-random anchor city.
@@ -253,34 +219,35 @@ impl Topology {
     pub fn true_distance_km(&self, a: HostId, b: HostId) -> f64 {
         self.host(a).position.distance_km(&self.host(b).position)
     }
-}
 
-impl DelaySource for Topology {
-    fn one_way_ms(&self, a: HostId, b: HostId) -> f64 {
+    /// Static one-way delay in ms between `a` and `b`: zero on self
+    /// and positive otherwise (every host's access delay is), which is
+    /// what makes a self-hop the only zero-length hop.
+    pub fn one_way_ms(&self, a: HostId, b: HostId) -> f64 {
         if a == b {
             return 0.0;
-        }
-        if let Some(trace) = &self.trace {
-            if a.index() < trace.len() && b.index() < trace.len() {
-                return trace.get(a.index(), b.index());
-            }
         }
         let ha = self.host(a);
         let hb = self.host(b);
         self.model.one_way_ms(a.0 as u64, &ha.position, b.0 as u64, &hb.position)
     }
 
-    fn sample_one_way(&self, a: HostId, b: HostId, rng: &mut Rng) -> SimDuration {
-        if a == b {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_millis_f64(self.one_way_ms(a, b) * self.model.sample_jitter(rng))
+    /// Static round-trip time in ms (symmetric paths).
+    pub fn rtt_ms(&self, a: HostId, b: HostId) -> f64 {
+        2.0 * self.one_way_ms(a, b)
+    }
+
+    /// One jittered one-way delay sample from `a` to `b`: see
+    /// [`LatencyModel::sample_hop`] for the rule.
+    pub fn sample_one_way(&self, a: HostId, b: HostId, rng: &mut Rng) -> SimDuration {
+        self.model.sample_hop(self.one_way_ms(a, b), rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudfog_sim::stats::Welford;
 
     fn small_topology(n: usize, seed: u64) -> Topology {
         let mut rng = Rng::new(seed);
@@ -350,40 +317,21 @@ mod tests {
     }
 
     #[test]
-    fn attached_trace_overrides_model_for_covered_pairs() {
-        let mut topo = small_topology(10, 7);
-        // Freeze a doctored trace: every covered delay is exactly 42 ms.
-        let n = topo.len();
-        let trace = crate::trace::LatencyTrace::from_matrix(n, vec![42.0; n * n], 0.0);
-        topo.attach_trace(trace);
-        assert_eq!(topo.one_way_ms(HostId(0), HostId(9)), 42.0);
-        // Hosts added after recording fall back to the model.
-        let mut rng = Rng::new(1);
-        let late = topo.add_host(HostKind::Datacenter, &LinkProfile::datacenter(), &mut rng);
-        let d = topo.one_way_ms(HostId(0), late);
-        assert_ne!(d, 42.0, "uncovered pair must use the model");
-        assert!(d > 0.0);
-        // Self-delay stays zero even under the doctored trace.
-        assert_eq!(topo.one_way_ms(HostId(3), HostId(3)), 0.0);
-        assert!(topo.trace().is_some());
-    }
-
-    #[test]
-    fn freezing_and_attaching_own_trace_is_identity() {
-        let mut topo = small_topology(15, 8);
-        let before: Vec<f64> = (0..15)
-            .flat_map(|a| (0..15).map(move |b| (a, b)))
-            .map(|(a, b)| topo.one_way_ms(HostId(a), HostId(b)))
-            .collect();
-        let trace = crate::trace::LatencyTrace::from_topology(&topo);
-        topo.attach_trace(trace);
-        let after: Vec<f64> = (0..15)
-            .flat_map(|a| (0..15).map(move |b| (a, b)))
-            .map(|(a, b)| topo.one_way_ms(HostId(a), HostId(b)))
-            .collect();
-        for (x, y) in before.iter().zip(&after) {
-            assert!((x - y).abs() < 1e-9, "trace of self must be an identity");
+    fn stats_are_plausible_planetlab() {
+        let mut rng = Rng::new(13);
+        let mut topo = Topology::new(LatencyModel::planetlab(13));
+        for _ in 0..60 {
+            topo.add_host(HostKind::Player, &LinkProfile::residential(), &mut rng);
         }
+        let mut stats = Welford::new();
+        for a in topo.hosts() {
+            for b in topo.hosts().iter().filter(|b| b.id != a.id) {
+                stats.push(topo.one_way_ms(a.id, b.id));
+            }
+        }
+        // One-way mean across random US host pairs: ~10–40 ms.
+        assert!((5.0..60.0).contains(&stats.mean()), "mean {}", stats.mean());
+        assert!(stats.min() >= 0.0);
     }
 
     #[test]

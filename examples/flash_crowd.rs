@@ -17,7 +17,8 @@
 //! The predictive prefetch plane is on by default, and its cache /
 //! forecast counters print alongside the lifecycle ones; re-run with
 //! `--no-prefetch` for the purely reactive model and compare the two
-//! outputs (or run `--example prefetch` for the scored comparison).
+//! outputs (or run `cargo bench -p cloudfog-bench --bench prefetch`
+//! for the scored comparison).
 
 use cloudfog::core::systems::simulation::QoeSeries;
 use cloudfog::prelude::*;

@@ -1,13 +1,15 @@
 //! Same-seed determinism gate for hot-path refactors.
 //!
 //! The golden fingerprints below were captured from the pre-slab,
-//! pre-pool implementation (`cargo run --release --example
-//! golden_capture`). Any change to the `StreamingSim` hot path — data
-//! layout, event representation, allocation strategy, parallel
+//! pre-pool implementation. Any change to the `StreamingSim` hot path
+//! — data layout, event representation, allocation strategy, parallel
 //! executor — must keep the `RunSummary`, the telemetry JSONL (phases
 //! stripped) and the causal JSONL byte-identical for every system
 //! variant, with and without chaos. A mismatch here means the
-//! "refactor" changed observable behavior.
+//! "refactor" changed observable behavior. On a mismatch the test also
+//! prints every row it measured in `GOLDEN`'s source format, so a
+//! deliberate behaviour change re-captures the table from one run of
+//! `cargo test --release --test refactor_gate`.
 
 use cloudfog_core::fault::FaultScript;
 use cloudfog_core::systems::{StreamingSim, StreamingSimConfig, SystemKind};
@@ -65,8 +67,19 @@ fn run(kind: SystemKind, chaos: bool) -> (u64, u64, u64) {
 
 #[test]
 fn hot_path_refactor_preserves_all_observable_outputs() {
-    for (kind, chaos, summary_fp, telemetry_fp, causal_fp) in GOLDEN {
-        let (s, t, c) = run(kind, chaos);
+    let actual: Vec<(u64, u64, u64)> =
+        GOLDEN.iter().map(|&(kind, chaos, ..)| run(kind, chaos)).collect();
+    if GOLDEN.iter().zip(&actual).any(|(g, a)| (g.2, g.3, g.4) != *a) {
+        eprintln!("measured table:");
+        eprintln!("const GOLDEN: [(SystemKind, bool, u64, u64, u64); {}] = [", GOLDEN.len());
+        for ((kind, chaos, ..), (s, t, c)) in GOLDEN.iter().zip(&actual) {
+            eprintln!("    (SystemKind::{kind:?}, {chaos}, {s:#018x}, {t:#018x}, {c:#018x}),");
+        }
+        eprintln!("];");
+    }
+    for ((kind, chaos, summary_fp, telemetry_fp, causal_fp), (s, t, c)) in
+        GOLDEN.into_iter().zip(actual)
+    {
         assert_eq!(
             s, summary_fp,
             "{kind:?} chaos={chaos}: RunSummary fingerprint drifted from the pre-refactor golden"
