@@ -5,7 +5,7 @@
 //! planner. Reports the worst load factor before/after and the number
 //! of migrations.
 
-use cloudfog_core::coop::{apply_migrations, load_factor, plan_rebalance, CoopPolicy};
+use cloudfog_core::coop::{apply_migrations_checked, load_factor, plan_rebalance, CoopPolicy};
 use cloudfog_core::infra::{SupernodeId, SupernodeTable};
 use cloudfog_net::bandwidth::Mbps;
 use cloudfog_net::latency::LatencyModel;
@@ -53,7 +53,7 @@ fn main() {
 
     let policy = CoopPolicy::default();
     let plan = plan_rebalance(&table, &topo, &player_host, &demand, &policy);
-    let applied = apply_migrations(&mut table, &plan);
+    let applied = apply_migrations_checked(&mut table, &plan).applied;
     println!("plan: {} migrations ({} applied)", plan.len(), applied);
     println!("after : worst load factor {:.2}", worst(&table));
     let loads: Vec<String> = (0..table.len())

@@ -255,13 +255,13 @@ impl SystemParams {
     /// RTT (ms) and loss rate: `rate ≈ MSS / (RTT · √loss)`. This is
     /// why far-away clouds cannot sustain high-bitrate streams — the
     /// mechanism behind the paper's coverage and continuity results.
-    pub fn tcp_throughput_mbps(&self, rtt_ms: f64, loss: f64) -> f64 {
-        if rtt_ms <= 0.0 {
+    pub fn tcp_throughput_mbps(&self, rtt: f64, loss: f64) -> f64 {
+        if rtt <= 0.0 {
             return f64::INFINITY;
         }
         let loss = loss.max(1e-6);
         let mss_bits = self.mtu as f64 * 8.0;
-        mss_bits / (rtt_ms / 1_000.0 * loss.sqrt()) / 1_000_000.0
+        mss_bits / (rtt / 1_000.0 * loss.sqrt()) / 1_000_000.0
     }
 }
 

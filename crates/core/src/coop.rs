@@ -84,7 +84,7 @@ pub fn load_factor(
 }
 
 /// Plan cooperative offloading. Does not mutate the table; apply the
-/// returned migrations with [`apply_migrations`].
+/// returned migrations with [`apply_migrations_checked`].
 pub fn plan_rebalance(
     table: &SupernodeTable,
     topo: &Topology,
@@ -202,14 +202,6 @@ pub fn apply_migrations_checked(
         out.applied += 1;
     }
     out
-}
-
-/// Apply a migration plan to the table (release + assign).
-/// Returns how many migrations were actually applied (a destination
-/// may have filled up since planning, or a step may have gone stale —
-/// see [`apply_migrations_checked`] for the per-bucket split).
-pub fn apply_migrations(table: &mut SupernodeTable, plan: &[Migration]) -> usize {
-    apply_migrations_checked(table, plan).applied
 }
 
 /// Tick-boundary occupancy of one sub-world, as sampled by the
@@ -372,7 +364,7 @@ mod tests {
 
         let plan = plan_rebalance(&table, &topo, &player_host, &demand, &policy);
         assert!(!plan.is_empty(), "a same-metro idle peer must attract migrations");
-        let applied = apply_migrations(&mut table, &plan);
+        let applied = apply_migrations_checked(&mut table, &plan).applied;
         assert_eq!(applied, plan.len());
 
         let after0 = load_factor(&table, SupernodeId(0), &uplink_of, &demand);

@@ -72,8 +72,7 @@ pub mod prelude {
         AdmissionDecision, AdmissionParams, BackoffPolicy, ControlFailure, ControlOp, ControlOpKind,
     };
     pub use crate::coop::{
-        apply_migrations, apply_migrations_checked, plan_rebalance, CoopPolicy, Migration,
-        MigrationOutcome,
+        apply_migrations_checked, plan_rebalance, CoopPolicy, Migration, MigrationOutcome,
     };
     pub use crate::economics::{
         bandwidth_reduction, clear_market, deployment_gain, optimal_reward, provider_savings,

@@ -98,6 +98,34 @@ pub struct StreamSource {
     pub supernode: Option<SupernodeId>,
 }
 
+/// One static network hop of a [`StreamPath`], precomputed so the
+/// per-segment path only draws jitter. `ms` is exactly
+/// `Topology::one_way_ms(a, b)` for the hop's endpoints — a pure
+/// function of the frozen topology — and `ra`/`rb` are the endpoint
+/// region indices for the chaos multiplier.
+#[derive(Clone, Copy)]
+pub(crate) struct PathHop {
+    pub(crate) ms: f64,
+    pub(crate) ra: u16,
+    pub(crate) rb: u16,
+}
+
+/// A stream's path (§I's three legs) and its per-flow delivery rate,
+/// built by [`Deployment::path`].
+#[derive(Clone, Copy)]
+pub(crate) struct StreamPath {
+    /// Player → nearest datacenter (the action uplink).
+    pub(crate) action: PathHop,
+    /// Datacenter → supernode update hop (fog sources only; a
+    /// zero-length hop for cloud/edge sources).
+    pub(crate) update: PathHop,
+    /// Source → player (video propagation).
+    pub(crate) prop: PathHop,
+    /// Per-flow delivery rate (Mbps): min(TCP cap over the path,
+    /// player downlink).
+    pub(crate) flow_mbps: f64,
+}
+
 /// The deployed universe for one system.
 #[derive(Clone, Debug)]
 pub struct Deployment {
@@ -306,8 +334,59 @@ impl Deployment {
         }
     }
 
+    /// The path `source` streams to `player` over — the one definition
+    /// of a stream's hops and flow rate. The static analysis
+    /// ([`Deployment::nominal_latency_ms`]) and the event simulation
+    /// both read it; the simulation builds it whenever a stream gets a
+    /// source (join, failover, migration) and reads it per segment.
+    pub(crate) fn path(
+        &self,
+        player: PlayerId,
+        source: &StreamSource,
+        params: &SystemParams,
+    ) -> StreamPath {
+        let host = self.population.host_of(player);
+        let topo = self.topology();
+        // Fog: cloud → supernode update hop (from the supernode's
+        // nearest datacenter, where the authoritative state lives).
+        let update = if source.supernode.is_some() {
+            self.hop(self.nearest_datacenter(source.host).host, source.host)
+        } else {
+            PathHop { ms: 0.0, ra: 0, rb: 0 }
+        };
+        let prop = self.hop(source.host, host);
+        // Per-flow delivery rate, excluding the sender's uplink: the
+        // TCP cap over the symmetric round trip — window-limited
+        // throughput collapsing with RTT and loss, what makes far-away
+        // sources unable to sustain high bitrates (§I's "high-speed
+        // network connection") — bounded by the player's downlink. The
+        // sender's uplink is a *shared port* charged separately (its
+        // occupancy per segment is `bytes/uplink`), while each flow
+        // progresses at this rate in parallel.
+        let loss = params.path_loss(topo.true_distance_km(source.host, host));
+        let flow_mbps =
+            params.tcp_throughput_mbps(2.0 * prop.ms, loss).min(topo.host(host).download.0);
+        StreamPath {
+            action: self.hop(host, self.nearest_datacenter(host).host),
+            update,
+            prop,
+            flow_mbps,
+        }
+    }
+
+    /// The static (jitter-free) hop from `a` to `b`.
+    fn hop(&self, a: HostId, b: HostId) -> PathHop {
+        let topo = self.topology();
+        PathHop {
+            ms: topo.one_way_ms(a, b),
+            ra: topo.host(a).region.index() as u16,
+            rb: topo.host(b).region.index() as u16,
+        }
+    }
+
     /// Static per-packet network response latency (ms) for a video
-    /// stream of `bitrate_kbps` from `source` to `player`:
+    /// stream of `bitrate_kbps` from `source` to `player`, summed over
+    /// the stream's path (the one the event simulation replays):
     ///
     /// ```text
     /// latency = up + (fog: update hop) + down + chunk-tx × (1 + k·ρ/(1−ρ))
@@ -318,12 +397,13 @@ impl Deployment {
     ///   messages: pure propagation);
     /// * the video leg pays propagation plus the transmission of one
     ///   response chunk (the frames that make the action's effect
-    ///   visible) at the path's effective rate, inflated M/M/1-style
-    ///   by the utilization `ρ = bitrate / effective rate` — a path
-    ///   whose TCP throughput barely sustains the bitrate queues and
-    ///   retransmits, the mechanism behind §I's "high-speed
-    ///   connection" demand. `ρ ≥ 1` means the stream cannot be
-    ///   sustained at all (infinite latency, never covered).
+    ///   visible) at the path's effective rate — min(source uplink,
+    ///   flow rate) — inflated M/M/1-style by the utilization
+    ///   `ρ = bitrate / effective rate`: a path whose TCP throughput
+    ///   barely sustains the bitrate queues and retransmits, the
+    ///   mechanism behind §I's "high-speed connection" demand. `ρ ≥ 1`
+    ///   means the stream cannot be sustained at all (infinite
+    ///   latency, never covered).
     ///
     /// Processing/render time is excluded — the §I decomposition
     /// charges those to the separate 20 ms playout budget.
@@ -334,31 +414,18 @@ impl Deployment {
         bitrate_kbps: u32,
         params: &SystemParams,
     ) -> f64 {
-        let host = self.population.host_of(player);
+        let path = self.path(player, source, params);
         let topo = self.topology();
         // Action uplink: to wherever the game state is computed — the
         // nearest datacenter, except EdgeCloud edge servers, which
-        // compute locally.
+        // compute locally (the event simulation still sends it to the
+        // datacenter; see DESIGN §6b).
         let up_ms = if source.class == TrafficSource::EdgeServer {
-            topo.one_way_ms(host, source.host)
+            topo.one_way_ms(self.population.host_of(player), source.host)
         } else {
-            let dc = self.nearest_datacenter(host);
-            topo.one_way_ms(host, dc.host)
+            path.action.ms
         };
-        // Fog: cloud → supernode update hop (from the supernode's
-        // nearest datacenter, where the authoritative state lives).
-        let update_ms = if source.supernode.is_some() {
-            let sn_dc = self.nearest_datacenter(source.host);
-            topo.one_way_ms(sn_dc.host, source.host)
-        } else {
-            0.0
-        };
-        // Streaming leg: propagation plus the transmission of one
-        // response chunk, inflated by path utilization (M/M/1-style:
-        // a path whose throughput barely sustains the bitrate queues
-        // and retransmits).
-        let down_ms = topo.one_way_ms(source.host, host);
-        let rate = self.effective_rate_mbps(player, source, params);
+        let rate = topo.host(source.host).upload.0.min(path.flow_mbps);
         let rho = bitrate_kbps as f64 / 1_000.0 / rate;
         if !rho.is_finite() || rho >= 1.0 {
             return f64::INFINITY;
@@ -366,45 +433,7 @@ impl Deployment {
         let chunk_bytes = bitrate_kbps as f64 * 1_000.0 * params.response_chunk.as_secs_f64() / 8.0;
         let chunk_tx_ms = chunk_bytes * 8.0 / (rate * 1_000.0);
         let congestion = 1.0 + params.video_congestion_factor * rho / (1.0 - rho);
-        up_ms + update_ms + down_ms + chunk_tx_ms * congestion
-    }
-
-    /// Effective streaming rate from `source` to `player` (Mbps):
-    /// min(source uplink, TCP throughput cap over the path, player
-    /// downlink). The TCP cap — window-limited throughput collapsing
-    /// with RTT and loss — is what makes far-away sources unable to
-    /// sustain high bitrates (§I's "high-speed network connection"
-    /// requirement).
-    pub fn effective_rate_mbps(
-        &self,
-        player: PlayerId,
-        source: &StreamSource,
-        params: &SystemParams,
-    ) -> f64 {
-        let uplink = self.topology().host(source.host).upload.0;
-        uplink.min(self.flow_rate_mbps(player, source, params))
-    }
-
-    /// Per-flow delivery rate (Mbps), excluding the sender's uplink:
-    /// min(TCP throughput cap over the path, player downlink). The
-    /// sender's uplink is a *shared port* modelled separately (its
-    /// occupancy per segment is `bytes/uplink`), while each flow
-    /// progresses at this rate in parallel — a datacenter pushes many
-    /// streams concurrently; a supernode's uplink is usually the
-    /// binding constraint anyway.
-    pub fn flow_rate_mbps(
-        &self,
-        player: PlayerId,
-        source: &StreamSource,
-        params: &SystemParams,
-    ) -> f64 {
-        let host = self.population.host_of(player);
-        let topo = self.topology();
-        let rtt_ms = topo.rtt_ms(source.host, host);
-        let km = topo.true_distance_km(source.host, host);
-        let tcp_cap = params.tcp_throughput_mbps(rtt_ms, params.path_loss(km));
-        let downlink = topo.host(host).download.0;
-        tcp_cap.min(downlink)
+        up_ms + path.update.ms + path.prop.ms + chunk_tx_ms * congestion
     }
 }
 
@@ -553,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn effective_rate_penalizes_distance() {
+    fn flow_rate_penalizes_distance() {
         let d = Deployment::build(SystemKind::Cloud, &profile(), 5, None, None);
         let params = SystemParams::default();
         // Compare the same player streaming from its nearest DC vs the
@@ -575,8 +604,8 @@ mod tests {
         let near_src =
             StreamSource { host: near.host, class: TrafficSource::Cloud, supernode: None };
         let far_src = StreamSource { host: far.host, class: TrafficSource::Cloud, supernode: None };
-        let near_rate = d.effective_rate_mbps(pid, &near_src, &params);
-        let far_rate = d.effective_rate_mbps(pid, &far_src, &params);
+        let near_rate = d.path(pid, &near_src, &params).flow_mbps;
+        let far_rate = d.path(pid, &far_src, &params).flow_mbps;
         assert!(near_rate > far_rate, "near {near_rate} vs far {far_rate}");
     }
 
@@ -594,5 +623,47 @@ mod tests {
         // An unsustainable bitrate is never covered.
         let impossible = d.nominal_latency_ms(pid, &src, 10_000_000, &params);
         assert!(impossible.is_infinite());
+    }
+
+    #[test]
+    fn nominal_latency_sums_the_path_hops() {
+        let params = SystemParams::default();
+        let fog = Deployment::build(SystemKind::CloudFogB, &profile(), 6, None, None);
+        let edge = Deployment::build(SystemKind::EdgeCloud, &profile(), 6, None, None);
+        let pid = PlayerId(2);
+        let sn = fog.supernodes.iter().next().expect("fog deployment has supernodes").id;
+        let edge_host = edge.edge_servers[0];
+        let edge_src =
+            StreamSource { host: edge_host, class: TrafficSource::EdgeServer, supernode: None };
+        let cases = [
+            (&fog, fog.fog_source(sn)),
+            (&fog, fog.cloud_source(fog.population.host_of(pid))),
+            (&edge, edge_src),
+        ];
+        // At 1 kbps the stream is far from saturating any path, so the
+        // result is the hops plus one (barely congested) chunk at the
+        // effective rate.
+        let kbps = 1;
+        for (d, src) in cases {
+            let path = d.path(pid, &src, &params);
+            let host = d.population.host_of(pid);
+            let to_dc = d.topology().one_way_ms(host, d.nearest_datacenter(host).host);
+            assert_eq!(path.action.ms, to_dc);
+            // An edge server computes locally: its uplink ends there.
+            let up = if src.class == TrafficSource::EdgeServer {
+                d.topology().one_way_ms(host, src.host)
+            } else {
+                to_dc
+            };
+            assert_eq!(path.prop.ms, d.topology().one_way_ms(src.host, host));
+            assert_eq!(path.update.ms == 0.0, src.supernode.is_none(), "{:?}", src.class);
+            let rate = d.topology().host(src.host).upload.0.min(path.flow_mbps);
+            let rho = f64::from(kbps) / 1_000.0 / rate;
+            let chunk_ms = f64::from(kbps) * params.response_chunk.as_secs_f64() / rate
+                * (1.0 + params.video_congestion_factor * rho / (1.0 - rho));
+            let want = up + path.update.ms + path.prop.ms + chunk_ms;
+            let got = d.nominal_latency_ms(pid, &src, kbps, &params);
+            assert!((got - want).abs() < 1e-9, "{:?}: {got} vs {want}", src.class);
+        }
     }
 }

@@ -16,11 +16,12 @@ use cloudfog_sim::rng::Rng;
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::player::PlayerId;
 
-use super::{Ev, PathHop, Sched, StreamingSim, StreamingSimConfig, NUM_REGIONS};
+use super::{Ev, Sched, StreamingSim, StreamingSimConfig, NUM_REGIONS};
 use crate::fault::{detector, watchdog, FaultKind};
 use crate::infra::{Supernode, SupernodeId, SupernodeTable};
 use crate::obs;
 use crate::streaming::Segment;
+use crate::systems::deployment::PathHop;
 
 /// Fault-plane events.
 pub enum FaultEv {
@@ -398,9 +399,6 @@ impl StreamingSim {
         self.rehome_player(p, now);
         self.metrics.record_watchdog_reassignment();
         self.trace_event(now, obs::kind::WATCHDOG_REASSIGN, u64::from(p.0), 1.0);
-        if let Some(series) = self.series.as_mut() {
-            series.reassignments.bump(now);
-        }
     }
 
     /// A scripted fault begins.
@@ -412,9 +410,6 @@ impl StreamingSim {
         let now = sched.now();
         self.faults.faults_activated += 1;
         self.trace(ev.trace_start(idx));
-        if let Some(series) = self.series.as_mut() {
-            series.faults.bump(now);
-        }
         sched.schedule_in(ev.duration, Ev::Fault(FaultEv::End(idx)));
         let chaos = &mut self.faults.chaos;
         match ev.kind {

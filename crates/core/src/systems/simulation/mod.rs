@@ -73,7 +73,7 @@ use crate::metrics::{MetricsCollector, TrafficSource};
 use crate::obs;
 use crate::schedule::{SchedulingPolicy, SenderBuffer};
 use crate::streaming::{Segment, SegmentIdAlloc};
-use crate::systems::deployment::{Deployment, StreamSource, SystemKind};
+use crate::systems::deployment::{Deployment, StreamPath, StreamSource, SystemKind};
 use crate::systems::driver::{self, Live};
 use crate::systems::live::{LiveConfig, LiveReport};
 
@@ -240,18 +240,6 @@ impl StreamingSimConfigBuilder {
     /// Simulated horizon.
     pub fn horizon(mut self, horizon: SimDuration) -> Self {
         self.cfg.horizon = horizon;
-        self
-    }
-
-    /// Datacenter-count override.
-    pub fn datacenters(mut self, n: usize) -> Self {
-        self.cfg.datacenter_override = Some(n);
-        self
-    }
-
-    /// Supernode-count override.
-    pub fn supernodes(mut self, n: usize) -> Self {
-        self.cfg.supernode_override = Some(n);
         self
     }
 
@@ -509,10 +497,6 @@ pub struct QoeSeries {
     pub deliveries: CounterSeries,
     /// Supernode failures per bucket (churn runs).
     pub failures: CounterSeries,
-    /// Scripted fault activations per bucket.
-    pub faults: CounterSeries,
-    /// QoE-watchdog re-assignments per bucket.
-    pub reassignments: CounterSeries,
 }
 
 impl QoeSeries {
@@ -522,42 +506,16 @@ impl QoeSeries {
             on_time: TimeSeries::new(bucket),
             deliveries: CounterSeries::new(bucket),
             failures: CounterSeries::new(bucket),
-            faults: CounterSeries::new(bucket),
-            reassignments: CounterSeries::new(bucket),
         }
     }
-}
-
-/// One static network hop, precomputed so the per-segment path only
-/// draws jitter. `ms` is exactly `Topology::one_way_ms(a, b)` for the
-/// hop's endpoints — a pure function of the frozen topology — and
-/// `ra`/`rb` are the endpoint region indices for the chaos multiplier.
-#[derive(Clone, Copy)]
-struct PathHop {
-    ms: f64,
-    ra: u16,
-    rb: u16,
-}
-
-/// The three static hops a player's segments traverse. Recomputed on
-/// join and rehome (rare); read every action/transmission (hot).
-#[derive(Clone, Copy)]
-struct PathCache {
-    /// Player → nearest datacenter (the action uplink).
-    action: PathHop,
-    /// Datacenter → supernode update hop (fog sources only; unused —
-    /// and zeroed — for cloud/edge sources).
-    update: PathHop,
-    /// Source → player (video propagation).
-    prop: PathHop,
 }
 
 /// Per-active-player state.
 struct ActivePlayer {
     game: GameId,
     source: StreamSource,
-    /// Precomputed static delays of this player's current paths.
-    paths: PathCache,
+    /// The current source's [`Deployment::path`] to this player.
+    paths: StreamPath,
     /// §III-A.3 backup supernodes for failover.
     backups: Vec<SupernodeId>,
     /// The stream's adaptation policy ([`StreamingSimConfig::policy`]),
@@ -1423,9 +1381,7 @@ impl StreamingSim {
         // cannot deliver above the path rate, so sustained demand
         // beyond it accumulates delay — this is what the §III-B
         // controller senses and corrects.
-        let flow_rate =
-            self.deployment.flow_rate_mbps(segment.player, &source, &SystemParams::PAPER);
-        let mut flow_time = Mbps(flow_rate).transmission_time(bytes);
+        let mut flow_time = Mbps(paths.flow_mbps).transmission_time(bytes);
         // Chaos: a bandwidth collapse at either end, or a gray-failed
         // sender, stretches transmission — and via the port occupancy
         // slows the whole sender down.
@@ -1591,9 +1547,10 @@ impl StreamingSim {
     /// source, on join, failover and migration. Lowers the update feed
     /// of the source a live stream leaves, makes sure the new host has
     /// a sender, raises its update feed when it is a supernode, and
-    /// precomputes the player's paths. A live stream switches in place;
-    /// a joining player gets the paths for its new [`ActivePlayer`].
-    fn attach_source(&mut self, p: PlayerId, source: StreamSource, now: SimTime) -> PathCache {
+    /// builds the player's [`Deployment::path`]. A live stream switches
+    /// in place; a joining player gets the path for its new
+    /// [`ActivePlayer`].
+    fn attach_source(&mut self, p: PlayerId, source: StreamSource, now: SimTime) -> StreamPath {
         if let Some(old) = self.active[p.index()].as_ref().map(|a| a.source) {
             self.update_feed(&old, now, false);
         }
@@ -1612,7 +1569,7 @@ impl StreamingSim {
             *slot = Some(Sender { buffer: SenderBuffer::new(policy, uplink, params), busy: false });
         }
         self.update_feed(&source, now, true);
-        let paths = self.path_cache(p, &source);
+        let paths = self.deployment.path(p, &source, params);
         if let Some(active) = self.active[p.index()].as_mut() {
             active.source = source;
             active.paths = paths;
@@ -1631,35 +1588,6 @@ impl StreamingSim {
 }
 
 impl StreamingSim {
-    /// Precompute the static (jitter-free) delay of one hop.
-    fn path_hop(&self, a: HostId, b: HostId) -> PathHop {
-        let topo = self.deployment.topology();
-        PathHop {
-            ms: topo.one_way_ms(a, b),
-            ra: topo.host(a).region.index() as u16,
-            rb: topo.host(b).region.index() as u16,
-        }
-    }
-
-    /// Precompute every static hop for player `p` streaming from
-    /// `source`. Called on join and rehome only; the per-segment path
-    /// reads the cache instead of re-deriving access/detour gaussians.
-    fn path_cache(&self, p: PlayerId, source: &StreamSource) -> PathCache {
-        let host = self.deployment.population.host_of(p);
-        let dc = self.deployment.nearest_datacenter(host);
-        let update = if source.supernode.is_some() {
-            let sn_dc = self.deployment.nearest_datacenter(source.host);
-            self.path_hop(sn_dc.host, source.host)
-        } else {
-            PathHop { ms: 0.0, ra: 0, rb: 0 }
-        };
-        PathCache {
-            action: self.path_hop(host, dc.host),
-            update,
-            prop: self.path_hop(source.host, host),
-        }
-    }
-
     /// Charge a segment that will never arrive (dead sender) as fully
     /// late: every packet misses the deadline and the player's
     /// watchdog window records the stall.

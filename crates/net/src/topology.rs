@@ -232,11 +232,6 @@ impl Topology {
         self.model.one_way_ms(a.0 as u64, &ha.position, b.0 as u64, &hb.position)
     }
 
-    /// Static round-trip time in ms (symmetric paths).
-    pub fn rtt_ms(&self, a: HostId, b: HostId) -> f64 {
-        2.0 * self.one_way_ms(a, b)
-    }
-
     /// One jittered one-way delay sample from `a` to `b`: see
     /// [`LatencyModel::sample_hop`] for the rule.
     pub fn sample_one_way(&self, a: HostId, b: HostId, rng: &mut Rng) -> SimDuration {
@@ -291,7 +286,6 @@ mod tests {
         let b = HostId(17);
         assert_eq!(topo.one_way_ms(a, a), 0.0);
         assert!((topo.one_way_ms(a, b) - topo.one_way_ms(b, a)).abs() < 1e-12);
-        assert_eq!(topo.rtt_ms(a, b), 2.0 * topo.one_way_ms(a, b));
     }
 
     #[test]

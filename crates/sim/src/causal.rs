@@ -425,7 +425,7 @@ pub fn argmax<T: PartialOrd>(xs: &[T]) -> usize {
 }
 
 /// Per-component latency attribution folded from delivered traces.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Attribution {
     comp: [Histogram; 5],
     sums: [f64; 5],
@@ -455,6 +455,56 @@ impl Attribution {
         self.total.record(net_latency_ms);
         self.dominant[argmax(&comps)].record(net_latency_ms);
         self.folded += 1;
+    }
+
+    /// Add `other`'s folds (as if this attribution had seen its traces
+    /// too). Panics on mismatched histogram geometry.
+    fn merge(&mut self, other: &Attribution) {
+        for (a, b) in self.comp.iter_mut().zip(&other.comp) {
+            a.merge(b);
+        }
+        for (a, b) in self.sums.iter_mut().zip(other.sums) {
+            *a += b;
+        }
+        self.total.merge(&other.total);
+        for (a, b) in self.dominant.iter_mut().zip(&other.dominant) {
+            a.merge(b);
+        }
+        self.folded += other.folded;
+    }
+
+    /// The attribution table: one row per component, the total
+    /// distribution, and the tail above its p99.
+    fn summarize(&self) -> (Vec<ComponentBreakdown>, Quantiles, TailAttribution) {
+        let mean_total: f64 = self.sums.iter().sum();
+        let components = COMPONENTS
+            .iter()
+            .zip(self.comp.iter())
+            .zip(self.sums.iter())
+            .map(|((&name, hist), &sum)| {
+                let mean = if self.folded > 0 { sum / self.folded as f64 } else { 0.0 };
+                ComponentBreakdown {
+                    name,
+                    mean_ms: mean,
+                    share: if mean_total > 0.0 { sum / mean_total } else { 0.0 },
+                    quantiles: Quantiles::from_histogram(hist),
+                }
+            })
+            .collect();
+        let total = Quantiles::from_histogram(&self.total);
+        let threshold = total.p99;
+        let mut counts = [0u64; 5];
+        for (i, hist) in self.dominant.iter().enumerate() {
+            let above = hist.count() as f64 * (1.0 - hist.fraction_le(threshold));
+            counts[i] = above.round() as u64;
+        }
+        let tail_count: u64 = counts.iter().sum();
+        let dominant = COMPONENTS[argmax(&counts)];
+        (
+            components,
+            total,
+            TailAttribution { threshold_ms: threshold, tail_count, counts, dominant },
+        )
     }
 }
 
@@ -612,30 +662,7 @@ impl CausalLog {
 
     /// Fold the log into an immutable report for export.
     pub fn report(&self, run: &str) -> CausalReport {
-        let mean_total: f64 = self.attr.sums.iter().sum();
-        let components = COMPONENTS
-            .iter()
-            .zip(self.attr.comp.iter())
-            .zip(self.attr.sums.iter())
-            .map(|((&name, hist), &sum)| {
-                let mean = if self.attr.folded > 0 { sum / self.attr.folded as f64 } else { 0.0 };
-                ComponentBreakdown {
-                    name,
-                    mean_ms: mean,
-                    share: if mean_total > 0.0 { sum / mean_total } else { 0.0 },
-                    quantiles: Quantiles::from_histogram(hist),
-                }
-            })
-            .collect();
-        let total = Quantiles::from_histogram(&self.attr.total);
-        let threshold = total.p99;
-        let mut counts = [0u64; 5];
-        for (i, hist) in self.attr.dominant.iter().enumerate() {
-            let above = hist.count() as f64 * (1.0 - hist.fraction_le(threshold));
-            counts[i] = above.round() as u64;
-        }
-        let tail_count: u64 = counts.iter().sum();
-        let dominant = COMPONENTS[argmax(&counts)];
+        let (components, total, tail) = self.attr.summarize();
         CausalReport {
             run: run.to_string(),
             started: self.started,
@@ -652,12 +679,13 @@ impl CausalLog {
             drop_packets: self.drop_packets,
             components,
             total,
-            tail: TailAttribution { threshold_ms: threshold, tail_count, counts, dominant },
+            tail,
             traces: self.tail.iter().cloned().collect(),
             adapt: self.adapt.iter().copied().collect(),
             drops: self.drops.iter().cloned().collect(),
             admission_events: self.admission.recorded(),
             admission: self.admission.iter().copied().collect(),
+            attr: self.attr.clone(),
         }
     }
 }
@@ -735,6 +763,9 @@ pub struct CausalReport {
     pub admission_events: u64,
     /// Most recent admission provenance records.
     pub admission: Vec<AdmissionProvenance>,
+    /// The histograms `components`, `total` and `tail` summarize, kept
+    /// so a shard merge can summarize the union exactly.
+    attr: Attribution,
 }
 
 impl CausalReport {
@@ -812,17 +843,22 @@ impl CausalReport {
     /// run-level report.
     ///
     /// `reports` must be in canonical shard order. Every counter sums
-    /// exactly (outcomes, adapt/drop/admission events, tail counts —
-    /// the tail's dominant component is re-derived from the summed
-    /// counts). Record rings (`traces`, `adapt`, `drops`, `admission`)
-    /// concatenate in shard order; because every shard allocates from
-    /// a disjoint [`SegmentIdAlloc`](SegmentTrace) base, segment ids
-    /// stay run-global join keys in the merged export. Distribution
-    /// summaries (`components`, `total`) are count-weighted
-    /// approximations: exact quantile merge needs the raw
-    /// observations, so p50/p95/p99 are count-weighted means of the
-    /// per-shard summaries while `min`/`max`/`count` merge exactly.
+    /// exactly (outcomes, adapt/drop/admission events). Record rings
+    /// (`traces`, `adapt`, `drops`, `admission`) concatenate in shard
+    /// order; because every shard allocates from a disjoint
+    /// [`SegmentIdAlloc`](SegmentTrace) base, segment ids stay
+    /// run-global join keys in the merged export. The attribution
+    /// histograms merge, so `components`, `total` and `tail` are those
+    /// of one log that folded every shard's traces. Panics when the
+    /// shards' histogram geometries differ.
     pub fn merge_shards(run: &str, reports: &[&CausalReport]) -> CausalReport {
+        let mut attr = reports
+            .first()
+            .map_or_else(|| Attribution::new(&TelemetryConfig::default()), |r| r.attr.clone());
+        for r in reports.iter().skip(1) {
+            attr.merge(&r.attr);
+        }
+        let (components, total, tail) = attr.summarize();
         let mut out = CausalReport {
             run: run.to_string(),
             started: 0,
@@ -837,27 +873,15 @@ impl CausalReport {
             adapt_events: 0,
             drop_events: 0,
             drop_packets: 0,
-            components: COMPONENTS
-                .iter()
-                .map(|&name| ComponentBreakdown {
-                    name,
-                    mean_ms: 0.0,
-                    share: 0.0,
-                    quantiles: Quantiles::default(),
-                })
-                .collect(),
-            total: Quantiles::default(),
-            tail: TailAttribution {
-                threshold_ms: 0.0,
-                tail_count: 0,
-                counts: [0; 5],
-                dominant: COMPONENTS[0],
-            },
+            components,
+            total,
+            tail,
             traces: Vec::new(),
             adapt: Vec::new(),
             drops: Vec::new(),
             admission_events: 0,
             admission: Vec::new(),
+            attr,
         };
         for r in reports {
             out.started += r.started;
@@ -873,28 +897,11 @@ impl CausalReport {
             out.drop_events += r.drop_events;
             out.drop_packets += r.drop_packets;
             out.admission_events += r.admission_events;
-            out.tail.tail_count += r.tail.tail_count;
-            for (sum, c) in out.tail.counts.iter_mut().zip(r.tail.counts) {
-                *sum += c;
-            }
-            out.tail.threshold_ms = out.tail.threshold_ms.max(r.tail.threshold_ms);
             out.traces.extend(r.traces.iter().cloned());
             out.adapt.extend(r.adapt.iter().cloned());
             out.drops.extend(r.drops.iter().cloned());
             out.admission.extend(r.admission.iter().cloned());
         }
-        out.tail.dominant = COMPONENTS[argmax(&out.tail.counts)];
-        for (i, slot) in out.components.iter_mut().enumerate() {
-            *slot =
-                merge_quantile_rows(slot.name, reports.iter().filter_map(|r| r.components.get(i)));
-        }
-        let mean_sum: f64 = out.components.iter().map(|c| c.mean_ms).sum();
-        if mean_sum > 0.0 {
-            for c in out.components.iter_mut() {
-                c.share = c.mean_ms / mean_sum;
-            }
-        }
-        out.total = merge_quantiles(reports.iter().map(|r| &r.total));
         out
     }
 
@@ -1050,54 +1057,6 @@ fn event<'w, 'a>(
         .field("ts", at.as_micros())
 }
 
-/// Count-weighted merge of per-shard quantile summaries: `count` sums
-/// and `min`/`max` merge exactly; p50/p95/p99 are count-weighted means
-/// of the per-shard values (see [`CausalReport::merge_shards`]).
-fn merge_quantiles<'a>(parts: impl Iterator<Item = &'a Quantiles>) -> Quantiles {
-    let mut out = Quantiles::default();
-    let mut weighted = [0.0f64; 3];
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for q in parts {
-        if q.count == 0 {
-            continue;
-        }
-        let w = q.count as f64;
-        out.count += q.count;
-        weighted[0] += q.p50 * w;
-        weighted[1] += q.p95 * w;
-        weighted[2] += q.p99 * w;
-        min = min.min(q.min);
-        max = max.max(q.max);
-    }
-    if out.count > 0 {
-        let w = out.count as f64;
-        out.p50 = weighted[0] / w;
-        out.p95 = weighted[1] / w;
-        out.p99 = weighted[2] / w;
-        out.min = min;
-        out.max = max;
-    }
-    out
-}
-
-/// Merge one component's per-shard breakdown rows (share is filled in
-/// by the caller once every component's merged mean is known).
-fn merge_quantile_rows<'a>(
-    name: &'static str,
-    rows: impl Iterator<Item = &'a ComponentBreakdown>,
-) -> ComponentBreakdown {
-    let rows: Vec<&ComponentBreakdown> = rows.collect();
-    let quantiles = merge_quantiles(rows.iter().map(|r| &r.quantiles));
-    let total: u64 = rows.iter().map(|r| r.quantiles.count).sum();
-    let mean_ms = if total > 0 {
-        rows.iter().map(|r| r.mean_ms * r.quantiles.count as f64).sum::<f64>() / total as f64
-    } else {
-        0.0
-    };
-    ComponentBreakdown { name, mean_ms, share: 0.0, quantiles }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1107,14 +1066,20 @@ mod tests {
     }
 
     fn deliver(log: &mut CausalLog, trace: u64, base_us: u64, prop_us: u64) {
+        deliver_at(log, trace, base_us, prop_us, 30_000);
+    }
+
+    /// Deliver one segment `delivered_us` after its action (net latency
+    /// `delivered_us` − 5 ms).
+    fn deliver_at(log: &mut CausalLog, trace: u64, base_us: u64, prop_us: u64, delivered_us: u64) {
         let t = SimTime::from_micros;
         log.begin(trace, 1, 0, 2, t(base_us), t(base_us + 5_000), t(base_us + 105_000), 40);
         log.stamp(trace, Stage::Enqueued, t(base_us + 15_000));
         log.stamp(trace, Stage::TxStart, t(base_us + 20_000));
         log.stamp(trace, Stage::FirstPacket, t(base_us + 21_000));
-        log.stamp(trace, Stage::Delivered, t(base_us + 30_000));
+        log.stamp(trace, Stage::Delivered, t(base_us + delivered_us));
         log.set_propagation(trace, SimDuration::from_micros(prop_us));
-        log.finish(trace, Outcome::OnTime, t(base_us + 30_000));
+        log.finish(trace, Outcome::OnTime, t(base_us + delivered_us));
     }
 
     #[test]
@@ -1329,10 +1294,33 @@ mod tests {
         assert!((share_sum - 1.0).abs() < 1e-9, "shares must renormalize: {share_sum}");
         // Records concatenate in shard order.
         assert_eq!(m.traces.len(), ra.traces.len() + rb.traces.len());
-        assert_eq!(m.tail.tail_count, ra.tail.tail_count + rb.tail.tail_count);
-        for k in 0..5 {
-            assert_eq!(m.tail.counts[k], ra.tail.counts[k] + rb.tail.counts[k]);
+    }
+
+    #[test]
+    fn merge_shards_equals_one_log_fed_every_shard() {
+        // Two shards with different latency populations (25 ms and
+        // 75 ms net): the merge must report the union's distributions
+        // and tail, exactly as one log fed both would.
+        let slow = |log: &mut CausalLog, trace: u64, base_us: u64| {
+            deliver_at(log, trace, base_us, 6_000, 80_000);
+        };
+        let (mut a, mut b, mut one) =
+            (CausalLog::new(&cfg()), CausalLog::new(&cfg()), CausalLog::new(&cfg()));
+        for i in 0..30 {
+            deliver(&mut a, i, 1_000_000 + i * 50_000, 6_000);
+            deliver(&mut one, i, 1_000_000 + i * 50_000, 6_000);
         }
+        for i in 0..20 {
+            slow(&mut b, 100 + i, 3_000_000 + i * 50_000);
+            slow(&mut one, 100 + i, 3_000_000 + i * 50_000);
+        }
+        let merged = CausalReport::merge_shards("run", &[&a.report("run"), &b.report("run")]);
+        let whole = one.report("run");
+        assert_eq!(merged.total, whole.total);
+        assert_eq!(merged.components, whole.components);
+        assert_eq!(merged.tail, whole.tail);
+        assert_eq!(merged, whole);
+        assert_eq!(merged.to_jsonl(), whole.to_jsonl());
     }
 
     #[test]
