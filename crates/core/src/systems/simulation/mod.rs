@@ -47,10 +47,10 @@ use cloudfog_sim::causal::{
     AdaptProvenance, CausalLog, CausalReport, Outcome as SegmentOutcome, Stage,
 };
 use cloudfog_sim::engine::{Model, Scheduler, Simulation};
-use cloudfog_sim::event::EventQueue;
 use cloudfog_sim::live::{MetricsRegistry, MetricsSink};
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::series::{CounterSeries, TimeSeries};
+use cloudfog_sim::slab::Slab;
 use cloudfog_sim::telemetry::{TelemetryConfig, TelemetryReport, TraceRecord, TraceRing};
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::arrival::{PoissonArrivals, SessionCycle};
@@ -578,10 +578,10 @@ struct Sender {
 pub enum Ev {
     Join(PlayerId),
     Action(PlayerId),
-    Enqueue(Segment),
+    Enqueue(SegSlot),
     StartTx(HostId),
     Deliver {
-        segment: Segment,
+        segment: SegSlot,
         sender: HostId,
         first_packet: SimTime,
         propagation: SimDuration,
@@ -595,8 +595,17 @@ pub enum Ev {
     Prefetch(PrefetchEv),
 }
 
+// Every pending event's payload waits in the queue's slab, so a
+// segment rides as a handle rather than inline.
+const _: () = assert!(size_of::<Ev>() <= 32);
+
+/// Handle of a segment in flight, parked in [`StreamingSim`]'s segment
+/// slab between the event that schedules it and the one that handles it.
+#[derive(Clone, Copy, Debug)]
+pub struct SegSlot(u32);
+
 /// The scheduler every handler schedules follow-up events on.
-type Sched<'s> = Scheduler<'s, Ev, EventQueue<Ev>>;
+type Sched<'s> = Scheduler<'s, Ev>;
 
 /// The streaming simulation model: the data plane, plus one field per
 /// other plane.
@@ -633,6 +642,9 @@ pub struct StreamingSim {
     telemetry: Option<Box<TelemetryState>>,
     /// Run-global segment ids: stable causal-trace join keys.
     segment_ids: SegmentIdAlloc,
+    /// Segments in flight, named by the [`Ev::Enqueue`] and
+    /// [`Ev::Deliver`] that carry them.
+    segments: Slab<Segment>,
     rng_assign: Rng,
     rng_game: Rng,
     rng_net: Rng,
@@ -713,6 +725,7 @@ impl StreamingSim {
             faults: Faults::new(hosts, scripted, rng_chaos),
             telemetry,
             segment_ids: SegmentIdAlloc::with_base(cfg.segment_id_base),
+            segments: Slab::default(),
             rng_assign,
             rng_game,
             rng_net,
@@ -1259,8 +1272,13 @@ impl StreamingSim {
                 segment.packets,
             );
         }
-        sched.schedule_at(enqueue_at, Ev::Enqueue(segment));
+        sched.schedule_at(enqueue_at, Ev::Enqueue(self.park(segment)));
         sched.schedule_in(self.action_period(), Ev::Action(p));
+    }
+
+    /// Park a segment in flight for the event that will carry it.
+    fn park(&mut self, segment: Segment) -> SegSlot {
+        SegSlot(self.segments.insert(segment))
     }
 
     fn handle_enqueue(&mut self, segment: Segment, sched: &mut Sched<'_>) {
@@ -1418,6 +1436,7 @@ impl StreamingSim {
                 }
             }
         }
+        let segment = self.park(segment);
         sched
             .schedule_at(arrival, Ev::Deliver { segment, sender: host, first_packet, propagation });
         sched.schedule_in(port_time, Ev::StartTx(host));
@@ -1645,9 +1664,13 @@ impl Model for StreamingSim {
         match event {
             Ev::Join(p) => self.handle_join(p, sched),
             Ev::Action(p) => self.handle_action(p, sched),
-            Ev::Enqueue(segment) => self.handle_enqueue(segment, sched),
+            Ev::Enqueue(slot) => {
+                let segment = self.segments.take(slot.0);
+                self.handle_enqueue(segment, sched)
+            }
             Ev::StartTx(host) => self.handle_start_tx(host, sched),
             Ev::Deliver { segment, sender, first_packet, propagation } => {
+                let segment = self.segments.take(segment.0);
                 self.handle_deliver(segment, sender, first_packet, propagation, sched)
             }
             Ev::Leave(p) => self.handle_leave(p, sched),

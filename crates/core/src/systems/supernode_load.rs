@@ -19,8 +19,8 @@ use cloudfog_net::bandwidth::Mbps;
 use cloudfog_net::latency::LatencyModel;
 use cloudfog_net::topology::{HostId, HostKind, LinkProfile, Topology};
 use cloudfog_sim::engine::{Model, Scheduler, Simulation};
-use cloudfog_sim::event::EventQueue;
 use cloudfog_sim::rng::Rng;
+use cloudfog_sim::slab::Slab;
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::games::{QualityLevel, GAMES};
 use cloudfog_workload::player::PlayerId;
@@ -88,20 +88,22 @@ pub struct LoadPoint {
 struct PinnedPlayer {
     game: usize,
     supernode: HostId,
+    /// Static one-way delay player → supernode (the action uplink).
+    up_ms: f64,
+    /// Static one-way delay supernode → player (the video leg). The
+    /// latency model is symmetric only to rounding, so it is kept apart
+    /// from `up_ms`.
+    down_ms: f64,
     controller: Option<RateController>,
     last_buffer_event: SimTime,
 }
 
+/// Segments in flight ride as slots of [`LoadSim::segments`].
 enum Ev {
     Action(PlayerId),
-    Enqueue(Box<Segment>),
+    Enqueue(u32),
     StartTx(HostId),
-    Deliver {
-        segment: Box<Segment>,
-        sender: HostId,
-        first_packet: SimTime,
-        propagation: SimDuration,
-    },
+    Deliver { segment: u32, sender: HostId, first_packet: SimTime, propagation: SimDuration },
 }
 
 struct LoadSim {
@@ -113,6 +115,7 @@ struct LoadSim {
     scheduler_drops: u64,
     quality_switches: u64,
     segment_ids: SegmentIdAlloc,
+    segments: Slab<Segment>,
     rng_net: Rng,
 }
 
@@ -138,7 +141,7 @@ impl LoadSim {
             };
             senders.insert(sn, (SenderBuffer::new(policy, cfg.uplink, &cfg.params), false));
             for k in 0..cfg.players_per_sn {
-                let _host = topo.add_host_in_city(
+                let host = topo.add_host_in_city(
                     HostKind::Player,
                     &LinkProfile::residential(),
                     city,
@@ -160,6 +163,8 @@ impl LoadSim {
                 players.push(PinnedPlayer {
                     game,
                     supernode: sn,
+                    up_ms: topo.one_way_ms(host, sn),
+                    down_ms: topo.one_way_ms(sn, host),
                     controller,
                     last_buffer_event: SimTime::ZERO,
                 });
@@ -175,17 +180,9 @@ impl LoadSim {
             scheduler_drops: 0,
             quality_switches: 0,
             segment_ids: SegmentIdAlloc::new(),
+            segments: Slab::default(),
             rng_net,
         }
-    }
-
-    /// Player's host id: supernodes and players interleave in the
-    /// topology; player `i` is host `group_base + 1 + offset`.
-    fn host_of(&self, p: usize) -> HostId {
-        let per_group = self.cfg.players_per_sn + 1;
-        let g = p / self.cfg.players_per_sn;
-        let k = p % self.cfg.players_per_sn;
-        HostId((g * per_group + 1 + k) as u32)
     }
 
     fn action_period(&self) -> SimDuration {
@@ -204,7 +201,7 @@ impl LoadSim {
 impl Model for LoadSim {
     type Event = Ev;
 
-    fn handle(&mut self, event: Ev, sched: &mut Scheduler<'_, Ev, EventQueue<Ev>>) {
+    fn handle(&mut self, event: Ev, sched: &mut Scheduler<'_, Ev>) {
         match event {
             Ev::Action(p) => {
                 let now = sched.now();
@@ -216,8 +213,7 @@ impl Model for LoadSim {
                 // render are a constant small preamble (same metro);
                 // model them with the configured compute/render times
                 // plus one metro hop.
-                let sn = self.players[idx].supernode;
-                let hop = self.topo.sample_one_way(self.host_of(idx), sn, &mut self.rng_net);
+                let hop = self.topo.model().sample_hop(self.players[idx].up_ms, &mut self.rng_net);
                 let processing = self.cfg.params.cloud_compute + self.cfg.params.render_time;
                 let enqueue_at = now + hop + processing;
                 // Processing is charged to the §I playout budget: the
@@ -226,13 +222,14 @@ impl Model for LoadSim {
                 let mut segment =
                     Segment::new(id, p, game, quality, network_t0, enqueue_at, &self.cfg.params);
                 segment.enqueued_at = enqueue_at;
-                sched.schedule_at(enqueue_at, Ev::Enqueue(Box::new(segment)));
+                sched.schedule_at(enqueue_at, Ev::Enqueue(self.segments.insert(segment)));
                 sched.schedule_in(self.action_period(), Ev::Action(p));
             }
-            Ev::Enqueue(segment) => {
+            Ev::Enqueue(slot) => {
+                let segment = self.segments.take(slot);
                 let sn = self.players[segment.player.index()].supernode;
                 let (buffer, busy) = self.senders.get_mut(&sn).expect("sender exists");
-                let report = buffer.enqueue(*segment, sched.now(), &self.cfg.params);
+                let report = buffer.enqueue(segment, sched.now(), &self.cfg.params);
                 self.scheduler_drops += report.packets_dropped as u64;
                 if !*busy {
                     *busy = true;
@@ -246,19 +243,19 @@ impl Model for LoadSim {
                     *busy = false;
                     return;
                 };
-                let player_host = self.host_of(segment.player.index());
+                let down_ms = self.players[segment.player.index()].down_ms;
                 let bytes = segment.surviving_bytes(&self.cfg.params);
                 // Same-metro path: the supernode uplink is the binding
                 // constraint (TCP caps are huge at metro RTTs).
                 let tx = self.cfg.uplink.transmission_time(bytes);
-                let propagation = self.topo.sample_one_way(host, player_host, &mut self.rng_net);
+                let propagation = self.topo.model().sample_hop(down_ms, &mut self.rng_net);
                 self.metrics.record_video_bytes(TrafficSource::Supernode, bytes);
                 let first_packet = now + propagation;
                 let arrival = now + tx + propagation;
                 sched.schedule_at(
                     arrival,
                     Ev::Deliver {
-                        segment: Box::new(segment),
+                        segment: self.segments.insert(segment),
                         sender: host,
                         first_packet,
                         propagation,
@@ -267,6 +264,7 @@ impl Model for LoadSim {
                 sched.schedule_in(tx, Ev::StartTx(host));
             }
             Ev::Deliver { segment, sender, first_packet, propagation } => {
+                let segment = self.segments.take(segment);
                 let now = sched.now();
                 self.metrics.record_arrival(&segment, first_packet, now);
                 if let Some((buffer, _)) = self.senders.get_mut(&sender) {

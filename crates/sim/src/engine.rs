@@ -7,19 +7,17 @@
 //! schedules follow-up events. Determinism falls out of the FIFO
 //! tie-break in the queue and the seeded RNG owned by the model.
 
-use crate::calendar::PendingSet;
 use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Interface through which a model schedules future events while
 /// handling the current one.
-pub struct Scheduler<'a, E, Q: PendingSet<E>> {
+pub struct Scheduler<'a, E> {
     now: SimTime,
-    queue: &'a mut Q,
-    _marker: std::marker::PhantomData<E>,
+    queue: &'a mut EventQueue<E>,
 }
 
-impl<'a, E, Q: PendingSet<E>> Scheduler<'a, E, Q> {
+impl<E> Scheduler<'_, E> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -27,7 +25,7 @@ impl<'a, E, Q: PendingSet<E>> Scheduler<'a, E, Q> {
 
     /// Schedule `event` to fire `delay` after now.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.insert(self.now + delay, event);
+        self.queue.push(self.now + delay, event);
     }
 
     /// Schedule `event` at an absolute instant. `at` must not be in the
@@ -35,12 +33,12 @@ impl<'a, E, Q: PendingSet<E>> Scheduler<'a, E, Q> {
     /// event, in insertion order).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
-        self.queue.insert(at.max(self.now), event);
+        self.queue.push(at.max(self.now), event);
     }
 
     /// Number of events pending (excluding the one being handled).
     pub fn pending(&self) -> usize {
-        self.queue.pending()
+        self.queue.len()
     }
 }
 
@@ -50,11 +48,7 @@ pub trait Model {
     type Event;
 
     /// Handle `event` at time `sched.now()`, scheduling any follow-ups.
-    fn handle(
-        &mut self,
-        event: Self::Event,
-        sched: &mut Scheduler<'_, Self::Event, EventQueue<Self::Event>>,
-    );
+    fn handle(&mut self, event: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
 }
 
 /// Outcome of a finished run.
@@ -151,11 +145,7 @@ impl<M: Model> Simulation<M> {
             debug_assert!(scheduled.time >= self.now, "time ran backwards");
             self.now = scheduled.time;
             self.executed += 1;
-            let mut sched = Scheduler {
-                now: self.now,
-                queue: &mut self.queue,
-                _marker: std::marker::PhantomData,
-            };
+            let mut sched = Scheduler { now: self.now, queue: &mut self.queue };
             self.model.handle(scheduled.event, &mut sched);
         }
     }
@@ -183,7 +173,7 @@ mod tests {
 
     impl Model for Countdown {
         type Event = Tick;
-        fn handle(&mut self, _ev: Tick, sched: &mut Scheduler<'_, Tick, EventQueue<Tick>>) {
+        fn handle(&mut self, _ev: Tick, sched: &mut Scheduler<'_, Tick>) {
             self.fired_at.push(sched.now());
             if self.remaining > 0 {
                 self.remaining -= 1;
@@ -265,7 +255,7 @@ mod tests {
         }
         impl Model for Recorder {
             type Event = u32;
-            fn handle(&mut self, ev: u32, _s: &mut Scheduler<'_, u32, EventQueue<u32>>) {
+            fn handle(&mut self, ev: u32, _s: &mut Scheduler<'_, u32>) {
                 self.order.push(ev);
             }
         }

@@ -6,11 +6,22 @@
 //! same-timestamp events** — without it, the relative order of
 //! simultaneous events would depend on heap internals, and the
 //! simulation would no longer be reproducible across refactorings.
+//!
+//! The heap orders 16-byte keys only; the payloads wait in a
+//! [`Slab`]. A key is one `u128`: the firing time in µs in the high
+//! word, and `seq << 24 | slot` in the low one. Sequence numbers are
+//! unique, so the slot bits never decide an order, and a sift moves
+//! 16 bytes however large the event type is.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::slab::Slab;
 use crate::time::SimTime;
+
+/// Bits of a key's low word that hold the payload's slab slot.
+const SLOT_BITS: u32 = 24;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
 /// A scheduled occurrence: an event payload plus its firing time.
 #[derive(Clone, Debug)]
@@ -23,31 +34,12 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Min-priority queue of future events, ordered by `(time, insertion)`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    /// `Reverse` turns the max-heap into earliest-first.
+    heap: BinaryHeap<Reverse<u128>>,
+    payloads: Slab<E>,
     next_seq: u64,
 }
 
@@ -60,29 +52,40 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+        Self::with_capacity(0)
     }
 
     /// An empty queue with space for `cap` pending events.
     pub fn with_capacity(cap: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(cap), next_seq: 0 }
+        EventQueue {
+            heap: BinaryHeap::with_capacity(cap),
+            payloads: Slab::with_capacity(cap),
+            next_seq: 0,
+        }
     }
 
     /// Schedule `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        let slot = self.payloads.insert(event);
+        assert!(u64::from(slot) <= SLOT_MASK, "more than 2^24 pending events");
+        assert!(seq < 1 << (64 - SLOT_BITS), "more than 2^40 events scheduled");
+        let word = seq << SLOT_BITS | u64::from(slot);
+        self.heap.push(Reverse(u128::from(time.as_micros()) << 64 | u128::from(word)));
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop()
+        let Reverse(key) = self.heap.pop()?;
+        let word = key as u64;
+        let event = self.payloads.take((word & SLOT_MASK) as u32);
+        Some(Scheduled { time: key_time(key), seq: word >> SLOT_BITS, event })
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
+        self.heap.peek().map(|&Reverse(key)| key_time(key))
     }
 
     /// Number of pending events.
@@ -99,13 +102,20 @@ impl<E> EventQueue<E> {
     /// determinism across a clear is preserved).
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.payloads.clear();
     }
+}
+
+/// The firing time held in a key's high word.
+fn key_time(key: u128) -> SimTime {
+    SimTime::from_micros((key >> 64) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::rng::Rng;
+    use crate::time::{SimDuration, SimTime};
 
     #[test]
     fn pops_in_time_order() {
@@ -127,7 +137,8 @@ mod tests {
             q.push(t, i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop().unwrap().event, i);
+            let s = q.pop().unwrap();
+            assert_eq!((s.event, s.seq), (i, i as u64));
         }
     }
 
@@ -143,14 +154,59 @@ mod tests {
     }
 
     #[test]
+    fn peek_time_and_len_agree_with_pop() {
+        let mut q = EventQueue::new();
+        let mut rng = Rng::new(3);
+        for i in 0..500u32 {
+            q.push(SimTime::from_micros(rng.index(50) as u64), i);
+        }
+        let mut left = q.len();
+        while let Some(t) = q.peek_time() {
+            assert_eq!(q.len(), left);
+            assert_eq!(q.pop().map(|s| s.time), Some(t));
+            left -= 1;
+        }
+        assert_eq!((left, q.len()), (0, 0));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn hold_operations_reuse_payload_slots() {
+        const DEPTH: usize = 64;
+        let mut q = EventQueue::with_capacity(DEPTH);
+        let mut rng = Rng::new(9);
+        for i in 0..DEPTH {
+            q.push(SimTime::from_micros(rng.index(1_000) as u64), i);
+        }
+        for _ in 0..10_000 {
+            let s = q.pop().unwrap();
+            let at = s.time + SimDuration::from_micros(rng.index(1_000) as u64);
+            q.push(at, s.event);
+            // A hold never grows the slab: every key still names one of
+            // the first DEPTH slots.
+            assert!(q.heap.iter().all(|&Reverse(k)| (k as u64 & SLOT_MASK) < DEPTH as u64));
+        }
+        assert_eq!(q.len(), DEPTH);
+        let mut seen: Vec<usize> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..DEPTH).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn clear_then_reuse_keeps_fifo_ties() {
         let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
+        for i in 0..10 {
+            q.push(SimTime::ZERO, i);
+        }
         q.clear();
         assert!(q.is_empty());
-        q.push(SimTime::ZERO, 2);
-        q.push(SimTime::ZERO, 3);
-        assert_eq!(q.pop().map(|s| s.event), Some(2));
-        assert_eq!(q.pop().map(|s| s.event), Some(3));
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime::ZERO, 20);
+        q.push(SimTime::ZERO, 30);
+        let s = q.pop().unwrap();
+        // The counter kept advancing across the clear.
+        assert_eq!((s.event, s.seq), (20, 10));
+        assert_eq!(q.pop().map(|s| s.event), Some(30));
+        assert!(q.pop().is_none());
     }
 }

@@ -9,8 +9,10 @@
 //! distributions and streaming statistics the evaluation needs.
 //!
 //! * [`time`] — µs-resolution simulated clock types.
-//! * [`event`] — binary-heap pending-event set with FIFO tie-breaking.
-//! * [`calendar`] — calendar-queue alternative scheduler (ablation).
+//! * [`event`] — binary-heap pending-event set with FIFO tie-breaking:
+//!   16-byte keys in the heap, payloads in a slab.
+//! * [`slab`] — free-listed arena addressed by `u32` slots (event
+//!   payloads, segments in flight).
 //! * [`engine`] — the `Model`/`Simulation` driver.
 //! * [`rng`] — seeded xoshiro256** PRNG and the paper's distributions
 //!   (Poisson, Pareto, power-law/Zipf, log-normal, …).
@@ -34,7 +36,7 @@
 //!
 //! impl Model for Pinger {
 //!     type Event = Ev;
-//!     fn handle(&mut self, _ev: Ev, sched: &mut Scheduler<'_, Ev, EventQueue<Ev>>) {
+//!     fn handle(&mut self, _ev: Ev, sched: &mut Scheduler<'_, Ev>) {
 //!         self.pongs += 1;
 //!         if self.pongs < 3 {
 //!             sched.schedule_in(SimDuration::from_millis(10), Ev::Ping);
@@ -52,20 +54,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod calendar;
 pub mod causal;
 pub mod engine;
 pub mod event;
 pub mod live;
 pub mod rng;
 pub mod series;
+pub mod slab;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
 
 /// Convenience re-exports of the types almost every consumer needs.
 pub mod prelude {
-    pub use crate::calendar::{CalendarQueue, PendingSet};
     pub use crate::causal::{
         AdaptProvenance, CausalLog, CausalReport, DropProvenance, DropShare, Outcome, SegmentTrace,
         Stage,

@@ -3,14 +3,15 @@
 //! The slab refactor's claim is not just "fewer allocations" but
 //! *zero* heap traffic once the system reaches steady state: every
 //! player/host/flow structure lives in a preallocated slab, event
-//! payloads are inline (no `Box<Segment>`), and the path cache is
-//! computed at join time. This test pins that claim with a counting
+//! payloads and segments in flight sit in free-listed slabs (no
+//! `Box<Segment>`) that stop growing once the ramp peaks, and the
+//! stream path is computed at join time. This test pins that claim with a counting
 //! global allocator: drive a mid-size CloudFog/A simulation in 10 s
 //! ticks, snapshot the allocation counter at the first tick boundary
 //! and again at the last, and assert the counter did not move.
 //!
 //! The first boundary sits well past the join ramp so every slab,
-//! sender buffer, event-queue arena and `update_feeds` entry is warm,
+//! sender buffer, event-queue and segment slab and `update_feeds` entry is warm,
 //! and the window covers the driver's own tick loop too. Only
 //! allocations are counted (deallocs/frees are not) — a steady state
 //! that frees memory it then re-acquires would still fail, which is

@@ -25,31 +25,37 @@ proptest! {
         }
     }
 
-    /// Calendar queue and binary heap agree on any monotone schedule.
+    /// The event queue matches a `Vec` kept sorted by `(time,
+    /// insertion)` under interleaved pushes and pops. Eight distinct
+    /// delays make ties common, and every third op is a pop, so freed
+    /// payload slots are refilled while older events are still pending:
+    /// a later event parked in a lower slot must still fire after the
+    /// earlier events it ties with.
     #[test]
-    fn calendar_agrees_with_heap(deltas in prop::collection::vec(0u64..500_000, 1..150)) {
-        let mut cal = CalendarQueue::new();
-        let mut heap = EventQueue::new();
+    fn event_queue_agrees_with_sorted_reference(ops in prop::collection::vec((0u8..3, 0u64..8), 1..400)) {
+        let mut queue = EventQueue::new();
+        let mut reference: Vec<(SimTime, usize)> = Vec::new();
         let mut now = SimTime::ZERO;
-        let mut pending = 0usize;
-        for (i, &d) in deltas.iter().enumerate() {
-            cal.push(now + SimDuration::from_micros(d), i);
-            heap.push(now + SimDuration::from_micros(d), i);
-            pending += 1;
-            if pending > 4 {
-                let a = cal.pop().unwrap();
-                let b = heap.pop().unwrap();
-                prop_assert_eq!(a.time, b.time);
-                prop_assert_eq!(a.event, b.event);
-                now = a.time;
-                pending -= 1;
+        for (i, &(op, delay)) in ops.iter().enumerate() {
+            if op == 0 && !reference.is_empty() {
+                let want = reference.remove(0);
+                let got = queue.pop().unwrap();
+                prop_assert_eq!((got.time, got.event), want);
+                now = got.time;
+            } else {
+                let at = now + SimDuration::from_micros(delay * 100);
+                queue.push(at, i);
+                let pos = reference.partition_point(|&e| e <= (at, i));
+                reference.insert(pos, (at, i));
             }
+            prop_assert_eq!(queue.len(), reference.len());
+            prop_assert_eq!(queue.peek_time(), reference.first().map(|e| e.0));
         }
-        while let Some(b) = heap.pop() {
-            let a = cal.pop().unwrap();
-            prop_assert_eq!(a.time, b.time);
-            prop_assert_eq!(a.event, b.event);
+        for want in reference {
+            let got = queue.pop().unwrap();
+            prop_assert_eq!((got.time, got.event), want);
         }
+        prop_assert!(queue.pop().is_none());
     }
 
     /// Welford merge is equivalent to sequential accumulation.
