@@ -50,11 +50,15 @@
 //! controller is re-homed as [`BufferOccupancyPolicy`] — bit-identical
 //! to calling [`RateController`] directly, which the golden refactor
 //! gate pins. Select a policy per run via [`AdaptPolicyKind`] and
-//! `StreamingSimConfig::builder(..).policy(..)`.
+//! `StreamingSimConfig::builder(..).policy(..)`. The simulation keeps
+//! each stream's policy inline in its player record as a
+//! [`StreamPolicy`], one enum over the contestants, and dispatches with
+//! a `match`; [`AdaptPolicyKind::build`] boxes that same value for
+//! callers that want the trait object.
 
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::time::{SimDuration, SimTime};
-use cloudfog_workload::games::{adjust_up_factor, Game, QualityLevel};
+use cloudfog_workload::games::{adjust_up_factor, Game, QualityLevel, QUALITY_LEVELS};
 
 use crate::config::SystemParams;
 
@@ -140,13 +144,42 @@ impl SwitchDriver {
     }
 }
 
+/// A rung of the quality ladder, stored as its level: one byte of a
+/// policy's state where the [`QualityLevel`] row it names takes 32, so
+/// that a [`StreamPolicy`] fits inline in a player record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Rung {
+    level: u8,
+}
+
+impl Rung {
+    fn of(quality: QualityLevel) -> Self {
+        Rung { level: quality.level }
+    }
+
+    /// The ladder row this rung names.
+    fn get(self) -> QualityLevel {
+        QualityLevel::get(self.level)
+    }
+
+    /// The rung above, as [`QualityLevel::up`].
+    fn up(self) -> Option<Rung> {
+        (usize::from(self.level) < QUALITY_LEVELS.len()).then(|| Rung { level: self.level + 1 })
+    }
+
+    /// The rung below, as [`QualityLevel::down`].
+    fn down(self) -> Option<Rung> {
+        (self.level > 1).then(|| Rung { level: self.level - 1 })
+    }
+}
+
 /// The receiver-side rate adaptation state machine for one stream.
 #[derive(Clone, Debug)]
 pub struct RateController {
     /// Current encoding quality level.
-    quality: QualityLevel,
+    quality: Rung,
     /// Ceiling: the game's max level (from its latency requirement).
-    max_quality: QualityLevel,
+    max_quality: Rung,
     /// Adjust-up factor β (Eq. 10) — a property of the level table.
     beta: f64,
     /// Adjust-down threshold θ.
@@ -174,7 +207,7 @@ pub struct RateController {
 impl RateController {
     /// A controller for `game` starting at the game's maximum quality.
     pub fn new(game: &Game, theta: f64, window: u32) -> Self {
-        let max_quality = game.max_quality();
+        let max_quality = Rung::of(game.max_quality());
         RateController {
             quality: max_quality,
             max_quality,
@@ -201,7 +234,7 @@ impl RateController {
 
     /// Current encoding quality.
     pub fn quality(&self) -> QualityLevel {
-        self.quality
+        self.quality.get()
     }
 
     /// The up threshold `(1 + β)/ρ` in segment counts.
@@ -514,8 +547,8 @@ impl AdaptPolicy for BufferOccupancyPolicy {
 /// DASH-era alternative the arena compares against.
 #[derive(Clone, Debug)]
 pub struct BandwidthAwarePolicy {
-    quality: QualityLevel,
-    max_quality: QualityLevel,
+    quality: Rung,
+    max_quality: Rung,
     /// Consecutive estimations a condition must hold.
     window: u32,
     /// Required throughput margin: a level fits when
@@ -533,7 +566,7 @@ impl BandwidthAwarePolicy {
     /// A bandwidth-aware policy for `game` starting at the game's
     /// maximum quality.
     pub fn new(game: &Game, params: &SystemParams) -> Self {
-        let max_quality = game.max_quality();
+        let max_quality = Rung::of(game.max_quality());
         BandwidthAwarePolicy {
             quality: max_quality,
             max_quality,
@@ -548,18 +581,21 @@ impl BandwidthAwarePolicy {
 
     /// One hysteresis estimation against the current EWMA.
     fn decide(&mut self) -> (RateDecision, AdaptExplain) {
-        let current = self.quality.bitrate_kbps as f64;
+        let current = self.quality.get().bitrate_kbps as f64;
         let next =
             (self.quality.level < self.max_quality.level).then(|| self.quality.up()).flatten();
         // Thresholds in units of the current level's bitrate, so the
         // explain snapshot reads like the paper's `r` vs thresholds.
         let surplus = self.ewma_kbps / current;
-        let up_threshold = next.map_or(0.0, |n| self.headroom * n.bitrate_kbps as f64 / current);
+        let up_threshold =
+            next.map_or(0.0, |n| self.headroom * n.get().bitrate_kbps as f64 / current);
         let down_threshold = self.headroom;
         if self.ewma_kbps < self.headroom * current {
             self.down_run += 1;
             self.up_run = 0;
-        } else if next.is_some_and(|n| self.ewma_kbps >= self.headroom * n.bitrate_kbps as f64) {
+        } else if next
+            .is_some_and(|n| self.ewma_kbps >= self.headroom * n.get().bitrate_kbps as f64)
+        {
             self.up_run += 1;
             self.down_run = 0;
         } else {
@@ -602,13 +638,13 @@ impl AdaptPolicy for BandwidthAwarePolicy {
     }
 
     fn quality(&self) -> QualityLevel {
-        self.quality
+        self.quality.get()
     }
 
     fn prime(&mut self, segments: f64, _segment_duration: SimDuration) {
         // A prebuffer of n segments reads as n× real-time throughput
         // banked: seed the EWMA at that multiple of the current level.
-        self.ewma_kbps = self.quality.bitrate_kbps as f64 * segments.max(0.0);
+        self.ewma_kbps = self.quality.get().bitrate_kbps as f64 * segments.max(0.0);
     }
 
     fn observe_explained(
@@ -618,7 +654,7 @@ impl AdaptPolicy for BandwidthAwarePolicy {
     ) -> (RateDecision, AdaptExplain) {
         // d is normalized to the current bitrate (video-seconds per
         // wall second), so the absolute throughput sample is d × b_q.
-        let sample = inputs.download_rate.max(0.0) * self.quality.bitrate_kbps as f64;
+        let sample = inputs.download_rate.max(0.0) * self.quality.get().bitrate_kbps as f64;
         self.ewma_kbps = if self.ewma_kbps == 0.0 {
             sample
         } else {
@@ -643,8 +679,8 @@ impl AdaptPolicy for BandwidthAwarePolicy {
 /// Quality follows attention, bandwidth permitting.
 #[derive(Clone, Debug)]
 pub struct FoveatedPolicy {
-    quality: QualityLevel,
-    max_quality: QualityLevel,
+    quality: Rung,
+    max_quality: Rung,
     window: u32,
     /// Congestion guard threshold θ/ρ (same form as Eq. 11).
     theta: f64,
@@ -661,7 +697,7 @@ impl FoveatedPolicy {
     /// A foveated policy for `game` starting at the game's maximum
     /// quality with a neutral (foveal) gaze.
     pub fn new(game: &Game, params: &SystemParams) -> Self {
-        let max_quality = game.max_quality();
+        let max_quality = Rung::of(game.max_quality());
         FoveatedPolicy {
             quality: max_quality,
             max_quality,
@@ -758,7 +794,7 @@ impl AdaptPolicy for FoveatedPolicy {
     }
 
     fn quality(&self) -> QualityLevel {
-        self.quality
+        self.quality.get()
     }
 
     fn prime(&mut self, segments: f64, segment_duration: SimDuration) {
@@ -798,8 +834,8 @@ impl AdaptPolicy for FoveatedPolicy {
 /// all recover in lockstep and immediately re-overload it.
 #[derive(Clone, Debug)]
 pub struct ServerAwarePolicy {
-    quality: QualityLevel,
-    max_quality: QualityLevel,
+    quality: Rung,
+    max_quality: Rung,
     window: u32,
     load_high: f64,
     load_low: f64,
@@ -812,7 +848,7 @@ impl ServerAwarePolicy {
     /// A server-aware policy for `game` starting at the game's
     /// maximum quality.
     pub fn new(game: &Game, params: &SystemParams) -> Self {
-        let max_quality = game.max_quality();
+        let max_quality = Rung::of(game.max_quality());
         ServerAwarePolicy {
             quality: max_quality,
             max_quality,
@@ -880,7 +916,7 @@ impl AdaptPolicy for ServerAwarePolicy {
     }
 
     fn quality(&self) -> QualityLevel {
-        self.quality
+        self.quality.get()
     }
 
     fn prime(&mut self, _segments: f64, _segment_duration: SimDuration) {}
@@ -900,6 +936,108 @@ impl AdaptPolicy for ServerAwarePolicy {
         rng: &mut Rng,
     ) -> (RateDecision, AdaptExplain) {
         self.decide(rng)
+    }
+}
+
+/// One stream's adaptation policy, stored inline: one variant per arena
+/// contestant, plus [`StreamPolicy::Fixed`] for a stream that does not
+/// adapt (a system without adaptation, or a session a brownout cap
+/// pins). [`AdaptPolicyKind::policy`] builds the adaptive variants and
+/// [`AdaptPolicyKind::build`] boxes what it builds.
+#[derive(Clone, Debug)]
+pub enum StreamPolicy {
+    /// The paper's §III-B controller.
+    BufferOccupancy(BufferOccupancyPolicy),
+    /// Throughput-EWMA level selection.
+    BandwidthAware(BandwidthAwarePolicy),
+    /// Gaze-weighted quality targets.
+    Foveated(FoveatedPolicy),
+    /// Supernode-load feedback.
+    ServerAware(ServerAwarePolicy),
+    /// A quality nothing changes: every estimation holds.
+    Fixed(QualityLevel),
+}
+
+impl StreamPolicy {
+    /// False for [`StreamPolicy::Fixed`], whose decision is always
+    /// [`RateDecision::Hold`]: callers skip gathering its inputs.
+    pub fn adapts(&self) -> bool {
+        !matches!(self, StreamPolicy::Fixed(_))
+    }
+
+    /// The explain snapshot of a fixed stream's hold.
+    fn fixed_explain(quality: QualityLevel) -> AdaptExplain {
+        AdaptExplain {
+            r: 0.0,
+            up_threshold: 0.0,
+            down_threshold: 0.0,
+            up_run: 0,
+            down_run: 0,
+            stable_run: 0,
+            from_level: quality.level,
+            probe: false,
+            driver: None,
+        }
+    }
+}
+
+impl AdaptPolicy for StreamPolicy {
+    fn name(&self) -> &'static str {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.name(),
+            StreamPolicy::BandwidthAware(p) => p.name(),
+            StreamPolicy::Foveated(p) => p.name(),
+            StreamPolicy::ServerAware(p) => p.name(),
+            StreamPolicy::Fixed(_) => "fixed",
+        }
+    }
+
+    fn quality(&self) -> QualityLevel {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.quality(),
+            StreamPolicy::BandwidthAware(p) => p.quality(),
+            StreamPolicy::Foveated(p) => p.quality(),
+            StreamPolicy::ServerAware(p) => p.quality(),
+            StreamPolicy::Fixed(q) => *q,
+        }
+    }
+
+    fn prime(&mut self, segments: f64, segment_duration: SimDuration) {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.prime(segments, segment_duration),
+            StreamPolicy::BandwidthAware(p) => p.prime(segments, segment_duration),
+            StreamPolicy::Foveated(p) => p.prime(segments, segment_duration),
+            StreamPolicy::ServerAware(p) => p.prime(segments, segment_duration),
+            StreamPolicy::Fixed(_) => {}
+        }
+    }
+
+    fn observe_explained(
+        &mut self,
+        inputs: &PolicyInputs,
+        rng: &mut Rng,
+    ) -> (RateDecision, AdaptExplain) {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.observe_explained(inputs, rng),
+            StreamPolicy::BandwidthAware(p) => p.observe_explained(inputs, rng),
+            StreamPolicy::Foveated(p) => p.observe_explained(inputs, rng),
+            StreamPolicy::ServerAware(p) => p.observe_explained(inputs, rng),
+            StreamPolicy::Fixed(q) => (RateDecision::Hold, Self::fixed_explain(*q)),
+        }
+    }
+
+    fn evaluate_explained(
+        &mut self,
+        segment_duration: SimDuration,
+        rng: &mut Rng,
+    ) -> (RateDecision, AdaptExplain) {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.evaluate_explained(segment_duration, rng),
+            StreamPolicy::BandwidthAware(p) => p.evaluate_explained(segment_duration, rng),
+            StreamPolicy::Foveated(p) => p.evaluate_explained(segment_duration, rng),
+            StreamPolicy::ServerAware(p) => p.evaluate_explained(segment_duration, rng),
+            StreamPolicy::Fixed(q) => (RateDecision::Hold, Self::fixed_explain(*q)),
+        }
     }
 }
 
@@ -951,15 +1089,26 @@ impl AdaptPolicyKind {
     /// Construct and prime the policy for one stream of `game` —
     /// every policy starts with the same one-segment prebuffer the
     /// paper controller gets at join.
-    pub fn build(self, game: &Game, params: &SystemParams) -> Box<dyn AdaptPolicy> {
-        let mut policy: Box<dyn AdaptPolicy> = match self {
-            AdaptPolicyKind::BufferOccupancy => Box::new(BufferOccupancyPolicy::new(game, params)),
-            AdaptPolicyKind::BandwidthAware => Box::new(BandwidthAwarePolicy::new(game, params)),
-            AdaptPolicyKind::Foveated => Box::new(FoveatedPolicy::new(game, params)),
-            AdaptPolicyKind::ServerAware => Box::new(ServerAwarePolicy::new(game, params)),
+    pub fn policy(self, game: &Game, params: &SystemParams) -> StreamPolicy {
+        let mut policy = match self {
+            AdaptPolicyKind::BufferOccupancy => {
+                StreamPolicy::BufferOccupancy(BufferOccupancyPolicy::new(game, params))
+            }
+            AdaptPolicyKind::BandwidthAware => {
+                StreamPolicy::BandwidthAware(BandwidthAwarePolicy::new(game, params))
+            }
+            AdaptPolicyKind::Foveated => StreamPolicy::Foveated(FoveatedPolicy::new(game, params)),
+            AdaptPolicyKind::ServerAware => {
+                StreamPolicy::ServerAware(ServerAwarePolicy::new(game, params))
+            }
         };
         policy.prime(1.0, params.segment_duration);
         policy
+    }
+
+    /// [`AdaptPolicyKind::policy`] behind the object-safe trait.
+    pub fn build(self, game: &Game, params: &SystemParams) -> Box<dyn AdaptPolicy> {
+        Box::new(self.policy(game, params))
     }
 }
 
@@ -1009,7 +1158,7 @@ mod tests {
     fn sustained_surplus_adjusts_up_after_window() {
         let mut c = controller(1); // max level 4, ρ = 0.9
                                    // Force quality down so there is headroom to move up.
-        c.quality = QualityLevel::get(2);
+        c.quality = Rung { level: 2 };
         // Healthy buffer: download 3× playback, 1 s steps.
         let mut decisions = Vec::new();
         for k in 0..10 {
@@ -1055,7 +1204,7 @@ mod tests {
     #[test]
     fn hysteresis_requires_consecutive_hits() {
         let mut c = controller(1);
-        c.quality = QualityLevel::get(2);
+        c.quality = Rung { level: 2 };
         // Alternate surplus and balance: the run counter must reset,
         // so no switch ever fires.
         for k in 0..20 {
@@ -1071,7 +1220,7 @@ mod tests {
     #[test]
     fn paper_faithful_controller_never_probes_up_in_steady_state() {
         let mut c = controller(1);
-        c.quality = QualityLevel::get(2);
+        c.quality = Rung { level: 2 };
         c.prime(1.0, TAU);
         for k in 0..200 {
             // Perfectly healthy realtime stream: d = 1, r pinned ≈ 1.
@@ -1084,7 +1233,7 @@ mod tests {
     #[test]
     fn up_probe_extension_recovers_quality_in_steady_state() {
         let mut c = RateController::new(&GAMES[1], 0.5, 3).with_up_probe(10);
-        c.quality = QualityLevel::get(2);
+        c.quality = Rung { level: 2 };
         c.prime(1.0, TAU);
         let mut ups = 0;
         for k in 0..50 {
@@ -1104,7 +1253,7 @@ mod tests {
     #[test]
     fn up_probe_does_not_fire_while_starving() {
         let mut c = RateController::new(&GAMES[1], 0.5, 3).with_up_probe(5);
-        c.quality = QualityLevel::get(2);
+        c.quality = Rung { level: 2 };
         // Starved stream: r ≈ 0, the probe must stay quiet (quality
         // can only go down).
         for k in 0..30 {
@@ -1292,6 +1441,21 @@ mod tests {
                 assert_eq!(p.name(), kind.label());
             }
         }
+    }
+
+    #[test]
+    fn fixed_policy_always_holds_its_quality() {
+        let quality = QualityLevel::get(2);
+        let mut p = StreamPolicy::Fixed(quality);
+        let mut rng = Rng::new(7);
+        assert!(!p.adapts());
+        p.prime(3.0, TAU);
+        for k in 0..10 {
+            let (dec, ex) = p.observe_explained(&rate_inputs(k as f64, 0.0), &mut rng);
+            assert_eq!((dec, ex.from_level), (RateDecision::Hold, 2));
+            assert_eq!(p.evaluate_explained(TAU, &mut rng).0, RateDecision::Hold);
+        }
+        assert_eq!(p.quality(), quality);
     }
 
     #[test]

@@ -157,8 +157,6 @@ pub struct SystemParams {
     /// Average latency reduced by dropping one queued packet, σ, used
     /// in `D_i = (L_r − L̃_r)/σ`.
     pub sigma_per_packet: SimDuration,
-    /// Propagation-delay estimator window m (Eq. 13).
-    pub propagation_window: usize,
     /// Baseline end-to-end packet loss for the TCP throughput model
     /// (Mathis et al.): loss grows with distance.
     pub base_loss_rate: f64,
@@ -221,7 +219,6 @@ impl SystemParams {
         actions_per_sec: 5.0,
         mtu: 1_500,
         sigma_per_packet: SimDuration::from_micros(500),
-        propagation_window: 16,
         base_loss_rate: 0.002,
         loss_per_1000km: 0.010,
         lmax_fraction: 0.5,

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use crate::adapt::AdaptExplain;
     pub use crate::adapt::{
         AdaptPolicy, AdaptPolicyKind, BandwidthAwarePolicy, BufferOccupancyPolicy, FoveatedPolicy,
-        PolicyInputs, ServerAwarePolicy, SwitchDriver,
+        PolicyInputs, ServerAwarePolicy, StreamPolicy, SwitchDriver,
     };
     pub use crate::adapt::{RateController, RateDecision};
     pub use crate::cache::{CacheStats, SegmentCache, SegmentKey};

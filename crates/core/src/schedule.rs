@@ -14,9 +14,9 @@
 //! The prediction is Eq. 12, `L_r = l_r + l_s + l_q + l_t + l_p`:
 //! elapsed time since the action (covers the receive and render legs),
 //! queueing delay `np_i/λ_r`, transmission `s_i/λ_r`, and the
-//! propagation estimate of Eq. 13 (mean over the last m packets to
-//! that player). The drop budget is `D_i = (L_r − L̃_r)/σ`, allocated
-//! over segments `k ≤ i` by Eq. 14:
+//! propagation estimate of Eq. 13 (mean over the last
+//! [`PROPAGATION_WINDOW`] packets to that player). The drop budget is
+//! `D_i = (L_r − L̃_r)/σ`, allocated over segments `k ≤ i` by Eq. 14:
 //!
 //! ```text
 //! d_k = (L̃_t_k · φ_k) / (Σ_{j≤i} L̃_t_j · φ_j) × D_i ,   φ_k = e^{−λ·wait_k}
@@ -26,16 +26,20 @@
 //! while segments that already waited (small φ) are spared — they
 //! were already punished by queueing.
 
-use std::collections::HashMap;
-
 use cloudfog_net::bandwidth::Mbps;
 use cloudfog_sim::causal::{DropProvenance, DropShare};
-use cloudfog_sim::stats::SlidingMean;
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::player::PlayerId;
 
 use crate::config::SystemParams;
 use crate::streaming::Segment;
+
+/// Eq. 13's window m: the propagation estimate averages the delays of
+/// the last 16 packets to a player.
+pub const PROPAGATION_WINDOW: usize = 16;
+
+/// Propagation estimate (ms) before any packet to the player landed.
+const DEFAULT_PROPAGATION_MS: f64 = 10.0;
 
 /// Which queueing discipline the sender runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,15 +68,83 @@ pub struct SenderBuffer {
     /// Pending segments; head is `queue[0]`. Deadline policy keeps
     /// this sorted by expected arrival, FIFO by insertion.
     queue: Vec<Segment>,
-    /// Eq. 13 propagation estimators, per destination player.
-    propagation: HashMap<PlayerId, SlidingMean>,
-    /// Estimator window m.
-    window: usize,
-    /// Default propagation guess before any measurement (ms).
-    default_propagation_ms: f64,
+    /// Eq. 13 propagation estimators, per destination player. Only the
+    /// deadline policy reads them (its Eq. 12), so a FIFO sender keeps
+    /// this empty.
+    propagation: PropagationTable,
     /// Reusable Eq. 14 working storage (weights / per-segment drops /
     /// spill order) so steady-state rebalances never touch the heap.
     scratch: RebalanceScratch,
+}
+
+/// Eq. 13 estimator for one player: the mean of the last
+/// [`PROPAGATION_WINDOW`] delays, kept in an inline ring of whole
+/// microseconds. A delay leaving the window is converted to milliseconds
+/// again, which gives the bits it entered with, and the adds and
+/// subtracts run in the order of
+/// [`SlidingMean`](cloudfog_sim::stats::SlidingMean)'s, so every mean has
+/// the same bits.
+#[derive(Clone, Copy, Debug, Default)]
+struct PropagationEstimator {
+    sum_ms: f64,
+    delays_us: [u32; PROPAGATION_WINDOW],
+    /// Delays held, up to the window.
+    len: u8,
+    /// Ring slot the next delay overwrites once the window is full.
+    next: u8,
+}
+
+impl PropagationEstimator {
+    /// Fold in one delay, evicting the oldest once the window is full.
+    fn push(&mut self, delay: SimDuration) {
+        let us = u32::try_from(delay.as_micros()).expect("a propagation delay is under 71 minutes");
+        let ms = delay.as_millis_f64();
+        if usize::from(self.len) < PROPAGATION_WINDOW {
+            self.delays_us[usize::from(self.len)] = us;
+            self.len += 1;
+            self.sum_ms += ms;
+        } else {
+            let next = usize::from(self.next);
+            let oldest = SimDuration::from_micros(u64::from(self.delays_us[next]));
+            self.sum_ms += ms - oldest.as_millis_f64();
+            self.delays_us[next] = us;
+            self.next = ((next + 1) % PROPAGATION_WINDOW) as u8;
+        }
+    }
+
+    /// Mean of the delays held, in ms (`None` before the first).
+    fn mean(&self) -> Option<f64> {
+        (self.len > 0).then(|| self.sum_ms / f64::from(self.len))
+    }
+}
+
+/// A sender's Eq. 13 estimators, keyed by player id: the ids sorted in
+/// one array, each estimator at its id's index in the other. A sender
+/// serves a handful of players, so their ids share a cache line or two
+/// and a lookup is a short binary search with no hashing; a new player
+/// is an insert into both arrays.
+#[derive(Clone, Debug, Default)]
+struct PropagationTable {
+    players: Vec<PlayerId>,
+    estimators: Vec<PropagationEstimator>,
+}
+
+impl PropagationTable {
+    fn get(&self, player: PlayerId) -> Option<&PropagationEstimator> {
+        self.players.binary_search(&player).ok().map(|i| &self.estimators[i])
+    }
+
+    fn get_or_insert(&mut self, player: PlayerId) -> &mut PropagationEstimator {
+        let i = match self.players.binary_search(&player) {
+            Ok(i) => i,
+            Err(i) => {
+                self.players.insert(i, player);
+                self.estimators.insert(i, PropagationEstimator::default());
+                i
+            }
+        };
+        &mut self.estimators[i]
+    }
 }
 
 /// Scratch buffers reused across [`SenderBuffer::rebalance`] calls.
@@ -85,15 +157,15 @@ struct RebalanceScratch {
 }
 
 impl SenderBuffer {
-    /// An empty buffer with the given policy and uplink capacity.
-    pub fn new(policy: SchedulingPolicy, uplink: Mbps, params: &SystemParams) -> Self {
+    /// An empty buffer with the given policy and uplink capacity. No
+    /// run parameter shapes an empty buffer; `_params` stays because
+    /// the benchmark calls this signature (DESIGN.md §10c).
+    pub fn new(policy: SchedulingPolicy, uplink: Mbps, _params: &SystemParams) -> Self {
         SenderBuffer {
             policy,
             uplink,
             queue: Vec::new(),
-            propagation: HashMap::new(),
-            window: params.propagation_window,
-            default_propagation_ms: 10.0,
+            propagation: PropagationTable::default(),
             scratch: RebalanceScratch::default(),
         }
     }
@@ -123,19 +195,20 @@ impl SenderBuffer {
     }
 
     /// Record a measured propagation delay for `player` (Eq. 13 feed).
+    /// A FIFO sender never reads the estimate, so it ignores the delay.
     pub fn record_propagation(&mut self, player: PlayerId, delay: SimDuration) {
-        self.propagation
-            .entry(player)
-            .or_insert_with(|| SlidingMean::new(self.window))
-            .push(delay.as_millis_f64());
+        if self.policy == SchedulingPolicy::DeadlineDriven {
+            self.propagation.get_or_insert(player).push(delay);
+        }
     }
 
-    /// Eq. 13: estimated propagation delay to `player` (ms).
+    /// Eq. 13: estimated propagation delay to `player` (ms); 10 ms
+    /// before the first delay is recorded, and always on a FIFO sender.
     pub fn propagation_estimate_ms(&self, player: PlayerId) -> f64 {
         self.propagation
-            .get(&player)
-            .and_then(SlidingMean::mean)
-            .unwrap_or(self.default_propagation_ms)
+            .get(player)
+            .and_then(PropagationEstimator::mean)
+            .unwrap_or(DEFAULT_PROPAGATION_MS)
     }
 
     /// Enqueue a segment at `now`; under the deadline policy this may
@@ -411,6 +484,15 @@ mod tests {
             buf.record_propagation(PlayerId(9), SimDuration::from_millis(ms));
         }
         assert!((buf.propagation_estimate_ms(PlayerId(9)) - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fifo_sender_keeps_no_propagation_estimate() {
+        let p = params();
+        let mut buf = SenderBuffer::new(SchedulingPolicy::Fifo, Mbps(40.0), &p);
+        buf.record_propagation(PlayerId(9), SimDuration::from_millis(30));
+        assert_eq!(buf.propagation_estimate_ms(PlayerId(9)), 10.0);
+        assert!(buf.propagation.players.is_empty());
     }
 
     #[test]

@@ -336,8 +336,8 @@ impl StreamingSim {
         let orphans = self.deployment.supernodes.retire(sn);
         let mut orphan_secs = 0.0;
         for p in &orphans {
-            if let Some(a) = self.active[p.index()].as_ref() {
-                let attached_from = died_at.max(a.joined_at);
+            if self.active[p.index()].is_some() {
+                let attached_from = died_at.max(self.sessions[p.index()].joined_at);
                 orphan_secs += now.saturating_since(attached_from).as_secs_f64();
             }
         }
@@ -362,11 +362,12 @@ impl StreamingSim {
         for idx in 0..self.active.len() {
             let p = PlayerId(idx as u32);
             let Some(a) = self.active[idx].as_mut() else { continue };
+            let cold = &mut self.sessions[idx];
             let (on_time, total) = (a.window_on_time, a.window_packets);
             a.window_on_time = 0;
             a.window_packets = 0;
             if a.source.supernode.is_none() {
-                a.low_checks = 0;
+                cold.low_checks = 0;
                 continue; // nowhere better to go
             }
             if total == 0 {
@@ -374,15 +375,15 @@ impl StreamingSim {
             }
             let continuity = on_time as f64 / total as f64;
             if continuity < watchdog::CONTINUITY_THRESHOLD {
-                a.low_checks += 1;
+                cold.low_checks += 1;
             } else {
-                a.low_checks = 0;
+                cold.low_checks = 0;
             }
-            if a.low_checks >= watchdog::CONSECUTIVE_CHECKS
-                && now.saturating_since(a.last_reassign) >= watchdog::COOLDOWN
+            if cold.low_checks >= watchdog::CONSECUTIVE_CHECKS
+                && now.saturating_since(cold.last_reassign) >= watchdog::COOLDOWN
             {
-                a.low_checks = 0;
-                a.last_reassign = now;
+                cold.low_checks = 0;
+                cold.last_reassign = now;
                 moves.push(p);
             }
         }

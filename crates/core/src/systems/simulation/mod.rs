@@ -65,7 +65,9 @@ use control::{Control, ControlEv};
 use faults::{FaultEv, Faults};
 use prefetch::{PrefetchEv, PrefetchState};
 
-use crate::adapt::{AdaptPolicy, AdaptPolicyKind, PolicyInputs, RateDecision, SwitchDriver};
+use crate::adapt::{
+    AdaptPolicy, AdaptPolicyKind, PolicyInputs, RateDecision, StreamPolicy, SwitchDriver,
+};
 use crate::config::{ExperimentProfile, SystemParams, MAX_WORLD_PLAYERS, MIN_WORLD_PLAYERS};
 use crate::fault::FaultScript;
 use crate::infra::SupernodeId;
@@ -510,43 +512,53 @@ impl QoeSeries {
     }
 }
 
-/// Per-active-player state.
+/// Per-active-player state the data plane reads or writes on every
+/// segment (`Action`, `Enqueue`, `StartTx`, `Deliver`). What only a
+/// join, a failover or the watchdog touches is in [`SessionCold`].
 struct ActivePlayer {
     game: GameId,
     source: StreamSource,
     /// The current source's [`Deployment::path`] to this player.
     paths: StreamPath,
-    /// §III-A.3 backup supernodes for failover.
-    backups: Vec<SupernodeId>,
     /// The stream's adaptation policy ([`StreamingSimConfig::policy`]),
-    /// present when the system adapts and no quality cap pins the
-    /// stream.
-    controller: Option<Box<dyn AdaptPolicy>>,
-    /// Fixed quality when no controller runs.
-    quality: QualityLevel,
-    /// Last instant the controller's buffer estimate was advanced.
+    /// or [`StreamPolicy::Fixed`] when the system does not adapt or a
+    /// quality cap pins the stream.
+    policy: StreamPolicy,
+    /// Last instant the policy's buffer estimate was advanced.
     last_buffer_event: SimTime,
-    /// When this session started (orphan accounting).
-    joined_at: SimTime,
     /// QoE-watchdog window: packets that landed on time.
     window_on_time: u64,
     /// QoE-watchdog window: packets owed (delivered, lost, or skipped).
     window_packets: u64,
-    /// Consecutive below-threshold watchdog checks.
-    low_checks: u32,
-    /// Last watchdog re-assignment (or join), for the cooldown.
-    last_reassign: SimTime,
     /// Churn lifecycle: true once the session is draining — no new
     /// actions, in-flight deliveries continue until the control plane
     /// tears it down. Always false when churn is off.
     draining: bool,
 }
 
+// The hot record is read on every segment; keep it within three cache
+// lines.
+const _: () = assert!(size_of::<Option<ActivePlayer>>() <= 192);
+
 impl ActivePlayer {
     /// The quality the next segment is encoded at.
     fn current_quality(&self) -> QualityLevel {
-        self.controller.as_ref().map(|c| c.quality()).unwrap_or(self.quality)
+        self.policy.quality()
     }
+}
+
+/// Per-session state off the per-segment path, indexed like
+/// [`StreamingSim::active`] and meaningful while that slot is `Some`.
+#[derive(Default)]
+struct SessionCold {
+    /// §III-A.3 backup supernodes for failover.
+    backups: Vec<SupernodeId>,
+    /// When this session started (orphan accounting).
+    joined_at: SimTime,
+    /// Consecutive below-threshold watchdog checks.
+    low_checks: u32,
+    /// Last watchdog re-assignment (or join), for the cooldown.
+    last_reassign: SimTime,
 }
 
 const NUM_REGIONS: usize = Region::ALL.len();
@@ -615,6 +627,8 @@ pub struct StreamingSim {
     /// Per-player state slab, indexed by [`PlayerId::index`]
     /// (`None` = not currently in a session).
     active: Vec<Option<ActivePlayer>>,
+    /// The cold half of each session, indexed like `active`.
+    sessions: Vec<SessionCold>,
     /// Per-host sender slab, indexed by [`HostId::index`]
     /// (`None` = host has never sourced a stream).
     senders: Vec<Option<Sender>>,
@@ -713,6 +727,7 @@ impl StreamingSim {
         StreamingSim {
             deployment,
             active: (0..n).map(|_| None).collect(),
+            sessions: (0..n).map(|_| SessionCold::default()).collect(),
             senders: (0..hosts).map(|_| None).collect(),
             last_game: vec![None; n],
             cycles,
@@ -1166,33 +1181,31 @@ impl StreamingSim {
         self.last_game[p.index()] = Some(game_id);
         let paths = self.attach_source(p, source, now);
 
-        // `build` applies the startup prebuffer (clients buffer one
-        // segment ahead) for every policy.
-        let controller = (self.cfg.kind.uses_adaptation() && quality_cap.is_none())
-            .then(|| self.cfg.policy.build(&game, &SystemParams::PAPER));
-        let quality = match quality_cap {
+        // `policy` applies the startup prebuffer (clients buffer one
+        // segment ahead) for every adaptive policy.
+        let policy = match quality_cap {
             Some(cap) => {
                 let level =
                     cap.clamp(1, QUALITY_LEVELS.len()).min(game.max_quality().level as usize);
-                QUALITY_LEVELS[level - 1]
+                StreamPolicy::Fixed(QUALITY_LEVELS[level - 1])
             }
-            None => game.max_quality(),
+            None if self.cfg.kind.uses_adaptation() => {
+                self.cfg.policy.policy(&game, &SystemParams::PAPER)
+            }
+            None => StreamPolicy::Fixed(game.max_quality()),
         };
         self.active[p.index()] = Some(ActivePlayer {
             game: game_id,
             source,
             paths,
-            backups,
-            controller,
-            quality,
+            policy,
             last_buffer_event: now,
-            joined_at: now,
             window_on_time: 0,
             window_packets: 0,
-            low_checks: 0,
-            last_reassign: now,
             draining: false,
         });
+        self.sessions[p.index()] =
+            SessionCold { backups, joined_at: now, low_checks: 0, last_reassign: now };
 
         let class = match source.class {
             TrafficSource::Cloud => 0.0,
@@ -1333,18 +1346,18 @@ impl StreamingSim {
         let now = sched.now();
         if self.faults.dead_hosts[host.index()] {
             // Dead sender (failure not yet confirmed): nothing leaves
-            // the machine. Everything queued is charged as fully late,
-            // so the detection window shows up in continuity.
-            let mut drained = Vec::new();
-            if let Some(sender) = self.senders[host.index()].as_mut() {
-                while let Some(seg) = sender.buffer.pop_next() {
-                    drained.push(seg);
-                }
-                sender.busy = false;
-            }
-            for seg in &drained {
+            // the machine. Everything queued for a live session is
+            // charged as fully late, so the detection window shows up
+            // in continuity; a departed player's segment evaporates.
+            let Some(sender) = self.senders[host.index()].as_mut() else { return };
+            sender.busy = false;
+            while let Some(seg) =
+                self.senders[host.index()].as_mut().and_then(|s| s.buffer.pop_next())
+            {
                 if self.active[seg.player.index()].is_some() {
-                    self.charge_lost_segment(seg);
+                    self.charge_lost_segment(&seg);
+                } else if let Some(causal) = self.causal() {
+                    causal.finish(seg.id.0, SegmentOutcome::Evaporated, now);
                 }
             }
             return;
@@ -1475,7 +1488,7 @@ impl StreamingSim {
             if on_time {
                 active.window_on_time += u64::from(segment.surviving_packets());
             }
-            if let Some(controller) = active.controller.as_mut() {
+            if active.policy.adapts() {
                 let inter = now.saturating_since(active.last_buffer_event).as_secs_f64();
                 let tau = params.segment_duration.as_secs_f64();
                 let d = if inter > 0.0 { (tau / inter).min(2.0) } else { 2.0 };
@@ -1500,7 +1513,7 @@ impl StreamingSim {
                 }
                 // Quality changes take effect on the next Action; the
                 // policy tracks its own level.
-                let (dec, ex) = controller.observe_explained(&inputs, &mut self.rng_policy);
+                let (dec, ex) = active.policy.observe_explained(&inputs, &mut self.rng_policy);
                 decision = dec;
                 explain = Some(ex);
             }
@@ -1628,8 +1641,12 @@ impl StreamingSim {
     fn rehome_player(&mut self, p: PlayerId, now: SimTime) -> bool {
         let Some(active) = self.active[p.index()].as_ref() else { return false };
         let exclude = active.source.supernode;
-        let candidates: Vec<SupernodeId> =
-            active.backups.iter().copied().filter(|b| Some(*b) != exclude).collect();
+        let candidates: Vec<SupernodeId> = self.sessions[p.index()]
+            .backups
+            .iter()
+            .copied()
+            .filter(|b| Some(*b) != exclude)
+            .collect();
         let game = GAMES[active.game.index()];
         let host = self.deployment.population.host_of(p);
         let next = crate::infra::failover(
@@ -2315,6 +2332,40 @@ mod tests {
                 .unwrap_or_default();
             assert!(msg.contains(field), "{field}: panicked with {msg:?}");
         }
+    }
+
+    #[test]
+    fn dead_sender_drain_evaporates_a_departed_players_segment() {
+        let cfg = StreamingSimConfig::builder(SystemKind::CloudFogA)
+            .players(20)
+            .seed(51)
+            .telemetry(TelemetryConfig::default())
+            .build();
+        let mut sim = Simulation::new(StreamingSim::new(cfg));
+        let world = &mut sim.model;
+        let params = &SystemParams::PAPER;
+        let host =
+            world.deployment.supernodes.iter().next().expect("CloudFog/A has supernodes").host;
+        // A segment of a player with no session waits in the queue of a
+        // supernode that has just died.
+        let (player, game, now) = (PlayerId(3), GAMES[0], SimTime::from_secs(1));
+        assert!(world.active[player.index()].is_none());
+        let id = world.segment_ids.next_id();
+        let segment = Segment::new(id, player, &game, game.max_quality(), now, now, params);
+        let causal = world.causal().expect("telemetry is on");
+        let (trace_player, game_index) = (u64::from(player.0), game.id.index() as u16);
+        let (level, deadline) = (segment.quality.level, segment.expected_arrival());
+        causal.begin(id.0, trace_player, game_index, level, now, now, deadline, segment.packets);
+        let mut buffer = SenderBuffer::new(SchedulingPolicy::DeadlineDriven, Mbps(10.0), params);
+        buffer.enqueue(segment, now, params);
+        world.senders[host.index()] = Some(Sender { buffer, busy: true });
+        world.faults.dead_hosts[host.index()] = true;
+        sim.seed_at(now, Ev::StartTx(host));
+        sim.run();
+        let sender = sim.model.senders[host.index()].as_ref().expect("sender stays");
+        assert!(sender.buffer.is_empty() && !sender.busy, "the drain empties the dead sender");
+        let report = sim.model.causal().expect("telemetry is on").report("drain");
+        assert_eq!((report.evaporated, report.lost, report.in_flight), (1, 0, 0));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //!
 //! * [`Welford`] — numerically stable online mean/variance;
 //! * [`Histogram`] — fixed-width bins with percentile queries;
-//! * [`SlidingMean`] — mean of the last `m` observations, the
-//!   propagation estimator of Eq. 13 ("average of the last m packets").
+//! * [`SlidingMean`] — mean of the last `m` observations: Eq. 13's
+//!   "average of the last m packets" for any `m`, the reference that the
+//!   simulator's fixed-window estimator in `cloudfog-core` is tested
+//!   against bit for bit.
 
 /// Welford's online algorithm for mean and variance.
 #[derive(Clone, Copy, Debug, Default)]
@@ -217,7 +219,8 @@ impl Histogram {
 
 /// Mean over a sliding window of the last `m` observations — the
 /// paper's propagation-delay estimator (Eq. 13) averages the last `m`
-/// packets' propagation delays.
+/// packets' propagation delays. The simulator keeps its own inline copy
+/// for `m` = 16; this is the reference its property test compares to.
 #[derive(Clone, Debug)]
 pub struct SlidingMean {
     window: Vec<f64>,

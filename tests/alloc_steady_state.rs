@@ -7,8 +7,9 @@
 //! `Box<Segment>`) that stop growing once the ramp peaks, and the
 //! stream path is computed at join time. This test pins that claim with a counting
 //! global allocator: drive a mid-size CloudFog/A simulation in 10 s
-//! ticks, snapshot the allocation counter at the first tick boundary
-//! and again at the last, and assert the counter did not move.
+//! ticks, once under each adaptation policy, snapshot the allocation
+//! counter at the first tick boundary and again at the last, and assert
+//! the counter did not move.
 //!
 //! The first boundary sits well past the join ramp so every slab,
 //! sender buffer, event-queue and segment slab and `update_feeds` entry is warm,
@@ -27,6 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use cloudfog::core::adapt::AdaptPolicyKind;
 use cloudfog::core::systems::{
     ShardedSim, ShardedSimConfig, StreamingSim, StreamingSimConfig, SystemKind,
 };
@@ -75,12 +77,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn config() -> StreamingSimConfig {
+fn config(policy: AdaptPolicyKind) -> StreamingSimConfig {
     StreamingSimConfig::builder(SystemKind::CloudFogA)
         .players(200)
         .seed(11)
         .ramp(SimDuration::from_secs(5))
         .horizon(SimDuration::from_secs(25))
+        .policy(policy)
         .build()
 }
 
@@ -98,28 +101,32 @@ fn steady_state_hot_path_does_not_allocate() {
     black_box(Vec::<u64>::with_capacity(16));
     assert!(allocs() > before, "the counter missed an allocation on the test thread");
 
-    let mut snapshots: Vec<u64> = Vec::with_capacity(3);
-    let summary = StreamingSim::run_with_probe(config(), tick, &mut |_| {
-        snapshots.push(allocs());
-    })
-    .summary;
+    // Every adaptation policy runs inline in the player record, so
+    // none may allocate per estimation either.
+    for policy in AdaptPolicyKind::ALL {
+        let mut snapshots: Vec<u64> = Vec::with_capacity(3);
+        let summary = StreamingSim::run_with_probe(config(policy), tick, &mut |_| {
+            snapshots.push(allocs());
+        })
+        .summary;
 
-    assert_eq!(snapshots.len(), 3, "probe fires at 10 s, 20 s and the horizon");
-    let during_steady_state = snapshots[2] - snapshots[0];
-    assert_eq!(
-        during_steady_state, 0,
-        "steady-state window (10 s → 25 s) allocated {during_steady_state} times; \
-         the slab hot path must not touch the heap after warm-up"
-    );
+        assert_eq!(snapshots.len(), 3, "probe fires at 10 s, 20 s and the horizon");
+        let during_steady_state = snapshots[2] - snapshots[0];
+        assert_eq!(
+            during_steady_state, 0,
+            "{policy:?}: steady-state window (10 s → 25 s) allocated {during_steady_state} \
+             times; the slab hot path must not touch the heap after warm-up"
+        );
 
-    // Probing must not change behavior: same config through the
-    // ordinary entry point gives a bit-identical summary.
-    let single = StreamingSim::run(config());
-    assert_eq!(
-        format!("{summary:?}"),
-        format!("{single:?}"),
-        "run_with_probe drifted from run on the same config"
-    );
+        // Probing must not change behavior: same config through the
+        // ordinary entry point gives a bit-identical summary.
+        let single = StreamingSim::run(config(policy));
+        assert_eq!(
+            format!("{summary:?}"),
+            format!("{single:?}"),
+            "{policy:?}: run_with_probe drifted from run on the same config"
+        );
+    }
 }
 
 /// Run a sharded simulation and count allocations over the steady

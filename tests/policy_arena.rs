@@ -1,8 +1,9 @@
 //! Arena contracts for the [`AdaptPolicy`] family: every policy is
 //! deterministic per seed, the explicit `BufferOccupancy` selection is
-//! bit-identical to the historic default, and no policy ever leaves
-//! the quality ladder — under chaos at the sim level, and under
-//! arbitrary input streams at the unit level (proptest).
+//! bit-identical to the historic default, no policy ever leaves the
+//! quality ladder — under chaos at the sim level, and under arbitrary
+//! input streams at the unit level (proptest) — and the inline
+//! [`StreamPolicy`] decides exactly as its contestant's own type does.
 
 use cloudfog::core::config::SystemParams;
 use cloudfog::prelude::*;
@@ -134,6 +135,72 @@ proptest! {
             );
             prop_assert!(level.abs_diff(prev) <= 1, "{kind:?} jumped more than one rung");
             prev = level;
+        }
+    }
+}
+
+/// The contestant's own type behind the trait, built and primed the
+/// way [`AdaptPolicyKind::build`] does.
+fn direct_policy(
+    kind: AdaptPolicyKind,
+    game: &Game,
+    params: &SystemParams,
+) -> Box<dyn AdaptPolicy> {
+    let mut policy: Box<dyn AdaptPolicy> = match kind {
+        AdaptPolicyKind::BufferOccupancy => Box::new(BufferOccupancyPolicy::new(game, params)),
+        AdaptPolicyKind::BandwidthAware => Box::new(BandwidthAwarePolicy::new(game, params)),
+        AdaptPolicyKind::Foveated => Box::new(FoveatedPolicy::new(game, params)),
+        AdaptPolicyKind::ServerAware => Box::new(ServerAwarePolicy::new(game, params)),
+    };
+    policy.prime(1.0, params.segment_duration);
+    policy
+}
+
+proptest! {
+    /// The inline policy the simulation stores, the boxed one
+    /// `AdaptPolicyKind::build` returns and the contestant's own type
+    /// return the same decision and explain at every step, through
+    /// both `observe_explained` and `evaluate_explained`.
+    #[test]
+    fn inline_and_boxed_policies_decide_alike(
+        kind_idx in 0usize..AdaptPolicyKind::ALL.len(),
+        game_idx in 0usize..5,
+        seed in 0u64..1_000,
+        evaluate_every in 2usize..6,
+        steps in prop::collection::vec((0.0f64..4.0, 0.0f64..1.0, 0.0f64..1.5, 0u64..600), 1..200),
+    ) {
+        let kind = AdaptPolicyKind::ALL[kind_idx];
+        let game = &GAMES[game_idx];
+        let params = SystemParams::default();
+        let tau = params.segment_duration;
+        let mut inline: StreamPolicy = kind.policy(game, &params);
+        let mut boxed = kind.build(game, &params);
+        let mut direct = direct_policy(kind, game, &params);
+        let mut rngs = [Rng::new(seed), Rng::new(seed), Rng::new(seed)];
+        prop_assert_eq!(inline.name(), kind.label());
+        let mut now = SimTime::ZERO;
+        for (k, &(d, weight, load, gap_ms)) in steps.iter().enumerate() {
+            now += SimDuration::from_millis(gap_ms);
+            let inputs = PolicyInputs::rate_only(now, d, 1.0, tau)
+                .with_region_weight(weight)
+                .with_host_load(load);
+            let [r0, r1, r2] = &mut rngs;
+            let (a, b, c) = if k % evaluate_every == 0 {
+                (
+                    inline.evaluate_explained(tau, r0),
+                    boxed.evaluate_explained(tau, r1),
+                    direct.evaluate_explained(tau, r2),
+                )
+            } else {
+                (
+                    inline.observe_explained(&inputs, r0),
+                    boxed.observe_explained(&inputs, r1),
+                    direct.observe_explained(&inputs, r2),
+                )
+            };
+            prop_assert_eq!(a, c, "{:?}: inline diverged from the contestant at step {}", kind, k);
+            prop_assert_eq!(b, c, "{:?}: boxed diverged from the contestant at step {}", kind, k);
+            prop_assert_eq!(inline.quality(), direct.quality());
         }
     }
 }

@@ -1,16 +1,18 @@
-//! Property tests for the Eq. 14 drop allocator: packets are spread
-//! over queued segments in proportion to `tolerance × φ` (with
-//! `φ = e^{−λ·wait}`), each segment never sheds more than its
-//! loss-tolerance budget, and every drop is accounted for by the
-//! decision's provenance record.
+//! Property tests for the sender buffer. The Eq. 14 drop allocator:
+//! packets are spread over queued segments in proportion to
+//! `tolerance × φ` (with `φ = e^{−λ·wait}`), each segment never sheds
+//! more than its loss-tolerance budget, and every drop is accounted for
+//! by the decision's provenance record. The Eq. 13 estimator: its mean
+//! has the bits of a `SlidingMean` over the same delays.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use cloudfog::core::config::SystemParams;
-use cloudfog::core::schedule::{SchedulingPolicy, SenderBuffer};
+use cloudfog::core::schedule::{SchedulingPolicy, SenderBuffer, PROPAGATION_WINDOW};
 use cloudfog::core::streaming::{Segment, SegmentId};
 use cloudfog::net::bandwidth::Mbps;
-use cloudfog::sim::time::SimTime;
+use cloudfog::sim::stats::SlidingMean;
+use cloudfog::sim::time::{SimDuration, SimTime};
 use cloudfog::workload::games::{QualityLevel, GAMES};
 use cloudfog::workload::player::PlayerId;
 use proptest::prelude::*;
@@ -55,7 +57,7 @@ proptest! {
         let mut now = SimTime::ZERO;
 
         for (i, e) in plan.iter().enumerate() {
-            now += cloudfog::sim::time::SimDuration::from_millis(e.gap_ms);
+            now += SimDuration::from_millis(e.gap_ms);
             let game = &GAMES[e.game];
             let action = SimTime::from_micros(
                 now.as_micros().saturating_sub(e.lag_ms * 1_000),
@@ -142,5 +144,52 @@ proptest! {
                 budget(*tol, *packets)
             );
         }
+    }
+}
+
+/// Delays (µs) one player receives: at least three full windows and a
+/// partial fourth, so the ring wraps at least three times.
+fn delays_strategy() -> impl Strategy<Value = Vec<u64>> {
+    let w = PROPAGATION_WINDOW;
+    prop::collection::vec(1u64..250_000, 3 * w + 1..6 * w)
+}
+
+proptest! {
+    #[test]
+    fn eq13_estimate_has_the_bits_of_a_sliding_mean(
+        a in delays_strategy(),
+        b in delays_strategy(),
+        c in delays_strategy(),
+        picks in prop::collection::vec(0usize..3, 1..400),
+    ) {
+        let params = SystemParams::default();
+        let mut buf = SenderBuffer::new(SchedulingPolicy::DeadlineDriven, Mbps(20.0), &params);
+        // Ids out of order, so later players insert before earlier ones.
+        let players = [PlayerId(4_001), PlayerId(7), PlayerId(512)];
+        let mut pending: Vec<VecDeque<u64>> = [a, b, c].into_iter().map(VecDeque::from).collect();
+        let mut reference: Vec<SlidingMean> =
+            players.iter().map(|_| SlidingMean::new(PROPAGATION_WINDOW)).collect();
+        // Interleave by the random picks, then drain what is left.
+        let mut picks = picks.into_iter();
+        while pending.iter().any(|q| !q.is_empty()) {
+            let pick = picks.next().unwrap_or(0);
+            let i = (0..players.len())
+                .map(|k| (pick + k) % players.len())
+                .find(|&k| !pending[k].is_empty())
+                .expect("some player has delays left");
+            let delay = SimDuration::from_micros(pending[i].pop_front().expect("non-empty"));
+            buf.record_propagation(players[i], delay);
+            reference[i].push(delay.as_millis_f64());
+            for (p, r) in players.iter().zip(&reference) {
+                let want = r.mean().unwrap_or(10.0);
+                prop_assert_eq!(
+                    buf.propagation_estimate_ms(*p).to_bits(),
+                    want.to_bits(),
+                    "estimate for {:?} diverged from the sliding mean",
+                    p
+                );
+            }
+        }
+        prop_assert_eq!(buf.propagation_estimate_ms(PlayerId(8)), 10.0);
     }
 }
