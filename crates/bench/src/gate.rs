@@ -9,6 +9,8 @@
 //! exits 1 when any check failed and `CLOUDFOG_ENFORCE_BASELINE=1`.
 //! Every check runs before the exit, so one run reports every failure.
 //! A missing baseline file fails the gate, and so does a missing key.
+//! `benches/tracing_overhead.rs` has no baseline: it times with
+//! [`Best`] and writes its artifact with [`write_artifact`] alone.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -68,6 +70,22 @@ pub fn best_of<T>(runs: usize, mut run: impl FnMut() -> T) -> (f64, T) {
         out = best.time(&mut run);
     }
     (best.secs(), out)
+}
+
+/// Write `target/telemetry/BENCH_<name>.json` as one object whose
+/// members `fields` writes. A write error is reported, not fatal.
+pub fn write_artifact(name: &str, fields: impl FnOnce(&mut JsonWriter)) {
+    let mut json = String::new();
+    let mut w = JsonWriter::new(&mut json);
+    w.begin_object();
+    fields(&mut w);
+    w.end();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/telemetry");
+    let out = dir.join(format!("BENCH_{name}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&out, &json)) {
+        Ok(()) => println!("wrote {}", out.display()),
+        Err(e) => eprintln!("{name}: cannot write {}: {e}", out.display()),
+    }
 }
 
 /// How a measured value may sit relative to its committed baseline.
@@ -185,21 +203,10 @@ impl Gate {
         enforce
     }
 
-    /// Write `target/telemetry/BENCH_<name>.json` as one object whose
-    /// members `fields` writes, then exit 1 if a check failed and
-    /// `CLOUDFOG_ENFORCE_BASELINE=1`.
+    /// Write `target/telemetry/BENCH_<name>.json` (see [`write_artifact`]),
+    /// then exit 1 if a check failed and `CLOUDFOG_ENFORCE_BASELINE=1`.
     pub fn finish(self, fields: impl FnOnce(&mut JsonWriter)) {
-        let mut json = String::new();
-        let mut w = JsonWriter::new(&mut json);
-        w.begin_object();
-        fields(&mut w);
-        w.end();
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/telemetry");
-        let out = dir.join(format!("BENCH_{}.json", self.name));
-        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&out, &json)) {
-            Ok(()) => println!("wrote {}", out.display()),
-            Err(e) => eprintln!("{}: cannot write {}: {e}", self.name, out.display()),
-        }
+        write_artifact(self.name, fields);
         if self.verdict(std::env::var("CLOUDFOG_ENFORCE_BASELINE").as_deref() == Ok("1")) {
             std::process::exit(1);
         }

@@ -17,6 +17,7 @@ use cloudfog_core::control::OP_BACKOFF;
 use cloudfog_core::fault::detector;
 use cloudfog_core::systems::simulation::ENCODE_MAX_ATTEMPTS;
 use cloudfog_core::systems::{RunOutput, SystemKind};
+use cloudfog_sim::causal::CausalReport;
 
 use crate::exec::MatrixReport;
 use crate::scenario::Scenario;
@@ -66,8 +67,8 @@ impl InvariantRegistry {
 
     /// The stock suite: QoE bounds, traffic-source conservation,
     /// quantile monotonicity, fault-recovery bounds, causal-trace
-    /// consistency (span ordering, Eq. 12 span sums, drop
-    /// provenance), adaptation ladder bounds, churn lifecycle
+    /// consistency (span ordering, Eq. 12 span sums, drop provenance,
+    /// trace conservation), adaptation ladder bounds, churn lifecycle
     /// soundness (no orphans, join/leave conservation, bounded
     /// retries), live-plane alert soundness (burn rates within
     /// declared bounds), and the fog-dominates-cloud latency claim.
@@ -80,6 +81,7 @@ impl InvariantRegistry {
         r.register(CausalSpanOrder);
         r.register(CausalSpanSum);
         r.register(CausalDropProvenance);
+        r.register(CausalTraceConservation);
         r.register(AdaptLadderBounds);
         r.register(SessionNoOrphans);
         r.register(JoinLeaveConservation);
@@ -408,6 +410,43 @@ impl Invariant for CausalDropProvenance {
             }
         }
         Ok(())
+    }
+}
+
+/// Every causal trace the log opened is accounted for exactly once:
+/// `started == finished + in_flight`, and every finished trace carries
+/// one outcome, `finished == on_time + late + skipped + lost +
+/// evaporated`. A trace opened twice under one id, or an open trace the
+/// log lost, breaks the first equation. Cells without telemetry skip.
+pub struct CausalTraceConservation;
+
+impl CausalTraceConservation {
+    fn check(c: &CausalReport) -> Result<(), String> {
+        if c.started != c.finished + c.in_flight {
+            return Err(format!(
+                "{} traces started but {} finished + {} in flight",
+                c.started, c.finished, c.in_flight
+            ));
+        }
+        let outcomes = c.on_time + c.late + c.skipped + c.lost + c.evaporated;
+        if c.finished != outcomes {
+            return Err(format!(
+                "{} traces finished but outcomes sum to {outcomes} \
+                 ({} on time, {} late, {} skipped, {} lost, {} evaporated)",
+                c.finished, c.on_time, c.late, c.skipped, c.lost, c.evaporated
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl Invariant for CausalTraceConservation {
+    fn name(&self) -> &'static str {
+        "causal.trace_conservation"
+    }
+
+    fn check_run(&self, _scenario: &Scenario, output: &RunOutput) -> Result<(), String> {
+        output.causal.as_ref().map_or(Ok(()), Self::check)
     }
 }
 
@@ -790,5 +829,52 @@ impl Invariant for FogDominatesCloud {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cloudfog_sim::causal::{CausalLog, Outcome};
+    use cloudfog_sim::telemetry::TelemetryConfig;
+    use cloudfog_sim::time::SimTime;
+
+    /// A report of 3 traces opened, 2 finished (one on time, one
+    /// lost) and 1 still in flight.
+    fn balanced() -> CausalReport {
+        let mut log = CausalLog::new(&TelemetryConfig::default());
+        for id in 1..=3 {
+            log.begin(id, 1, 0, 2, SimTime::ZERO, SimTime::ZERO, SimTime::from_millis(100), 8);
+        }
+        log.finish(1, Outcome::OnTime, SimTime::from_millis(40));
+        log.finish(2, Outcome::Lost, SimTime::from_millis(50));
+        log.report("hand-built")
+    }
+
+    #[test]
+    fn trace_conservation_flags_each_broken_equation() {
+        let ok = balanced();
+        assert_eq!((ok.started, ok.finished, ok.in_flight), (3, 2, 1));
+        assert_eq!(CausalTraceConservation::check(&ok), Ok(()));
+
+        // An id opened twice: one more start than the log can account for.
+        let mut dup = balanced();
+        dup.started += 1;
+        let err = CausalTraceConservation::check(&dup).unwrap_err();
+        assert!(err.contains("4 traces started but 2 finished + 1 in flight"), "{err}");
+
+        // An open trace the table lost.
+        let mut lost = balanced();
+        lost.in_flight -= 1;
+        assert!(CausalTraceConservation::check(&lost).is_err());
+
+        // A finish that counted no outcome, and one that counted two.
+        let (mut none, mut two) = (balanced(), balanced());
+        none.on_time -= 1;
+        two.late += 1;
+        for r in [none, two] {
+            let err = CausalTraceConservation::check(&r).unwrap_err();
+            assert!(err.contains("2 traces finished but outcomes sum to"), "{err}");
+        }
     }
 }

@@ -31,8 +31,6 @@
 //! [`CausalReport::chrome_trace_json`] — load the latter in Perfetto
 //! (`ui.perfetto.dev`) to scrub through individual segment lifetimes.
 
-use std::collections::BTreeMap;
-
 use crate::stats::Histogram;
 use crate::telemetry::{JsonWriter, Quantiles, TelemetryConfig, ToJson, TraceRing};
 use crate::time::{SimDuration, SimTime};
@@ -508,6 +506,147 @@ impl Attribution {
     }
 }
 
+/// Fibonacci hashing's multiplier: 2⁶⁴ over the golden ratio, odd.
+/// Consecutive segment ids land far apart in the slot array.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One slot of [`OpenTraces`]: an id and where its trace sits in the
+/// dense array, or [`VACANT`].
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    id: u64,
+    at: u32,
+}
+
+/// `Slot::at` of a vacant slot.
+const VACANT: u32 = u32::MAX;
+
+/// The open (in-flight) traces, keyed by segment id, with O(1)
+/// insert, lookup and remove.
+///
+/// An open-addressed table of 16-byte slots, probed linearly from a
+/// fixed multiplicative hash of the id (no per-process random seed),
+/// holds each id's index into a dense array of traces. The ids come
+/// from the simulation's own allocator, never from outside input, so
+/// nothing can craft them to collide. The table stays
+/// at most half full; a remove shifts the following cluster back
+/// instead of leaving tombstones, and fills the dense hole with the
+/// last trace. A slab indexed by id does not fit: the live ids form a
+/// sparse window that a stalled stream's backlog keeps wide.
+///
+/// Neither array's order means anything, and nothing may ever read it:
+/// [`CausalLog::report`] reads only [`len`](Self::len), which is what
+/// keeps every export independent of how the table is laid out.
+#[derive(Clone, Debug)]
+struct OpenTraces {
+    /// Power-of-two length, at most half occupied.
+    slots: Vec<Slot>,
+    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    traces: Vec<SegmentTrace>,
+}
+
+impl OpenTraces {
+    const MIN_SLOTS: usize = 64;
+
+    fn new() -> Self {
+        OpenTraces {
+            slots: vec![Slot { id: 0, at: VACANT }; Self::MIN_SLOTS],
+            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+            traces: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.traces.len()
+    }
+
+    fn home(&self, id: u64) -> usize {
+        (id.wrapping_mul(FIB) >> self.shift) as usize
+    }
+
+    /// `Ok` with the slot holding `id`, or `Err` with the vacant slot
+    /// that ends its probe.
+    fn probe(&self, id: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(id);
+        loop {
+            let slot = self.slots[i];
+            if slot.at == VACANT {
+                return Err(i);
+            }
+            if slot.id == id {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut SegmentTrace> {
+        let i = self.probe(id).ok()?;
+        Some(&mut self.traces[self.slots[i].at as usize])
+    }
+
+    /// Open `trace` under its id, replacing a trace already open under
+    /// that id.
+    fn insert(&mut self, trace: SegmentTrace) {
+        let mut i = match self.probe(trace.trace) {
+            Ok(i) => {
+                self.traces[self.slots[i].at as usize] = trace;
+                return;
+            }
+            Err(i) => i,
+        };
+        if 2 * (self.traces.len() + 1) > self.slots.len() {
+            self.grow();
+            i = self.probe(trace.trace).unwrap_err();
+        }
+        let at = u32::try_from(self.traces.len()).expect("open traces fit in u32");
+        self.slots[i] = Slot { id: trace.trace, at };
+        self.traces.push(trace);
+    }
+
+    /// Double the slot array and re-place every open id.
+    fn grow(&mut self) {
+        let len = self.slots.len() * 2;
+        self.slots = vec![Slot { id: 0, at: VACANT }; len];
+        self.shift = 64 - len.trailing_zeros();
+        for at in 0..self.traces.len() {
+            let id = self.traces[at].trace;
+            let i = self.probe(id).unwrap_err();
+            self.slots[i] = Slot { id, at: at as u32 };
+        }
+    }
+
+    fn remove(&mut self, id: u64) -> Option<SegmentTrace> {
+        let mut hole = self.probe(id).ok()?;
+        let at = self.slots[hole].at as usize;
+        // Backward-shift deletion: pull each later member of the
+        // cluster into the hole unless that would put it before its
+        // home slot.
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let slot = self.slots[j];
+            if slot.at == VACANT {
+                break;
+            }
+            if (j.wrapping_sub(self.home(slot.id)) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = slot;
+                hole = j;
+            }
+        }
+        self.slots[hole].at = VACANT;
+        let trace = self.traces.swap_remove(at);
+        if let Some(moved) = self.traces.get(at) {
+            let i = self.probe(moved.trace).expect("the moved trace is open");
+            self.slots[i].at = at as u32;
+        }
+        Some(trace)
+    }
+}
+
 /// The in-run causal log: open traces, bounded finished tails and the
 /// attribution fold. Lives inside the simulation's telemetry state —
 /// absent entirely when telemetry is off. Each tail ring counts every
@@ -515,7 +654,7 @@ impl Attribution {
 /// exact past eviction.
 #[derive(Clone, Debug)]
 pub struct CausalLog {
-    open: BTreeMap<u64, SegmentTrace>,
+    open: OpenTraces,
     tail: TraceRing<SegmentTrace>,
     adapt: TraceRing<AdaptProvenance>,
     drops: TraceRing<DropProvenance>,
@@ -536,7 +675,7 @@ impl CausalLog {
     /// finished traces, `provenance_tail` records per decision kind).
     pub fn new(cfg: &TelemetryConfig) -> Self {
         CausalLog {
-            open: BTreeMap::new(),
+            open: OpenTraces::new(),
             tail: TraceRing::with_capacity(cfg.causal_tail),
             adapt: TraceRing::with_capacity(cfg.provenance_tail),
             drops: TraceRing::with_capacity(cfg.provenance_tail),
@@ -574,36 +713,35 @@ impl CausalLog {
         packets: u32,
     ) {
         self.started += 1;
-        self.open.insert(
-            trace,
-            SegmentTrace::new(trace, player, game, quality, action, encoded, deadline, packets),
-        );
+        self.open.insert(SegmentTrace::new(
+            trace, player, game, quality, action, encoded, deadline, packets,
+        ));
     }
 
     /// Stamp a lifecycle stage on an open trace.
     pub fn stamp(&mut self, trace: u64, stage: Stage, at: SimTime) {
-        if let Some(t) = self.open.get_mut(&trace) {
+        if let Some(t) = self.open.get_mut(trace) {
             t.stages[stage as usize] = Some(at);
         }
     }
 
     /// Record the delivery path's one-way propagation.
     pub fn set_propagation(&mut self, trace: u64, propagation: SimDuration) {
-        if let Some(t) = self.open.get_mut(&trace) {
+        if let Some(t) = self.open.get_mut(trace) {
             t.propagation_us = propagation.as_micros();
         }
     }
 
     /// Credit scheduler-dropped packets (Eq. 14) to an open trace.
     pub fn add_sched_drop(&mut self, trace: u64, packets: u32) {
-        if let Some(t) = self.open.get_mut(&trace) {
+        if let Some(t) = self.open.get_mut(trace) {
             t.sched_dropped += packets;
         }
     }
 
     /// Credit wire-lost packets (chaos burst loss) to an open trace.
     pub fn add_wire_loss(&mut self, trace: u64, packets: u32) {
-        if let Some(t) = self.open.get_mut(&trace) {
+        if let Some(t) = self.open.get_mut(trace) {
             t.wire_lost += packets;
         }
     }
@@ -611,7 +749,7 @@ impl CausalLog {
     /// Close a trace with its terminal outcome; delivered traces fold
     /// into the attribution when graded inside the measurement window.
     pub fn finish(&mut self, trace: u64, outcome: Outcome, at: SimTime) {
-        let Some(mut t) = self.open.remove(&trace) else { return };
+        let Some(mut t) = self.open.remove(trace) else { return };
         t.outcome = Some(outcome);
         t.graded_at = at;
         t.measured = at >= self.measure_from;
@@ -667,6 +805,8 @@ impl CausalLog {
             run: run.to_string(),
             started: self.started,
             finished: self.tail.recorded(),
+            // Only the open table's length leaves the log, never its
+            // order, so the export cannot depend on how it hashes.
             in_flight: self.open.len() as u64,
             folded: self.attr.folded,
             on_time: self.on_time,
@@ -1337,6 +1477,72 @@ mod tests {
         assert_eq!(m.total.count, r.total.count);
         assert_eq!(m.traces.len(), r.traces.len());
         assert_eq!(m.tail.dominant, r.tail.dominant);
+    }
+
+    fn open_trace(id: u64) -> SegmentTrace {
+        SegmentTrace::new(id, id % 7, 0, 1, SimTime::ZERO, SimTime::ZERO, SimTime::ZERO, 4)
+    }
+
+    /// Random inserts, lookups and removes against a `BTreeMap` model,
+    /// across several growths and with clustered and scattered ids.
+    #[test]
+    fn open_table_matches_an_ordered_map() {
+        use std::collections::BTreeMap;
+        let mut rng = crate::rng::Rng::new(23);
+        let mut table = OpenTraces::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        for step in 0..40_000u32 {
+            // A window of ids that drifts upward, plus rare far ones.
+            let id = if rng.chance(0.02) {
+                rng.next_u64()
+            } else {
+                u64::from(step / 4) + rng.below(3_000)
+            };
+            match rng.below(4) {
+                0 | 1 => {
+                    let mut t = open_trace(id);
+                    t.packets = step;
+                    table.insert(t);
+                    model.insert(id, step);
+                }
+                2 => {
+                    let got = table.remove(id).map(|t| (t.trace, t.packets));
+                    assert_eq!(got, model.remove(&id).map(|p| (id, p)), "remove {id}");
+                }
+                _ => {
+                    let got = table.get_mut(id).map(|t| t.packets);
+                    assert_eq!(got, model.get(&id).copied(), "get {id}");
+                }
+            }
+            assert_eq!(table.len(), model.len());
+        }
+        assert!(table.slots.len() >= 2 * table.len());
+        for (&id, &packets) in &model {
+            assert_eq!(table.get_mut(id).map(|t| t.packets), Some(packets));
+        }
+        for &id in model.keys() {
+            assert!(table.remove(id).is_some());
+        }
+        assert_eq!(table.len(), 0);
+        assert!(table.slots.iter().all(|s| s.at == VACANT), "removes leave no tombstones");
+    }
+
+    /// Ids that share a home slot form one cluster; removing from its
+    /// middle must keep every later member reachable.
+    #[test]
+    fn open_table_removes_from_the_middle_of_a_collision_cluster() {
+        let mut table = OpenTraces::new();
+        let home = table.home(1);
+        let colliding: Vec<u64> = (1..).filter(|&id| table.home(id) == home).take(6).collect();
+        for &id in &colliding {
+            table.insert(open_trace(id));
+        }
+        for (k, &id) in colliding.iter().enumerate().skip(1).step_by(2) {
+            assert_eq!(table.remove(id).map(|t| t.trace), Some(id), "remove #{k}");
+        }
+        for (k, &id) in colliding.iter().enumerate() {
+            assert_eq!(table.get_mut(id).is_some(), k % 2 == 0, "id #{k}");
+        }
     }
 
     #[test]

@@ -139,6 +139,7 @@ fn stock_registry_names_are_stable() {
         "causal.span_order",
         "causal.span_sum",
         "causal.drop_provenance",
+        "causal.trace_conservation",
         "adapt.ladder_bounds",
         "session.no_orphans",
         "conservation.join_leave",
