@@ -10,10 +10,13 @@
 //!    one). perfbench's matrix still holds 1,365 traces open at the
 //!    horizon of its 400-player Cloud cell with three faults.
 //! 2. **A whole run** with telemetry off (the zero-cost default) and
-//!    with telemetry + causal tracing on, alternating, best of
-//!    [`RUNS`] each: 400 players on Cloud, seed 0, 6 s ramp, 30
-//!    simulated seconds, which is the fault-free twin of that matrix
-//!    cell.
+//!    with telemetry + causal tracing on, in [`PAIRS`] back-to-back
+//!    pairs that alternate which side runs first: 400 players on
+//!    Cloud, seed 0, 6 s ramp, 30 simulated seconds, which is the
+//!    fault-free twin of that matrix cell. A run lasts only tens of
+//!    ms, so the reported ratio is the median of the per-pair
+//!    traced/plain ratios, with their quartiles: a host hiccup moves
+//!    one pair, not the figure.
 //!
 //! Timing only reports. One check is deterministic and fails the run
 //! (exit 1): after the depth batches the log holds exactly [`DEPTH`]
@@ -23,7 +26,7 @@
 
 use std::hint::black_box;
 
-use cloudfog_bench::gate::{self, best_of, Best};
+use cloudfog_bench::gate::{self, best_of};
 use cloudfog_bench::Table;
 use cloudfog_core::systems::{
     StreamingSim, StreamingSimConfig, StreamingSimConfigBuilder, SystemKind,
@@ -39,8 +42,8 @@ const LIFECYCLES: u64 = 100_000;
 const BATCHES: usize = 5;
 /// Open traces the deep batches hold.
 const DEPTH: usize = 1_400;
-/// Whole runs per side.
-const RUNS: usize = 25;
+/// Plain/traced whole-run pairs.
+const PAIRS: usize = 25;
 
 fn run_cfg() -> StreamingSimConfigBuilder {
     StreamingSimConfig::builder(SystemKind::Cloud)
@@ -60,6 +63,13 @@ fn open_and_stamp(log: &mut CausalLog, id: u64) {
     log.stamp(id, Stage::TxStart, ms(6));
     log.stamp(id, Stage::FirstPacket, ms(16));
     log.set_propagation(id, SimDuration::from_millis(10));
+}
+
+/// The `q`-quantile of sorted `xs`, interpolated between ranks.
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let pos = q * (xs.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
 }
 
 /// Deliver open trace `id` on time.
@@ -102,16 +112,34 @@ fn main() {
     let report = deep.report("depth");
     let depth_ok = report.in_flight == DEPTH as u64 && report.finished == finishes;
 
-    let (mut plain, mut traced, mut run_open) = (Best::default(), Best::default(), 0);
-    for _ in 0..RUNS {
-        plain.time(|| StreamingSim::run(run_cfg().build()));
-        let out = traced.time(|| {
-            StreamingSim::run_instrumented(run_cfg().telemetry(TelemetryConfig::default()).build())
-        });
+    let (mut plain, mut traced, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let mut run_open = 0;
+    for pair in 0..PAIRS {
+        let plain_run = || best_of(1, || StreamingSim::run(run_cfg().build())).0;
+        let traced_run = || {
+            best_of(1, || {
+                StreamingSim::run_instrumented(
+                    run_cfg().telemetry(TelemetryConfig::default()).build(),
+                )
+            })
+        };
+        let (p, (t, out)) = if pair % 2 == 0 {
+            let p = plain_run();
+            (p, traced_run())
+        } else {
+            let t = traced_run();
+            (plain_run(), t)
+        };
         run_open = out.causal.map_or(0, |c| c.in_flight);
+        plain.push(p);
+        traced.push(t);
+        ratios.push(t / p.max(1e-9));
     }
-    let (plain_secs, traced_secs) = (plain.secs(), traced.secs());
-    let ratio = traced_secs / plain_secs.max(1e-9);
+    for xs in [&mut plain, &mut traced, &mut ratios] {
+        xs.sort_by(f64::total_cmp);
+    }
+    let (plain_secs, traced_secs) = (quantile(&plain, 0.5), quantile(&traced, 0.5));
+    let [q1, ratio, q3] = [0.25, 0.5, 0.75].map(|q| quantile(&ratios, q));
     let ns = |secs: f64| secs * 1e9 / LIFECYCLES as f64;
     let cores = gate::cores();
 
@@ -124,9 +152,12 @@ fn main() {
         "open / finished after the depth batches".into(),
         format!("{} / {} (want {DEPTH} / {finishes})", report.in_flight, report.finished),
     ]);
-    t.row([format!("Cloud p400 plain wall (best of {RUNS})"), format!("{plain_secs:.3}s")]);
-    t.row([format!("Cloud p400 traced wall (best of {RUNS})"), format!("{traced_secs:.3}s")]);
-    t.row(["traced / plain".into(), format!("{ratio:.3}x")]);
+    t.row([format!("Cloud p400 plain wall (median of {PAIRS})"), format!("{plain_secs:.3}s")]);
+    t.row([format!("Cloud p400 traced wall (median of {PAIRS})"), format!("{traced_secs:.3}s")]);
+    t.row([
+        format!("traced / plain (median of {PAIRS} pairs)"),
+        format!("{ratio:.3}x (quartiles {q1:.3}x–{q3:.3}x)"),
+    ]);
     t.row(["traces open at the traced run's horizon".into(), run_open.to_string()]);
     t.row(["cores".into(), cores.to_string()]);
     t.print();
@@ -137,7 +168,9 @@ fn main() {
         w.field("in_flight", report.in_flight).field("finished", report.finished);
         w.field("depth_check", depth_ok);
         w.field("plain_wall_secs", plain_secs).field("traced_wall_secs", traced_secs);
-        w.field("overhead_ratio", ratio).field("run_in_flight", run_open);
+        w.field("pairs", PAIRS).field("overhead_ratio", ratio);
+        w.field("overhead_ratio_q1", q1).field("overhead_ratio_q3", q3);
+        w.field("run_in_flight", run_open);
         w.field("cores", cores);
     });
     if !depth_ok {

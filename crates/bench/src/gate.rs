@@ -9,8 +9,9 @@
 //! exits 1 when any check failed and `CLOUDFOG_ENFORCE_BASELINE=1`.
 //! Every check runs before the exit, so one run reports every failure.
 //! A missing baseline file fails the gate, and so does a missing key.
-//! `benches/tracing_overhead.rs` has no baseline: it times with
-//! [`Best`] and writes its artifact with [`write_artifact`] alone.
+//! `benches/tracing_overhead.rs` has no baseline: it times pairs of
+//! single runs with [`best_of`] and writes its artifact with
+//! [`write_artifact`] alone.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;

@@ -42,19 +42,16 @@
 //! foveated streaming allocates bitrate by gaze region, Stimpack-style
 //! systems degrade encode quality from *server* load rather than
 //! client buffer, and plain bandwidth-EWMA adaptation predates both.
-//! The object-safe [`AdaptPolicy`] trait makes the controller
-//! pluggable: every policy consumes the same [`PolicyInputs`] snapshot
-//! (buffer-rate sample, measured download rate, per-segment region
-//! weight, host supernode load) plus a deterministic [`Rng`], and
-//! returns the same `(RateDecision, AdaptExplain)` pair. The paper's
-//! controller is re-homed as [`BufferOccupancyPolicy`] — bit-identical
-//! to calling [`RateController`] directly, which the golden refactor
-//! gate pins. Select a policy per run via [`AdaptPolicyKind`] and
-//! `StreamingSimConfig::builder(..).policy(..)`. The simulation keeps
-//! each stream's policy inline in its player record as a
-//! [`StreamPolicy`], one enum over the contestants, and dispatches with
-//! a `match`; [`AdaptPolicyKind::build`] boxes that same value for
-//! callers that want the trait object.
+//! [`StreamPolicy`] is one enum over those contestants, stored inline
+//! in each player record: every variant consumes the same
+//! [`PolicyInputs`] snapshot (buffer-rate sample, measured download
+//! rate, per-segment region weight, host supernode load) plus a
+//! deterministic [`Rng`], and returns the same
+//! `(RateDecision, AdaptExplain)` pair. The paper's controller is the
+//! [`StreamPolicy::BufferOccupancy`] variant, a plain
+//! [`RateController`]. Select a policy per run via [`AdaptPolicyKind`]
+//! and `StreamingSimConfig::builder(..).policy(..)`;
+//! [`AdaptPolicyKind::build`] is the one constructor.
 
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::time::{SimDuration, SimTime};
@@ -173,6 +170,51 @@ impl Rung {
     }
 }
 
+/// The Eq. 7 playout-buffer estimate `s(t)` in *seconds of video*
+/// (bytes/bitrate normalization makes τ the unit), shared by the paper
+/// controller and the foveated policy's congestion guard.
+#[derive(Clone, Debug)]
+struct PlayoutBuffer {
+    /// Buffered video, seconds.
+    buffered: f64,
+    /// Last estimation instant.
+    last_at: Option<SimTime>,
+}
+
+impl PlayoutBuffer {
+    const EMPTY: PlayoutBuffer = PlayoutBuffer { buffered: 0.0, last_at: None };
+
+    /// Seed the estimate with a prebuffer of `segments` segments.
+    fn prime(&mut self, segments: f64, segment_duration: SimDuration) {
+        self.buffered = segments * segment_duration.as_secs_f64();
+    }
+
+    /// Integrate Eq. 7 from the last estimation instant to `now`.
+    fn integrate(
+        &mut self,
+        now: SimTime,
+        download_rate: f64,
+        playback_rate: f64,
+        segment_duration: SimDuration,
+    ) {
+        if let Some(prev) = self.last_at {
+            let dt = now.saturating_since(prev).as_secs_f64();
+            // Clamp: a real client buffer is bounded (two segments of
+            // look-ahead credit — more would let one catch-up burst
+            // bank enough surplus to flap straight back up), and never
+            // negative.
+            let cap = 2.0 * segment_duration.as_secs_f64();
+            self.buffered = (self.buffered + dt * (download_rate - playback_rate)).clamp(0.0, cap);
+        }
+        self.last_at = Some(now);
+    }
+
+    /// The estimate in segments (`r` of Eq. 8).
+    fn r(&self, segment_duration: SimDuration) -> f64 {
+        self.buffered / segment_duration.as_secs_f64()
+    }
+}
+
 /// The receiver-side rate adaptation state machine for one stream.
 #[derive(Clone, Debug)]
 pub struct RateController {
@@ -188,11 +230,8 @@ pub struct RateController {
     rho: f64,
     /// Estimations the condition must hold for consecutively.
     window: u32,
-    /// Buffer estimate s(t) in *seconds of video* (bytes/bitrate
-    /// normalization makes τ the unit; see [`RateController::observe_explained`]).
-    buffered: f64,
-    /// Last estimation instant.
-    last_at: Option<SimTime>,
+    /// Buffer estimate s(t) (Eq. 7).
+    buffer: PlayoutBuffer,
     /// Consecutive up-condition hits.
     up_run: u32,
     /// Consecutive down-condition hits.
@@ -215,12 +254,21 @@ impl RateController {
             theta,
             rho: game.latency_tolerance,
             window: window.max(1),
-            buffered: 0.0,
-            last_at: None,
+            buffer: PlayoutBuffer::EMPTY,
             up_run: 0,
             down_run: 0,
             up_probe_after: None,
             stable_run: 0,
+        }
+    }
+
+    /// The controller a stream of `game` runs under `params`: its θ,
+    /// hysteresis window and (optional) stable up-probe.
+    pub fn from_params(game: &Game, params: &SystemParams) -> Self {
+        let ctl = RateController::new(game, params.theta, params.hysteresis_window);
+        match params.up_probe_after {
+            Some(n) => ctl.with_up_probe(n),
+            None => ctl,
         }
     }
 
@@ -249,13 +297,13 @@ impl RateController {
 
     /// Current buffer estimate in segments (`r` of Eq. 8).
     pub fn r(&self, segment_duration: SimDuration) -> f64 {
-        self.buffered / segment_duration.as_secs_f64()
+        self.buffer.r(segment_duration)
     }
 
     /// Seed the buffer estimate with a startup prebuffer of
     /// `segments` segments (clients buffer ahead before playing).
     pub fn prime(&mut self, segments: f64, segment_duration: SimDuration) {
-        self.buffered = segments * segment_duration.as_secs_f64();
+        self.buffer.prime(segments, segment_duration);
     }
 
     /// Feed one estimation step (Eq. 7) and apply Eqs. 9–11,
@@ -276,28 +324,16 @@ impl RateController {
         playback_rate: f64,
         segment_duration: SimDuration,
     ) -> (RateDecision, AdaptExplain) {
-        if let Some(prev) = self.last_at {
-            let dt = now.saturating_since(prev).as_secs_f64();
-            // Clamp: a real client buffer is bounded (two segments of
-            // look-ahead credit — more would let one catch-up burst
-            // bank enough surplus to flap straight back up), and never
-            // negative.
-            let cap = 2.0 * segment_duration.as_secs_f64();
-            self.buffered = (self.buffered + dt * (download_rate - playback_rate)).clamp(0.0, cap);
-        }
-        self.last_at = Some(now);
+        self.buffer.integrate(now, download_rate, playback_rate, segment_duration);
         self.evaluate_explained(segment_duration)
     }
 
     /// Apply Eqs. 9–11 (with hysteresis) to the *current* buffer
-    /// estimate without touching it — the entry point for event-driven
-    /// simulations that maintain the buffer via
-    /// [`RateController::on_segment_arrival`] /
-    /// [`RateController::on_playback`]. The explain snapshot captures
-    /// the rate estimate, both thresholds and the
-    /// consecutive-estimation counters *after* this estimation was
-    /// counted but *before* a firing run is reset — so a switch shows
-    /// the run length that actually triggered it.
+    /// estimate without touching it (one hysteresis estimation still
+    /// elapses). The explain snapshot captures the rate estimate, both
+    /// thresholds and the consecutive-estimation counters *after* this
+    /// estimation was counted but *before* a firing run is reset — so a
+    /// switch shows the run length that actually triggered it.
     pub fn evaluate_explained(
         &mut self,
         segment_duration: SimDuration,
@@ -366,23 +402,11 @@ impl RateController {
         }
         (RateDecision::Hold, explain)
     }
-
-    /// Directly adjust the buffer estimate when a segment arrives
-    /// (`+τ` seconds of video) — the event-driven complement to the
-    /// rate-based estimator for simulations that know exact arrivals.
-    pub fn on_segment_arrival(&mut self, segment_duration: SimDuration) {
-        self.buffered += segment_duration.as_secs_f64();
-    }
-
-    /// Directly drain the buffer estimate by `dt` of playback.
-    pub fn on_playback(&mut self, dt: SimDuration) {
-        self.buffered = (self.buffered - dt.as_secs_f64()).max(0.0);
-    }
 }
 
 /// One estimation step's worth of signals, snapshotted by the
 /// simulation at segment delivery and handed to whichever
-/// [`AdaptPolicy`] the run selected. Policies read what they need and
+/// [`StreamPolicy`] the run selected. Policies read what they need and
 /// ignore the rest; the simulation only *computes* the optional
 /// signals (gaze weight, host load) when the selected policy declares
 /// it consumes them ([`AdaptPolicyKind::needs_gaze`] /
@@ -440,106 +464,6 @@ impl PolicyInputs {
     }
 }
 
-/// An encoding-rate adaptation policy: the object-safe contract every
-/// arena contestant implements.
-///
-/// The contract mirrors [`RateController`]'s shape — an *observe* step
-/// that ingests one [`PolicyInputs`] estimation and decides, and an
-/// *evaluate* step that re-applies the decision rule to the current
-/// policy state without ingesting a new sample. Both return the
-/// decision together with an [`AdaptExplain`] provenance snapshot;
-/// [`AdaptExplain::driver`] names which input drove a switch. The
-/// `rng` argument is a deterministic stream forked by the simulation
-/// (`rng_policy`), so policies may jitter decisions (e.g. desynchronize
-/// recovery probes) without breaking same-seed replay.
-///
-/// Policies keep all state local (quality level, hysteresis runs,
-/// EWMAs) and must keep their chosen quality within
-/// `[1, game.max_quality()]` — the harness's `adapt.ladder_bounds`
-/// invariant and the arena proptests enforce it.
-pub trait AdaptPolicy: Send {
-    /// Stable short name (matches [`AdaptPolicyKind::label`]).
-    fn name(&self) -> &'static str;
-
-    /// Current encoding quality.
-    fn quality(&self) -> QualityLevel;
-
-    /// Seed the policy's startup state with a prebuffer of `segments`
-    /// segments (clients buffer ahead before playing).
-    fn prime(&mut self, segments: f64, segment_duration: SimDuration);
-
-    /// Ingest one estimation step and decide, with provenance.
-    fn observe_explained(
-        &mut self,
-        inputs: &PolicyInputs,
-        rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain);
-
-    /// Re-apply the decision rule to the current policy state without
-    /// ingesting a new sample (one hysteresis estimation still
-    /// elapses), with provenance.
-    fn evaluate_explained(
-        &mut self,
-        segment_duration: SimDuration,
-        rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain);
-}
-
-/// The paper's §III-B controller behind the [`AdaptPolicy`] trait —
-/// a pure delegation to [`RateController`], bit-identical to calling
-/// it directly (the golden refactor gate pins this).
-#[derive(Clone, Debug)]
-pub struct BufferOccupancyPolicy {
-    ctl: RateController,
-}
-
-impl BufferOccupancyPolicy {
-    /// The paper controller for `game` with `params`' θ, hysteresis
-    /// window and (optional) stable up-probe.
-    pub fn new(game: &Game, params: &SystemParams) -> Self {
-        let mut ctl = RateController::new(game, params.theta, params.hysteresis_window);
-        if let Some(n) = params.up_probe_after {
-            ctl = ctl.with_up_probe(n);
-        }
-        BufferOccupancyPolicy { ctl }
-    }
-}
-
-impl AdaptPolicy for BufferOccupancyPolicy {
-    fn name(&self) -> &'static str {
-        AdaptPolicyKind::BufferOccupancy.label()
-    }
-
-    fn quality(&self) -> QualityLevel {
-        self.ctl.quality()
-    }
-
-    fn prime(&mut self, segments: f64, segment_duration: SimDuration) {
-        self.ctl.prime(segments, segment_duration);
-    }
-
-    fn observe_explained(
-        &mut self,
-        inputs: &PolicyInputs,
-        _rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
-        self.ctl.observe_explained(
-            inputs.now,
-            inputs.download_rate,
-            inputs.playback_rate,
-            inputs.segment_duration,
-        )
-    }
-
-    fn evaluate_explained(
-        &mut self,
-        segment_duration: SimDuration,
-        _rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
-        self.ctl.evaluate_explained(segment_duration)
-    }
-}
-
 /// Throughput-EWMA adaptation (Ewelle-style): pick the highest level
 /// whose bitrate fits under the smoothed measured throughput with a
 /// safety headroom, with the same consecutive-estimation hysteresis
@@ -551,11 +475,6 @@ pub struct BandwidthAwarePolicy {
     max_quality: Rung,
     /// Consecutive estimations a condition must hold.
     window: u32,
-    /// Required throughput margin: a level fits when
-    /// `headroom × bitrate ≤ ewma`.
-    headroom: f64,
-    /// EWMA smoothing factor α ∈ (0, 1].
-    alpha: f64,
     /// Smoothed absolute throughput estimate (kbit/s).
     ewma_kbps: f64,
     up_run: u32,
@@ -563,16 +482,20 @@ pub struct BandwidthAwarePolicy {
 }
 
 impl BandwidthAwarePolicy {
+    /// Required throughput margin: a level fits when
+    /// `HEADROOM × bitrate ≤ ewma`.
+    pub const HEADROOM: f64 = 1.15;
+    /// EWMA smoothing factor α ∈ (0, 1] of the throughput estimate.
+    pub const EWMA_ALPHA: f64 = 0.3;
+
     /// A bandwidth-aware policy for `game` starting at the game's
     /// maximum quality.
-    pub fn new(game: &Game, params: &SystemParams) -> Self {
+    fn new(game: &Game, params: &SystemParams) -> Self {
         let max_quality = Rung::of(game.max_quality());
         BandwidthAwarePolicy {
             quality: max_quality,
             max_quality,
             window: params.hysteresis_window.max(1),
-            headroom: params.bandwidth_headroom,
-            alpha: params.bandwidth_ewma_alpha,
             ewma_kbps: 0.0,
             up_run: 0,
             down_run: 0,
@@ -588,13 +511,13 @@ impl BandwidthAwarePolicy {
         // explain snapshot reads like the paper's `r` vs thresholds.
         let surplus = self.ewma_kbps / current;
         let up_threshold =
-            next.map_or(0.0, |n| self.headroom * n.get().bitrate_kbps as f64 / current);
-        let down_threshold = self.headroom;
-        if self.ewma_kbps < self.headroom * current {
+            next.map_or(0.0, |n| Self::HEADROOM * n.get().bitrate_kbps as f64 / current);
+        let down_threshold = Self::HEADROOM;
+        if self.ewma_kbps < Self::HEADROOM * current {
             self.down_run += 1;
             self.up_run = 0;
         } else if next
-            .is_some_and(|n| self.ewma_kbps >= self.headroom * n.get().bitrate_kbps as f64)
+            .is_some_and(|n| self.ewma_kbps >= Self::HEADROOM * n.get().bitrate_kbps as f64)
         {
             self.up_run += 1;
             self.down_run = 0;
@@ -630,44 +553,22 @@ impl BandwidthAwarePolicy {
         }
         (RateDecision::Hold, explain)
     }
-}
 
-impl AdaptPolicy for BandwidthAwarePolicy {
-    fn name(&self) -> &'static str {
-        AdaptPolicyKind::BandwidthAware.label()
-    }
-
-    fn quality(&self) -> QualityLevel {
-        self.quality.get()
-    }
-
-    fn prime(&mut self, segments: f64, _segment_duration: SimDuration) {
+    fn prime(&mut self, segments: f64) {
         // A prebuffer of n segments reads as n× real-time throughput
         // banked: seed the EWMA at that multiple of the current level.
         self.ewma_kbps = self.quality.get().bitrate_kbps as f64 * segments.max(0.0);
     }
 
-    fn observe_explained(
-        &mut self,
-        inputs: &PolicyInputs,
-        _rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
+    fn observe_explained(&mut self, inputs: &PolicyInputs) -> (RateDecision, AdaptExplain) {
         // d is normalized to the current bitrate (video-seconds per
         // wall second), so the absolute throughput sample is d × b_q.
         let sample = inputs.download_rate.max(0.0) * self.quality.get().bitrate_kbps as f64;
         self.ewma_kbps = if self.ewma_kbps == 0.0 {
             sample
         } else {
-            self.alpha * sample + (1.0 - self.alpha) * self.ewma_kbps
+            Self::EWMA_ALPHA * sample + (1.0 - Self::EWMA_ALPHA) * self.ewma_kbps
         };
-        self.decide()
-    }
-
-    fn evaluate_explained(
-        &mut self,
-        _segment_duration: SimDuration,
-        _rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
         self.decide()
     }
 }
@@ -685,8 +586,7 @@ pub struct FoveatedPolicy {
     /// Congestion guard threshold θ/ρ (same form as Eq. 11).
     theta: f64,
     rho: f64,
-    buffered: f64,
-    last_at: Option<SimTime>,
+    buffer: PlayoutBuffer,
     last_weight: f64,
     starve_run: u32,
     gaze_up_run: u32,
@@ -696,7 +596,7 @@ pub struct FoveatedPolicy {
 impl FoveatedPolicy {
     /// A foveated policy for `game` starting at the game's maximum
     /// quality with a neutral (foveal) gaze.
-    pub fn new(game: &Game, params: &SystemParams) -> Self {
+    fn new(game: &Game, params: &SystemParams) -> Self {
         let max_quality = Rung::of(game.max_quality());
         FoveatedPolicy {
             quality: max_quality,
@@ -704,8 +604,7 @@ impl FoveatedPolicy {
             window: params.hysteresis_window.max(1),
             theta: params.theta,
             rho: game.latency_tolerance,
-            buffered: 0.0,
-            last_at: None,
+            buffer: PlayoutBuffer::EMPTY,
             last_weight: 1.0,
             starve_run: 0,
             gaze_up_run: 0,
@@ -722,7 +621,7 @@ impl FoveatedPolicy {
 
     /// One hysteresis estimation against the current buffer + gaze.
     fn decide(&mut self, segment_duration: SimDuration) -> (RateDecision, AdaptExplain) {
-        let r = self.buffered / segment_duration.as_secs_f64();
+        let r = self.buffer.r(segment_duration);
         let down_threshold = self.theta / self.rho;
         let target = self.gaze_target();
         let starving = r < down_threshold;
@@ -786,50 +685,24 @@ impl FoveatedPolicy {
         }
         (RateDecision::Hold, explain)
     }
-}
 
-impl AdaptPolicy for FoveatedPolicy {
-    fn name(&self) -> &'static str {
-        AdaptPolicyKind::Foveated.label()
-    }
-
-    fn quality(&self) -> QualityLevel {
-        self.quality.get()
-    }
-
-    fn prime(&mut self, segments: f64, segment_duration: SimDuration) {
-        self.buffered = segments * segment_duration.as_secs_f64();
-    }
-
-    fn observe_explained(
-        &mut self,
-        inputs: &PolicyInputs,
-        _rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
-        if let Some(prev) = self.last_at {
-            let dt = inputs.now.saturating_since(prev).as_secs_f64();
-            let cap = 2.0 * inputs.segment_duration.as_secs_f64();
-            self.buffered = (self.buffered + dt * (inputs.download_rate - inputs.playback_rate))
-                .clamp(0.0, cap);
-        }
-        self.last_at = Some(inputs.now);
+    fn observe_explained(&mut self, inputs: &PolicyInputs) -> (RateDecision, AdaptExplain) {
+        self.buffer.integrate(
+            inputs.now,
+            inputs.download_rate,
+            inputs.playback_rate,
+            inputs.segment_duration,
+        );
         self.last_weight = inputs.region_weight;
         self.decide(inputs.segment_duration)
-    }
-
-    fn evaluate_explained(
-        &mut self,
-        segment_duration: SimDuration,
-        _rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
-        self.decide(segment_duration)
     }
 }
 
 /// Server-load-driven encode quality (Stimpack-style): the hosting
 /// supernode's load — not the client's buffer — sets the encode
-/// quality. Sustained pressure above `server_load_high` sheds one
-/// level; sustained slack below `server_load_low` probes one back up,
+/// quality. Sustained pressure above [`ServerAwarePolicy::LOAD_HIGH`]
+/// sheds one level; sustained slack below
+/// [`ServerAwarePolicy::LOAD_LOW`] probes one back up,
 /// with an RNG coin flip so one overloaded supernode's players don't
 /// all recover in lockstep and immediately re-overload it.
 #[derive(Clone, Debug)]
@@ -837,24 +710,29 @@ pub struct ServerAwarePolicy {
     quality: Rung,
     max_quality: Rung,
     window: u32,
-    load_high: f64,
-    load_low: f64,
     last_load: f64,
     high_run: u32,
     low_run: u32,
 }
 
 impl ServerAwarePolicy {
+    /// Supernode load above which the policy sheds encode quality.
+    /// Deliberately conservative: a render-constrained supernode needs
+    /// headroom *before* it saturates, and Pareto capacities mean
+    /// typical fog loads sit well below 1.0.
+    pub const LOAD_HIGH: f64 = 0.6;
+    /// Supernode load below which the policy probes encode quality
+    /// back up.
+    pub const LOAD_LOW: f64 = 0.3;
+
     /// A server-aware policy for `game` starting at the game's
     /// maximum quality.
-    pub fn new(game: &Game, params: &SystemParams) -> Self {
+    fn new(game: &Game, params: &SystemParams) -> Self {
         let max_quality = Rung::of(game.max_quality());
         ServerAwarePolicy {
             quality: max_quality,
             max_quality,
             window: params.hysteresis_window.max(1),
-            load_high: params.server_load_high,
-            load_low: params.server_load_low,
             last_load: 0.0,
             high_run: 0,
             low_run: 0,
@@ -863,10 +741,10 @@ impl ServerAwarePolicy {
 
     /// One hysteresis estimation against the current host load.
     fn decide(&mut self, rng: &mut Rng) -> (RateDecision, AdaptExplain) {
-        if self.last_load > self.load_high {
+        if self.last_load > Self::LOAD_HIGH {
             self.high_run += 1;
             self.low_run = 0;
-        } else if self.last_load < self.load_low {
+        } else if self.last_load < Self::LOAD_LOW {
             self.low_run += 1;
             self.high_run = 0;
         } else {
@@ -878,8 +756,8 @@ impl ServerAwarePolicy {
             // the *down* threshold is the high-pressure bound and the
             // *up* threshold the low-pressure bound it must sink below.
             r: self.last_load,
-            up_threshold: self.load_low,
-            down_threshold: self.load_high,
+            up_threshold: Self::LOAD_LOW,
+            down_threshold: Self::LOAD_HIGH,
             up_run: self.low_run,
             down_run: self.high_run,
             stable_run: 0,
@@ -908,18 +786,6 @@ impl ServerAwarePolicy {
         }
         (RateDecision::Hold, explain)
     }
-}
-
-impl AdaptPolicy for ServerAwarePolicy {
-    fn name(&self) -> &'static str {
-        AdaptPolicyKind::ServerAware.label()
-    }
-
-    fn quality(&self) -> QualityLevel {
-        self.quality.get()
-    }
-
-    fn prime(&mut self, _segments: f64, _segment_duration: SimDuration) {}
 
     fn observe_explained(
         &mut self,
@@ -929,25 +795,25 @@ impl AdaptPolicy for ServerAwarePolicy {
         self.last_load = inputs.host_load.clamp(0.0, 1.0);
         self.decide(rng)
     }
-
-    fn evaluate_explained(
-        &mut self,
-        _segment_duration: SimDuration,
-        rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
-        self.decide(rng)
-    }
 }
 
 /// One stream's adaptation policy, stored inline: one variant per arena
 /// contestant, plus [`StreamPolicy::Fixed`] for a stream that does not
 /// adapt (a system without adaptation, or a session a brownout cap
-/// pins). [`AdaptPolicyKind::policy`] builds the adaptive variants and
-/// [`AdaptPolicyKind::build`] boxes what it builds.
+/// pins). [`AdaptPolicyKind::build`] builds the adaptive variants.
+///
+/// Every variant keeps all its state local (quality level, hysteresis
+/// runs, EWMAs) and keeps its quality within `[1, game.max_quality()]`
+/// — the harness's `adapt.ladder_bounds` invariant and the arena
+/// proptests enforce it. The `rng` the simulation hands
+/// [`StreamPolicy::observe_explained`] and
+/// [`StreamPolicy::evaluate_explained`] is a deterministic stream
+/// (`rng_policy`), so a policy may jitter decisions (e.g. desynchronize
+/// recovery probes) without breaking same-seed replay.
 #[derive(Clone, Debug)]
 pub enum StreamPolicy {
     /// The paper's §III-B controller.
-    BufferOccupancy(BufferOccupancyPolicy),
+    BufferOccupancy(RateController),
     /// Throughput-EWMA level selection.
     BandwidthAware(BandwidthAwarePolicy),
     /// Gaze-weighted quality targets.
@@ -965,6 +831,66 @@ impl StreamPolicy {
         !matches!(self, StreamPolicy::Fixed(_))
     }
 
+    /// Current encoding quality.
+    pub fn quality(&self) -> QualityLevel {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.quality(),
+            StreamPolicy::BandwidthAware(p) => p.quality.get(),
+            StreamPolicy::Foveated(p) => p.quality.get(),
+            StreamPolicy::ServerAware(p) => p.quality.get(),
+            StreamPolicy::Fixed(q) => *q,
+        }
+    }
+
+    /// Seed the policy's startup state with a prebuffer of `segments`
+    /// segments (clients buffer ahead before playing).
+    pub fn prime(&mut self, segments: f64, segment_duration: SimDuration) {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.prime(segments, segment_duration),
+            StreamPolicy::BandwidthAware(p) => p.prime(segments),
+            StreamPolicy::Foveated(p) => p.buffer.prime(segments, segment_duration),
+            StreamPolicy::ServerAware(_) | StreamPolicy::Fixed(_) => {}
+        }
+    }
+
+    /// Ingest one estimation step and decide, with provenance;
+    /// [`AdaptExplain::driver`] names which input drove a switch.
+    pub fn observe_explained(
+        &mut self,
+        inputs: &PolicyInputs,
+        rng: &mut Rng,
+    ) -> (RateDecision, AdaptExplain) {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.observe_explained(
+                inputs.now,
+                inputs.download_rate,
+                inputs.playback_rate,
+                inputs.segment_duration,
+            ),
+            StreamPolicy::BandwidthAware(p) => p.observe_explained(inputs),
+            StreamPolicy::Foveated(p) => p.observe_explained(inputs),
+            StreamPolicy::ServerAware(p) => p.observe_explained(inputs, rng),
+            StreamPolicy::Fixed(q) => (RateDecision::Hold, Self::fixed_explain(*q)),
+        }
+    }
+
+    /// Re-apply the decision rule to the current policy state without
+    /// ingesting a new sample (one hysteresis estimation still
+    /// elapses), with provenance.
+    pub fn evaluate_explained(
+        &mut self,
+        segment_duration: SimDuration,
+        rng: &mut Rng,
+    ) -> (RateDecision, AdaptExplain) {
+        match self {
+            StreamPolicy::BufferOccupancy(p) => p.evaluate_explained(segment_duration),
+            StreamPolicy::BandwidthAware(p) => p.decide(),
+            StreamPolicy::Foveated(p) => p.decide(segment_duration),
+            StreamPolicy::ServerAware(p) => p.decide(rng),
+            StreamPolicy::Fixed(q) => (RateDecision::Hold, Self::fixed_explain(*q)),
+        }
+    }
+
     /// The explain snapshot of a fixed stream's hold.
     fn fixed_explain(quality: QualityLevel) -> AdaptExplain {
         AdaptExplain {
@@ -977,66 +903,6 @@ impl StreamPolicy {
             from_level: quality.level,
             probe: false,
             driver: None,
-        }
-    }
-}
-
-impl AdaptPolicy for StreamPolicy {
-    fn name(&self) -> &'static str {
-        match self {
-            StreamPolicy::BufferOccupancy(p) => p.name(),
-            StreamPolicy::BandwidthAware(p) => p.name(),
-            StreamPolicy::Foveated(p) => p.name(),
-            StreamPolicy::ServerAware(p) => p.name(),
-            StreamPolicy::Fixed(_) => "fixed",
-        }
-    }
-
-    fn quality(&self) -> QualityLevel {
-        match self {
-            StreamPolicy::BufferOccupancy(p) => p.quality(),
-            StreamPolicy::BandwidthAware(p) => p.quality(),
-            StreamPolicy::Foveated(p) => p.quality(),
-            StreamPolicy::ServerAware(p) => p.quality(),
-            StreamPolicy::Fixed(q) => *q,
-        }
-    }
-
-    fn prime(&mut self, segments: f64, segment_duration: SimDuration) {
-        match self {
-            StreamPolicy::BufferOccupancy(p) => p.prime(segments, segment_duration),
-            StreamPolicy::BandwidthAware(p) => p.prime(segments, segment_duration),
-            StreamPolicy::Foveated(p) => p.prime(segments, segment_duration),
-            StreamPolicy::ServerAware(p) => p.prime(segments, segment_duration),
-            StreamPolicy::Fixed(_) => {}
-        }
-    }
-
-    fn observe_explained(
-        &mut self,
-        inputs: &PolicyInputs,
-        rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
-        match self {
-            StreamPolicy::BufferOccupancy(p) => p.observe_explained(inputs, rng),
-            StreamPolicy::BandwidthAware(p) => p.observe_explained(inputs, rng),
-            StreamPolicy::Foveated(p) => p.observe_explained(inputs, rng),
-            StreamPolicy::ServerAware(p) => p.observe_explained(inputs, rng),
-            StreamPolicy::Fixed(q) => (RateDecision::Hold, Self::fixed_explain(*q)),
-        }
-    }
-
-    fn evaluate_explained(
-        &mut self,
-        segment_duration: SimDuration,
-        rng: &mut Rng,
-    ) -> (RateDecision, AdaptExplain) {
-        match self {
-            StreamPolicy::BufferOccupancy(p) => p.evaluate_explained(segment_duration, rng),
-            StreamPolicy::BandwidthAware(p) => p.evaluate_explained(segment_duration, rng),
-            StreamPolicy::Foveated(p) => p.evaluate_explained(segment_duration, rng),
-            StreamPolicy::ServerAware(p) => p.evaluate_explained(segment_duration, rng),
-            StreamPolicy::Fixed(q) => (RateDecision::Hold, Self::fixed_explain(*q)),
         }
     }
 }
@@ -1089,10 +955,10 @@ impl AdaptPolicyKind {
     /// Construct and prime the policy for one stream of `game` —
     /// every policy starts with the same one-segment prebuffer the
     /// paper controller gets at join.
-    pub fn policy(self, game: &Game, params: &SystemParams) -> StreamPolicy {
+    pub fn build(self, game: &Game, params: &SystemParams) -> StreamPolicy {
         let mut policy = match self {
             AdaptPolicyKind::BufferOccupancy => {
-                StreamPolicy::BufferOccupancy(BufferOccupancyPolicy::new(game, params))
+                StreamPolicy::BufferOccupancy(RateController::from_params(game, params))
             }
             AdaptPolicyKind::BandwidthAware => {
                 StreamPolicy::BandwidthAware(BandwidthAwarePolicy::new(game, params))
@@ -1104,11 +970,6 @@ impl AdaptPolicyKind {
         };
         policy.prime(1.0, params.segment_duration);
         policy
-    }
-
-    /// [`AdaptPolicyKind::policy`] behind the object-safe trait.
-    pub fn build(self, game: &Game, params: &SystemParams) -> Box<dyn AdaptPolicy> {
-        Box::new(self.policy(game, params))
     }
 }
 
@@ -1175,7 +1036,7 @@ mod tests {
     fn starvation_adjusts_down_after_window() {
         let mut c = controller(0); // level 5
                                    // Pre-fill a bit, then starve: download 0, playback 1.
-        c.on_segment_arrival(TAU);
+        c.prime(1.0, TAU);
         let mut downs = 0;
         for k in 0..10 {
             if let RateDecision::Down(_) = c.observe_explained(t(k as f64), 0.0, 1.0, TAU).0 {
@@ -1211,7 +1072,7 @@ mod tests {
             let (d, p) = if k % 2 == 0 { (5.0, 1.0) } else { (1.0, 1.0) };
             // Drain buffer between surplus steps so r re-enters the
             // hold band on odd steps.
-            c.buffered = if k % 2 == 0 { 2.0 } else { 0.4 };
+            c.buffer.buffered = if k % 2 == 0 { 2.0 } else { 0.4 };
             let dec = c.observe_explained(t(k as f64), d, p, TAU).0;
             assert_eq!(dec, RateDecision::Hold, "switched at step {k}");
         }
@@ -1269,7 +1130,7 @@ mod tests {
         c.observe_explained(t(0.0), 2.0, 1.0, TAU);
         // One second at net +1 video-second/s.
         c.observe_explained(t(1.0), 2.0, 1.0, TAU);
-        assert!((c.buffered - 1.0).abs() < 1e-9, "buffered {}", c.buffered);
+        assert!((c.buffer.buffered - 1.0).abs() < 1e-9, "buffered {}", c.buffer.buffered);
         assert!((c.r(TAU) - 2.0).abs() < 1e-9, "r {}", c.r(TAU));
     }
 
@@ -1278,19 +1139,7 @@ mod tests {
         let mut c = controller(0);
         c.observe_explained(t(0.0), 0.0, 1.0, TAU);
         c.observe_explained(t(100.0), 0.0, 1.0, TAU);
-        assert_eq!(c.buffered, 0.0);
-        c.on_playback(SimDuration::from_secs(5));
-        assert_eq!(c.buffered, 0.0);
-    }
-
-    #[test]
-    fn event_driven_hooks() {
-        let mut c = controller(0);
-        c.on_segment_arrival(TAU);
-        c.on_segment_arrival(TAU);
-        assert!((c.r(TAU) - 2.0).abs() < 1e-9);
-        c.on_playback(TAU);
-        assert!((c.r(TAU) - 1.0).abs() < 1e-9);
+        assert_eq!(c.buffer.buffered, 0.0);
     }
 
     // ── Arena policies ────────────────────────────────────────────
@@ -1311,28 +1160,27 @@ mod tests {
     #[test]
     fn buffer_policy_is_bit_identical_to_rate_controller() {
         let params = arena_params();
-        let mut raw = RateController::new(&GAMES[1], params.theta, params.hysteresis_window);
+        let mut raw = RateController::from_params(&GAMES[1], &params);
         raw.prime(1.0, TAU);
-        let mut boxed = AdaptPolicyKind::BufferOccupancy.build(&GAMES[1], &params);
+        let mut policy = AdaptPolicyKind::BufferOccupancy.build(&GAMES[1], &params);
         let mut rng = Rng::new(7);
         // A stream that starves, recovers, and saturates.
         let pattern = [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 3.0, 3.0, 3.0, 3.0, 3.0, 1.0, 0.2, 0.2];
         for (k, &d) in pattern.iter().cycle().take(100).enumerate() {
             let (dec_raw, ex_raw) = raw.observe_explained(t(k as f64), d, 1.0, TAU);
-            let (dec_box, ex_box) = boxed.observe_explained(&rate_inputs(k as f64, d), &mut rng);
-            assert_eq!(dec_raw, dec_box, "diverged at step {k}");
-            assert_eq!(ex_raw, ex_box, "explain diverged at step {k}");
-            assert_eq!(ex_box.driver, None, "paper controller must not claim a driver");
+            let (dec, ex) = policy.observe_explained(&rate_inputs(k as f64, d), &mut rng);
+            assert_eq!(dec_raw, dec, "diverged at step {k}");
+            assert_eq!(ex_raw, ex, "explain diverged at step {k}");
+            assert_eq!(ex.driver, None, "paper controller must not claim a driver");
         }
-        assert_eq!(raw.quality(), boxed.quality());
+        assert_eq!(raw.quality(), policy.quality());
     }
 
     #[test]
     fn bandwidth_policy_follows_throughput() {
         let params = arena_params();
-        let mut p = BandwidthAwarePolicy::new(&GAMES[0], &params); // max level 5
+        let mut p = AdaptPolicyKind::BandwidthAware.build(&GAMES[0], &params); // max level 5
         let mut rng = Rng::new(7);
-        p.prime(1.0, TAU);
         // Throughput collapses to 0.3× realtime: must shed quality.
         for k in 0..30 {
             p.observe_explained(&rate_inputs(k as f64, 0.3), &mut rng);
@@ -1351,7 +1199,7 @@ mod tests {
     #[test]
     fn foveated_policy_tracks_gaze_weight() {
         let params = arena_params();
-        let mut p = FoveatedPolicy::new(&GAMES[0], &params); // max level 5
+        let mut p = AdaptPolicyKind::Foveated.build(&GAMES[0], &params); // max level 5
         let mut rng = Rng::new(7);
         p.prime(2.0, TAU);
         // Healthy stream, gaze in the periphery: quality must sink
@@ -1374,9 +1222,8 @@ mod tests {
     #[test]
     fn foveated_policy_buffer_guard_overrides_gaze() {
         let params = arena_params();
-        let mut p = FoveatedPolicy::new(&GAMES[0], &params);
+        let mut p = AdaptPolicyKind::Foveated.build(&GAMES[0], &params);
         let mut rng = Rng::new(7);
-        p.prime(1.0, TAU);
         // Foveal gaze wants max quality, but the stream is starving:
         // the Eq. 7 guard must force quality down anyway.
         let mut guard_downs = 0;
@@ -1395,7 +1242,7 @@ mod tests {
     #[test]
     fn server_policy_sheds_under_load_and_probes_back() {
         let params = arena_params();
-        let mut p = ServerAwarePolicy::new(&GAMES[0], &params);
+        let mut p = AdaptPolicyKind::ServerAware.build(&GAMES[0], &params);
         let mut rng = Rng::new(7);
         // Sustained overload: must shed within ladder bounds.
         for k in 0..30 {
@@ -1415,7 +1262,7 @@ mod tests {
     fn server_policy_recovery_is_deterministic_per_seed() {
         let params = arena_params();
         let run = |seed: u64| {
-            let mut p = ServerAwarePolicy::new(&GAMES[0], &params);
+            let mut p = AdaptPolicyKind::ServerAware.build(&GAMES[0], &params);
             let mut rng = Rng::new(seed);
             let mut decisions = Vec::new();
             for k in 0..120 {
@@ -1438,7 +1285,6 @@ mod tests {
             for game in GAMES.iter() {
                 let p = kind.build(game, &params);
                 assert_eq!(p.quality(), game.max_quality(), "{} mis-primed", kind.label());
-                assert_eq!(p.name(), kind.label());
             }
         }
     }

@@ -181,21 +181,6 @@ pub struct SystemParams {
     /// up-probe after this many healthy estimations (`None` =
     /// paper-faithful Eqs. 9–11 only). See `adapt` module docs.
     pub up_probe_after: Option<u32>,
-    /// Arena: throughput margin the `BandwidthAwarePolicy` requires —
-    /// a quality level fits when `headroom × bitrate ≤ ewma`.
-    pub bandwidth_headroom: f64,
-    /// Arena: EWMA smoothing factor α for the `BandwidthAwarePolicy`
-    /// throughput estimate.
-    pub bandwidth_ewma_alpha: f64,
-    /// Arena: supernode load above which the `ServerAwarePolicy`
-    /// sheds encode quality. Deliberately conservative (0.6): a
-    /// render-constrained supernode needs headroom *before* it
-    /// saturates, and Pareto capacities mean typical fog loads sit
-    /// well below 1.0.
-    pub server_load_high: f64,
-    /// Arena: supernode load below which the `ServerAwarePolicy`
-    /// probes encode quality back up.
-    pub server_load_low: f64,
 }
 
 impl SystemParams {
@@ -225,10 +210,6 @@ impl SystemParams {
         video_congestion_factor: 2.0,
         edge_capacity: 40,
         up_probe_after: None,
-        bandwidth_headroom: 1.15,
-        bandwidth_ewma_alpha: 0.3,
-        server_load_high: 0.6,
-        server_load_low: 0.3,
     };
 
     /// Bytes in a segment of `bitrate_kbps` video lasting

@@ -8,7 +8,6 @@
 //! IP addresses and available capacities".
 
 use cloudfog_net::topology::{HostId, Topology};
-use cloudfog_workload::games::GameId;
 use cloudfog_workload::player::PlayerId;
 
 /// Index of a supernode in the [`SupernodeTable`].
@@ -41,9 +40,6 @@ pub struct Supernode {
     pub retired: bool,
     /// Players currently assigned.
     pub assigned: Vec<PlayerId>,
-    /// Game clients installed (all games, per §III-A.1 pre-install;
-    /// kept as data so future work on selective installs has a hook).
-    pub installed_games: Vec<GameId>,
 }
 
 impl Supernode {
@@ -98,7 +94,6 @@ impl SupernodeTable {
             nominal_capacity: capacity,
             retired: false,
             assigned: Vec::new(),
-            installed_games: cloudfog_workload::games::GAMES.iter().map(|g| g.id).collect(),
         });
         id
     }
@@ -204,7 +199,6 @@ mod tests {
         let sn = table.get(SupernodeId(1));
         assert_eq!(sn.capacity, 5);
         assert_eq!(sn.available(), 5);
-        assert_eq!(sn.installed_games.len(), 5, "all games pre-installed");
     }
 
     #[test]

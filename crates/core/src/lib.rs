@@ -62,8 +62,8 @@ pub mod systems;
 pub mod prelude {
     pub use crate::adapt::AdaptExplain;
     pub use crate::adapt::{
-        AdaptPolicy, AdaptPolicyKind, BandwidthAwarePolicy, BufferOccupancyPolicy, FoveatedPolicy,
-        PolicyInputs, ServerAwarePolicy, StreamPolicy, SwitchDriver,
+        AdaptPolicyKind, BandwidthAwarePolicy, FoveatedPolicy, PolicyInputs, ServerAwarePolicy,
+        StreamPolicy, SwitchDriver,
     };
     pub use crate::adapt::{RateController, RateDecision};
     pub use crate::cache::{CacheStats, SegmentCache, SegmentKey};

@@ -248,10 +248,10 @@ pub mod kind {
     /// Deadline-buffer packet shed (Eq. 14 rebalance). `key` = player,
     /// `value` = packets dropped.
     pub const SCHED_DROP: &str = "sched.drop";
-    /// Rate-adaptation up-switch (whichever `AdaptPolicy` the run
+    /// Rate-adaptation up-switch (whichever `AdaptPolicyKind` the run
     /// selected). `key` = player, `value` = new level.
     pub const ADAPT_UP: &str = "adapt.up";
-    /// Rate-adaptation down-switch (whichever `AdaptPolicy` the run
+    /// Rate-adaptation down-switch (whichever `AdaptPolicyKind` the run
     /// selected). `key` = player, `value` = new level.
     pub const ADAPT_DOWN: &str = "adapt.down";
     /// Heartbeat detector confirmed a supernode failure. `key` = host,

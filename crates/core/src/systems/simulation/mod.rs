@@ -65,9 +65,7 @@ use control::{Control, ControlEv};
 use faults::{FaultEv, Faults};
 use prefetch::{PrefetchEv, PrefetchState};
 
-use crate::adapt::{
-    AdaptPolicy, AdaptPolicyKind, PolicyInputs, RateDecision, StreamPolicy, SwitchDriver,
-};
+use crate::adapt::{AdaptPolicyKind, PolicyInputs, RateDecision, StreamPolicy, SwitchDriver};
 use crate::config::{ExperimentProfile, SystemParams, MAX_WORLD_PLAYERS, MIN_WORLD_PLAYERS};
 use crate::fault::FaultScript;
 use crate::infra::SupernodeId;
@@ -1181,7 +1179,7 @@ impl StreamingSim {
         self.last_game[p.index()] = Some(game_id);
         let paths = self.attach_source(p, source, now);
 
-        // `policy` applies the startup prebuffer (clients buffer one
+        // `build` applies the startup prebuffer (clients buffer one
         // segment ahead) for every adaptive policy.
         let policy = match quality_cap {
             Some(cap) => {
@@ -1190,7 +1188,7 @@ impl StreamingSim {
                 StreamPolicy::Fixed(QUALITY_LEVELS[level - 1])
             }
             None if self.cfg.kind.uses_adaptation() => {
-                self.cfg.policy.policy(&game, &SystemParams::PAPER)
+                self.cfg.policy.build(&game, &SystemParams::PAPER)
             }
             None => StreamPolicy::Fixed(game.max_quality()),
         };

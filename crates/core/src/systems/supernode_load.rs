@@ -149,14 +149,7 @@ impl LoadSim {
                 );
                 let game = (g * cfg.players_per_sn + k) % GAMES.len();
                 let controller = cfg.kind.uses_adaptation().then(|| {
-                    let mut c = RateController::new(
-                        &GAMES[game],
-                        cfg.params.theta,
-                        cfg.params.hysteresis_window,
-                    );
-                    if let Some(n) = cfg.params.up_probe_after {
-                        c = c.with_up_probe(n);
-                    }
+                    let mut c = RateController::from_params(&GAMES[game], &cfg.params);
                     c.prime(1.0, cfg.params.segment_duration);
                     c
                 });

@@ -4,8 +4,6 @@
 //! stand-in for the paper's PlanetLab trace and testbed.
 //!
 //! * [`geo`] — planar continental-US map, metro anchors, host scatter.
-//! * [`ip`] — synthetic IPv4 plan + city-accurate geolocation (the
-//!   mechanism the cloud uses to find "physically close" supernodes).
 //! * [`latency`] — distance → delay model calibrated to PlanetLab-era
 //!   RTTs (coast-to-coast ≈ 70–100 ms RTT).
 //! * [`bandwidth`] — Mbps units and transmission times.
@@ -20,7 +18,6 @@
 pub mod bandwidth;
 pub mod geo;
 pub mod gilbert;
-pub mod ip;
 pub mod latency;
 pub mod topology;
 
@@ -29,7 +26,6 @@ pub mod prelude {
     pub use crate::bandwidth::Mbps;
     pub use crate::geo::{Coord, Region, ANCHOR_CITIES};
     pub use crate::gilbert::GilbertElliott;
-    pub use crate::ip::{GeoIpTable, Ipv4};
     pub use crate::latency::LatencyModel;
     pub use crate::topology::{Host, HostId, HostKind, LinkProfile, Topology};
 }

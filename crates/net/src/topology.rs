@@ -2,17 +2,16 @@
 //!
 //! A [`Topology`] is the set of simulated machines — players,
 //! supernode candidates and datacenters alike — with their true
-//! positions, advertised (geolocated) positions, addresses and link
-//! capacities. It is also the one delay oracle: delay between two
-//! hosts comes from its [`LatencyModel`], calibrated to the PlanetLab
-//! latencies the paper's PeerSim experiments were driven by.
+//! positions, advertised (geolocated) positions and link capacities.
+//! It is also the one delay oracle: delay between two hosts comes from
+//! its [`LatencyModel`], calibrated to the PlanetLab latencies the
+//! paper's PeerSim experiments were driven by.
 
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::time::SimDuration;
 
 use crate::bandwidth::Mbps;
 use crate::geo::{self, Coord, Region};
-use crate::ip::{GeoIpTable, Ipv4};
 use crate::latency::LatencyModel;
 
 /// Identifier of a host in a [`Topology`] (dense, 0-based).
@@ -50,8 +49,6 @@ pub struct Host {
     pub city: usize,
     /// Coarse region.
     pub region: Region,
-    /// Synthetic address.
-    pub ip: Ipv4,
     /// Role.
     pub kind: HostKind,
     /// Uplink capacity.
@@ -64,7 +61,6 @@ pub struct Host {
 #[derive(Clone, Debug)]
 pub struct Topology {
     hosts: Vec<Host>,
-    geoip: GeoIpTable,
     model: LatencyModel,
 }
 
@@ -132,7 +128,7 @@ impl LinkProfile {
 impl Topology {
     /// An empty topology using `model` as its delay oracle.
     pub fn new(model: LatencyModel) -> Self {
-        Topology { hosts: Vec::new(), geoip: GeoIpTable::new(), model }
+        Topology { hosts: Vec::new(), model }
     }
 
     /// Add a host scattered around a weighted-random anchor city.
@@ -163,14 +159,12 @@ impl Topology {
         rng: &mut Rng,
     ) -> HostId {
         let id = HostId(self.hosts.len() as u32);
-        let ip = self.geoip.allocate(city);
         let (upload, download) = links.sample(rng);
         self.hosts.push(Host {
             id,
             position,
             city,
             region: geo::ANCHOR_CITIES[city].region,
-            ip,
             kind,
             upload,
             download,
@@ -204,13 +198,15 @@ impl Topology {
     }
 
     /// Geolocated (city-accurate) position of a host — what the cloud
-    /// sees when it resolves the host's IP, *not* the true position.
+    /// sees when it resolves the host's address to its metro: the
+    /// centre of the host's anchor city, *not* the true position.
     pub fn geolocated(&self, id: HostId) -> Coord {
-        self.geoip.locate(self.host(id).ip).expect("host IPs always come from our plan")
+        geo::ANCHOR_CITIES[self.host(id).city].coord()
     }
 
     /// Geolocation distance between two hosts in km (what the cloud
-    /// can compute from IPs; used for supernode candidate search).
+    /// can compute from addresses; used for supernode candidate
+    /// search).
     pub fn geo_distance_km(&self, a: HostId, b: HostId) -> f64 {
         self.geolocated(a).distance_km(&self.geolocated(b))
     }
@@ -294,7 +290,6 @@ mod tests {
         let t2 = small_topology(30, 9);
         for (a, b) in t1.hosts().iter().zip(t2.hosts()) {
             assert_eq!(a.position, b.position);
-            assert_eq!(a.ip, b.ip);
             assert_eq!(a.upload.0, b.upload.0);
         }
     }

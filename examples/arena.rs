@@ -1,4 +1,4 @@
-//! The adaptation-policy arena: tournament-judge every `AdaptPolicy`
+//! The adaptation-policy arena: tournament-judge every `AdaptPolicyKind`
 //! over a workload × fault matrix.
 //!
 //! Expands (policy × workload × fault template) into concrete cells on

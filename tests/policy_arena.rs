@@ -1,9 +1,9 @@
-//! Arena contracts for the [`AdaptPolicy`] family: every policy is
-//! deterministic per seed, the explicit `BufferOccupancy` selection is
-//! bit-identical to the historic default, no policy ever leaves the
+//! Arena contracts for the [`StreamPolicy`] contestants: every policy
+//! is deterministic per seed, the explicit `BufferOccupancy` selection
+//! is bit-identical to the historic default, no policy ever leaves the
 //! quality ladder — under chaos at the sim level, and under arbitrary
-//! input streams at the unit level (proptest) — and the inline
-//! [`StreamPolicy`] decides exactly as its contestant's own type does.
+//! input streams at the unit level (proptest) — and every policy's
+//! chaos run and decision stream match goldens pinned across commits.
 
 use cloudfog::core::config::SystemParams;
 use cloudfog::prelude::*;
@@ -139,68 +139,106 @@ proptest! {
     }
 }
 
-/// The contestant's own type behind the trait, built and primed the
-/// way [`AdaptPolicyKind::build`] does.
-fn direct_policy(
-    kind: AdaptPolicyKind,
-    game: &Game,
-    params: &SystemParams,
-) -> Box<dyn AdaptPolicy> {
-    let mut policy: Box<dyn AdaptPolicy> = match kind {
-        AdaptPolicyKind::BufferOccupancy => Box::new(BufferOccupancyPolicy::new(game, params)),
-        AdaptPolicyKind::BandwidthAware => Box::new(BandwidthAwarePolicy::new(game, params)),
-        AdaptPolicyKind::Foveated => Box::new(FoveatedPolicy::new(game, params)),
-        AdaptPolicyKind::ServerAware => Box::new(ServerAwarePolicy::new(game, params)),
-    };
-    policy.prime(1.0, params.segment_duration);
-    policy
+/// (kind, summary fp, telemetry fp, causal fp) of [`chaos_config`] for
+/// every contestant, captured before the adaptation policies became one
+/// enum type. On a mismatch the test prints every row it measured in
+/// this table's source format.
+const GOLDEN: [(AdaptPolicyKind, u64, u64, u64); 4] = [
+    (AdaptPolicyKind::BufferOccupancy, 0x52bc746548ad1b61, 0xe9f47940da394698, 0x6ddaba04bba93de7),
+    (AdaptPolicyKind::BandwidthAware, 0x6136861188b5321c, 0xe718ddff335d4582, 0xd8e175bb62364a92),
+    (AdaptPolicyKind::Foveated, 0x8996ed927a24945a, 0x90df4077a2750ee3, 0xe266b200f6a2ebda),
+    (AdaptPolicyKind::ServerAware, 0xc1273a1f5e450ba0, 0xa540ded7fd1cca68, 0x949e38a281ce683e),
+];
+
+/// Every contestant's chaos run is pinned across commits, not only
+/// against itself within one build.
+#[test]
+fn every_policy_matches_its_golden_under_chaos() {
+    let actual: Vec<_> = GOLDEN.iter().map(|&(kind, ..)| fingerprints(Some(kind))).collect();
+    if GOLDEN.iter().zip(&actual).any(|(g, a)| (g.1, g.2, g.3) != *a) {
+        eprintln!("measured table:");
+        eprintln!("const GOLDEN: [(AdaptPolicyKind, u64, u64, u64); {}] = [", GOLDEN.len());
+        for ((kind, ..), (s, t, c)) in GOLDEN.iter().zip(&actual) {
+            eprintln!("    (AdaptPolicyKind::{kind:?}, {s:#018x}, {t:#018x}, {c:#018x}),");
+        }
+        eprintln!("];");
+    }
+    for ((kind, s, t, c), a) in GOLDEN.into_iter().zip(actual) {
+        assert_eq!((s, t, c), a, "{kind:?}: chaos fingerprints drifted from the golden");
+    }
 }
 
-proptest! {
-    /// The inline policy the simulation stores, the boxed one
-    /// `AdaptPolicyKind::build` returns and the contestant's own type
-    /// return the same decision and explain at every step, through
-    /// both `observe_explained` and `evaluate_explained`.
-    #[test]
-    fn inline_and_boxed_policies_decide_alike(
-        kind_idx in 0usize..AdaptPolicyKind::ALL.len(),
-        game_idx in 0usize..5,
-        seed in 0u64..1_000,
-        evaluate_every in 2usize..6,
-        steps in prop::collection::vec((0.0f64..4.0, 0.0f64..1.0, 0.0f64..1.5, 0u64..600), 1..200),
-    ) {
-        let kind = AdaptPolicyKind::ALL[kind_idx];
-        let game = &GAMES[game_idx];
-        let params = SystemParams::default();
+/// Fingerprint of every `(RateDecision, AdaptExplain, quality)` one
+/// contestant returns over a fixed input stream, on every game, with
+/// the paper's parameters and with the stable up-probe on. The stream
+/// moves through starvation, balance and surplus, foveal and
+/// peripheral gaze, and high and low host load in blocks long enough
+/// for every hysteresis run to fire, and every fifth step or so is an
+/// `evaluate_explained` instead of an `observe_explained`.
+fn decision_fingerprint(kind: AdaptPolicyKind) -> u64 {
+    let mut trace = String::new();
+    let probe = SystemParams { up_probe_after: Some(8), ..SystemParams::default() };
+    for params in [SystemParams::default(), probe] {
         let tau = params.segment_duration;
-        let mut inline: StreamPolicy = kind.policy(game, &params);
-        let mut boxed = kind.build(game, &params);
-        let mut direct = direct_policy(kind, game, &params);
-        let mut rngs = [Rng::new(seed), Rng::new(seed), Rng::new(seed)];
-        prop_assert_eq!(inline.name(), kind.label());
-        let mut now = SimTime::ZERO;
-        for (k, &(d, weight, load, gap_ms)) in steps.iter().enumerate() {
-            now += SimDuration::from_millis(gap_ms);
-            let inputs = PolicyInputs::rate_only(now, d, 1.0, tau)
-                .with_region_weight(weight)
-                .with_host_load(load);
-            let [r0, r1, r2] = &mut rngs;
-            let (a, b, c) = if k % evaluate_every == 0 {
-                (
-                    inline.evaluate_explained(tau, r0),
-                    boxed.evaluate_explained(tau, r1),
-                    direct.evaluate_explained(tau, r2),
-                )
-            } else {
-                (
-                    inline.observe_explained(&inputs, r0),
-                    boxed.observe_explained(&inputs, r1),
-                    direct.observe_explained(&inputs, r2),
-                )
-            };
-            prop_assert_eq!(a, c, "{:?}: inline diverged from the contestant at step {}", kind, k);
-            prop_assert_eq!(b, c, "{:?}: boxed diverged from the contestant at step {}", kind, k);
-            prop_assert_eq!(inline.quality(), direct.quality());
+        for (g, game) in GAMES.iter().enumerate() {
+            let mut policy = kind.build(game, &params);
+            let mut rng = Rng::new(0xada9 + g as u64);
+            let mut input = Rng::new(0x1f0 + g as u64);
+            let mut now = SimTime::ZERO;
+            for k in 0..600u64 {
+                let block = k / 40;
+                let d = match block % 3 {
+                    0 => input.range_f64(0.0, 0.6),
+                    1 => input.range_f64(0.8, 1.2),
+                    _ => input.range_f64(1.5, 4.0),
+                };
+                let weight = if block % 2 == 0 { input.range_f64(0.7, 1.0) } else { input.f64() };
+                let load = match block % 4 {
+                    0 => input.range_f64(0.7, 1.0),
+                    1 => input.range_f64(0.0, 0.25),
+                    2 => input.range_f64(0.25, 0.65),
+                    _ => input.range_f64(0.0, 1.2),
+                };
+                now += SimDuration::from_millis(100 + input.below(600));
+                let out = if input.chance(0.2) {
+                    policy.evaluate_explained(tau, &mut rng)
+                } else {
+                    let inputs = PolicyInputs::rate_only(now, d, 1.0, tau)
+                        .with_region_weight(weight)
+                        .with_host_load(load);
+                    policy.observe_explained(&inputs, &mut rng)
+                };
+                trace.push_str(&format!("{out:?} {}\n", policy.quality().level));
+            }
         }
+    }
+    fnv(&trace)
+}
+
+/// (kind, decision fingerprint) captured before the adaptation
+/// policies became one enum type.
+const DECISION_GOLDEN: [(AdaptPolicyKind, u64); 4] = [
+    (AdaptPolicyKind::BufferOccupancy, 0x44bf4e9893954f19),
+    (AdaptPolicyKind::BandwidthAware, 0x6a2ccba48f2ad76d),
+    (AdaptPolicyKind::Foveated, 0xcd8ac73e7dbf0c61),
+    (AdaptPolicyKind::ServerAware, 0x25486f3599603d3d),
+];
+
+/// Every contestant decides, explains and moves its quality exactly as
+/// it did when the golden was captured, through both entry points.
+#[test]
+fn every_policy_decides_as_its_golden() {
+    let actual: Vec<_> =
+        DECISION_GOLDEN.iter().map(|&(kind, _)| decision_fingerprint(kind)).collect();
+    if DECISION_GOLDEN.iter().zip(&actual).any(|(g, a)| g.1 != *a) {
+        eprintln!("measured table:");
+        eprintln!("const DECISION_GOLDEN: [(AdaptPolicyKind, u64); {}] = [", DECISION_GOLDEN.len());
+        for ((kind, _), fp) in DECISION_GOLDEN.iter().zip(&actual) {
+            eprintln!("    (AdaptPolicyKind::{kind:?}, {fp:#018x}),");
+        }
+        eprintln!("];");
+    }
+    for ((kind, golden), fp) in DECISION_GOLDEN.into_iter().zip(actual) {
+        assert_eq!(golden, fp, "{kind:?}: decisions drifted from the golden");
     }
 }
