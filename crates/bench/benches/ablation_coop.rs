@@ -26,7 +26,7 @@ fn main() {
     let mut table = SupernodeTable::new();
     for _ in 0..5 {
         let h = topo.add_host_in_city(HostKind::SupernodeCandidate, &links, 0, &mut rng);
-        table.register(h, 20);
+        table.register(&topo, h, 20);
     }
     // 30 players, all initially piled on supernode 0 (e.g. it joined
     // first and soaked up the early arrivals).

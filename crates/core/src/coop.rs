@@ -339,8 +339,8 @@ mod tests {
         let sn0 = topo.add_host_in_city(HostKind::SupernodeCandidate, &links, 0, &mut rng);
         let sn1 = topo.add_host_in_city(HostKind::SupernodeCandidate, &links, 0, &mut rng);
         let mut table = SupernodeTable::new();
-        table.register(sn0, 16);
-        table.register(sn1, 16);
+        table.register(&topo, sn0, 16);
+        table.register(&topo, sn1, 16);
         let mut hosts = Vec::new();
         for p in 0..10u32 {
             let h =
@@ -396,8 +396,8 @@ mod tests {
         let sn0 = topo.add_host_in_city(HostKind::SupernodeCandidate, &links, 0, &mut rng); // NYC
         let sn1 = topo.add_host_in_city(HostKind::SupernodeCandidate, &links, 46, &mut rng); // LA
         let mut table = SupernodeTable::new();
-        table.register(sn0, 16);
-        table.register(sn1, 16);
+        table.register(&topo, sn0, 16);
+        table.register(&topo, sn1, 16);
         let mut hosts = Vec::new();
         for p in 0..10u32 {
             let h =

@@ -57,6 +57,9 @@ pub fn l_max(game: &Game, params: &SystemParams) -> SimDuration {
     game.latency_requirement().mul_f64(params.lmax_fraction)
 }
 
+/// A probed candidate: the supernode and the delay the probe measured.
+pub type Probe = (SupernodeId, SimDuration);
+
 /// Run the §III-A.3 join protocol for one player.
 ///
 /// * `topo` supplies geolocation (cloud side) and true delays (probe
@@ -72,31 +75,41 @@ pub fn assign_player(
     params: &SystemParams,
     rng: &mut Rng,
 ) -> Assignment {
+    assign_player_with(topo, table, player_host, game, params, rng, &mut Vec::new())
+}
+
+/// [`assign_player`] with the probes collected in `probes`, a buffer
+/// the caller keeps across joins so a join allocates only the backups
+/// it returns.
+pub fn assign_player_with(
+    topo: &Topology,
+    table: &SupernodeTable,
+    player_host: HostId,
+    game: &Game,
+    params: &SystemParams,
+    rng: &mut Rng,
+    probes: &mut Vec<Probe>,
+) -> Assignment {
     if table.is_empty() {
         return Assignment::cloud();
     }
 
-    // Step 1 — cloud: geolocated distance ranking, capacity filter,
-    // top h₁ candidates.
-    let mut by_distance = table.geo_distances(topo, player_host);
-    by_distance.retain(|&(id, _)| table.get(id).has_capacity());
-    by_distance.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite km"));
-    by_distance.truncate(params.candidate_limit);
-
-    // Step 2 — player: probe each candidate, filter by L_max.
+    // Step 1 — cloud: the top h₁ supernodes with capacity by
+    // geolocated distance, and step 2 — player: probe each one, in
+    // that order, and keep those within L_max.
     let threshold = l_max(game, params);
-    let mut probed: Vec<(SupernodeId, SimDuration)> = by_distance
-        .iter()
-        .map(|&(id, _)| {
-            let delay = topo.sample_one_way(player_host, table.get(id).host, rng);
-            (id, delay)
-        })
-        .filter(|&(_, delay)| delay <= threshold)
-        .collect();
+    let player = topo.endpoint(player_host);
+    probes.clear();
+    table.for_each_candidate(topo.host(player_host).city, params.candidate_limit, |sn| {
+        let delay = topo.probe(&player, &sn.endpoint, rng);
+        if delay <= threshold {
+            probes.push((sn.id, delay));
+        }
+    });
 
     // Step 3 — choose the fastest; next h₂ become backups.
-    probed.sort_by_key(|&(_, delay)| delay);
-    match probed.split_first() {
+    probes.sort_by_key(|&(_, delay)| delay);
+    match probes.split_first() {
         Some((&(primary, delay), rest)) => Assignment {
             primary: Some(primary),
             backups: rest.iter().take(params.backup_limit).map(|&(id, _)| id).collect(),
@@ -119,11 +132,13 @@ pub fn failover(
     rng: &mut Rng,
 ) -> Option<(SupernodeId, SimDuration)> {
     let threshold = l_max(game, params);
+    let player = topo.endpoint(player_host);
     for &id in backups {
-        if !table.get(id).has_capacity() {
+        let sn = table.get(id);
+        if !sn.has_capacity() {
             continue;
         }
-        let delay = topo.sample_one_way(player_host, table.get(id).host, rng);
+        let delay = topo.probe(&player, &sn.endpoint, rng);
         if delay <= threshold {
             return Some((id, delay));
         }
@@ -153,7 +168,7 @@ mod tests {
                 city,
                 &mut rng,
             );
-            table.register(host, 10);
+            table.register(&topo, host, 10);
         }
         (topo, table, player)
     }

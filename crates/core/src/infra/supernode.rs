@@ -7,7 +7,8 @@
 //! information of supernodes in the system in a table including their
 //! IP addresses and available capacities".
 
-use cloudfog_net::topology::{HostId, Topology};
+use cloudfog_net::geo::{self, CityDistance, ANCHOR_CITIES};
+use cloudfog_net::topology::{Endpoint, HostId, Topology};
 use cloudfog_workload::player::PlayerId;
 
 /// Index of a supernode in the [`SupernodeTable`].
@@ -40,6 +41,9 @@ pub struct Supernode {
     pub retired: bool,
     /// Players currently assigned.
     pub assigned: Vec<PlayerId>,
+    /// The machine as a delay endpoint, looked up at registration so
+    /// a probe recomputes nothing of the supernode's side.
+    pub endpoint: Endpoint,
 }
 
 impl Supernode {
@@ -73,19 +77,30 @@ impl Supernode {
 }
 
 /// The cloud's directory of supernodes.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct SupernodeTable {
     nodes: Vec<Supernode>,
+    /// The ids registered in each anchor city, in registration (so
+    /// ascending id) order: the candidate index of
+    /// [`SupernodeTable::for_each_candidate`].
+    by_city: Vec<Vec<SupernodeId>>,
+}
+
+impl Default for SupernodeTable {
+    fn default() -> Self {
+        SupernodeTable::new()
+    }
 }
 
 impl SupernodeTable {
     /// An empty table.
     pub fn new() -> Self {
-        SupernodeTable { nodes: Vec::new() }
+        SupernodeTable { nodes: Vec::new(), by_city: vec![Vec::new(); ANCHOR_CITIES.len()] }
     }
 
-    /// Register a supernode on `host` with capacity `capacity`.
-    pub fn register(&mut self, host: HostId, capacity: u32) -> SupernodeId {
+    /// Register a supernode on `topo`'s host `host` with capacity
+    /// `capacity`, filing it under the host's city.
+    pub fn register(&mut self, topo: &Topology, host: HostId, capacity: u32) -> SupernodeId {
         let id = SupernodeId(self.nodes.len() as u32);
         self.nodes.push(Supernode {
             id,
@@ -94,7 +109,9 @@ impl SupernodeTable {
             nominal_capacity: capacity,
             retired: false,
             assigned: Vec::new(),
+            endpoint: topo.endpoint(host),
         });
+        self.by_city[topo.host(host).city].push(id);
         id
     }
 
@@ -165,11 +182,69 @@ impl SupernodeTable {
         self.nodes.iter().map(|n| n.assigned.len()).sum()
     }
 
-    /// Geolocated distance (km) from `player_host` to each supernode,
-    /// as the cloud computes it from IP addresses. Returns
-    /// `(SupernodeId, km)` pairs, unsorted.
-    pub fn geo_distances(&self, topo: &Topology, player_host: HostId) -> Vec<(SupernodeId, f64)> {
-        self.nodes.iter().map(|n| (n.id, topo.geo_distance_km(player_host, n.host))).collect()
+    /// Step 1 of the §III-A.3 join protocol for a player in anchor
+    /// city `city`: visit the first `limit` supernodes with capacity in
+    /// order of geolocated distance, ties by id.
+    ///
+    /// Geolocation is city-accurate, so a supernode's distance is its
+    /// city's centre distance: the walk goes through the cities in
+    /// [`geo::cities_by_distance`] order and through each city's ids in
+    /// registration order. That is the order a stable sort of every
+    /// supernode by geolocated distance gives, without computing a
+    /// distance per supernode or sorting them.
+    pub fn for_each_candidate(&self, city: usize, limit: usize, mut visit: impl FnMut(&Supernode)) {
+        let mut left = limit;
+        if left == 0 {
+            return;
+        }
+        let mut take = |id: SupernodeId| {
+            let node = &self.nodes[id.index()];
+            if node.has_capacity() {
+                visit(node);
+                left -= 1;
+            }
+            left > 0
+        };
+        for group in geo::cities_by_distance(city).chunk_by(|a, b| a.km == b.km) {
+            let more = match group {
+                [one] => self.by_city[one.city].iter().all(|&id| take(id)),
+                _ => self.merge_tied(group, &mut take),
+            };
+            if !more {
+                return;
+            }
+        }
+    }
+
+    /// The ids of cities at one equal distance, as one ascending run:
+    /// what the stable sort gives a tie across cities.
+    fn merge_tied(&self, group: &[CityDistance], take: impl FnMut(SupernodeId) -> bool) -> bool {
+        let mut buckets = [&[][..]; ANCHOR_CITIES.len()];
+        for (bucket, c) in buckets.iter_mut().zip(group) {
+            *bucket = &self.by_city[c.city][..];
+        }
+        merge_ascending(&mut buckets[..group.len()], take)
+    }
+}
+
+/// Feed the ids of `buckets` (each ascending) to `take` as one
+/// ascending sequence, until `take` returns false. Returns false iff
+/// `take` stopped the merge.
+fn merge_ascending(
+    buckets: &mut [&[SupernodeId]],
+    mut take: impl FnMut(SupernodeId) -> bool,
+) -> bool {
+    loop {
+        let next = buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, bucket)| bucket.first().map(|&id| (id, i)))
+            .min();
+        let Some((id, i)) = next else { return true };
+        buckets[i] = &buckets[i][1..];
+        if !take(id) {
+            return false;
+        }
     }
 }
 
@@ -187,7 +262,7 @@ mod tests {
         for _ in 0..n {
             let host =
                 topo.add_host(HostKind::SupernodeCandidate, &LinkProfile::supernode(), &mut rng);
-            table.register(host, capacity);
+            table.register(&topo, host, capacity);
         }
         (table, topo)
     }
@@ -267,13 +342,52 @@ mod tests {
         assert_eq!(table.iter().filter(|n| n.is_live()).count(), 2);
     }
 
+    fn ids(raw: &[u32]) -> Vec<SupernodeId> {
+        raw.iter().map(|&i| SupernodeId(i)).collect()
+    }
+
+    /// Run `merge_ascending` over `buckets`, taking at most `limit` ids.
+    fn merged(buckets: &[Vec<SupernodeId>], limit: usize) -> (Vec<SupernodeId>, bool) {
+        let mut slices: Vec<&[SupernodeId]> = buckets.iter().map(|b| &b[..]).collect();
+        let mut out = Vec::new();
+        let done = merge_ascending(&mut slices, |id| {
+            out.push(id);
+            out.len() < limit
+        });
+        (out, done)
+    }
+
     #[test]
-    fn geo_distances_cover_all_supernodes() {
-        let (table, mut topo) = table_with(10, 5);
-        let mut rng = Rng::new(2);
-        let player = topo.add_host(HostKind::Player, &LinkProfile::residential(), &mut rng);
-        let dists = table.geo_distances(&topo, player);
-        assert_eq!(dists.len(), 10);
-        assert!(dists.iter().all(|&(_, d)| d.is_finite() && d >= 0.0));
+    fn tied_cities_merge_into_one_ascending_run() {
+        let buckets = [ids(&[1, 4, 9]), ids(&[]), ids(&[0, 5]), ids(&[2, 3, 10])];
+        let (all, done) = merged(&buckets, usize::MAX);
+        assert!(done, "an unstopped merge runs out of ids");
+        assert_eq!(all, ids(&[0, 1, 2, 3, 4, 5, 9, 10]));
+        // Stopping early keeps the prefix and reports the stop.
+        let (prefix, done) = merged(&buckets, 3);
+        assert!(!done);
+        assert_eq!(prefix, ids(&[0, 1, 2]));
+        // One bucket, or none, passes through unchanged.
+        assert_eq!(merged(&buckets[..1], usize::MAX).0, ids(&[1, 4, 9]));
+        assert_eq!(merged(&[], usize::MAX), (Vec::new(), true));
+    }
+
+    #[test]
+    fn candidates_come_city_by_city_in_registration_order() {
+        let (table, topo) = table_with(40, 1);
+        let city = topo.host(table.get(SupernodeId(0)).host).city;
+        let mut seen = Vec::new();
+        table.for_each_candidate(city, usize::MAX, |sn| seen.push(sn.id));
+        assert_eq!(seen.len(), 40, "every supernode with capacity is a candidate");
+        let km = |id: SupernodeId| {
+            topo.geolocated(table.get(id).host).distance_km(&geo::ANCHOR_CITIES[city].coord())
+        };
+        for w in seen.windows(2) {
+            assert!((km(w[0]), w[0]) < (km(w[1]), w[1]), "{w:?} out of (distance, id) order");
+        }
+        let mut first_two = Vec::new();
+        table.for_each_candidate(city, 2, |sn| first_two.push(sn.id));
+        assert_eq!(first_two, seen[..2]);
+        table.for_each_candidate(city, 0, |_| panic!("a zero limit visits nothing"));
     }
 }

@@ -5,8 +5,6 @@
 //! table for CloudFog — plus the logic for resolving which machine
 //! streams video to a given player.
 
-use std::collections::BTreeMap;
-
 use cloudfog_net::topology::{HostId, HostKind, LinkProfile, Topology};
 use cloudfog_sim::rng::Rng;
 use cloudfog_workload::games::Game;
@@ -15,7 +13,7 @@ use cloudfog_workload::population::Population;
 
 use crate::config::{ExperimentProfile, SystemParams, Testbed};
 use crate::infra::{
-    assign_player, deploy_datacenters, deploy_planetlab_datacenters, Assignment, Datacenter,
+    assign_player_with, deploy_datacenters, deploy_planetlab_datacenters, Datacenter, Probe,
     SupernodeId, SupernodeTable,
 };
 use crate::metrics::TrafficSource;
@@ -139,8 +137,11 @@ pub struct Deployment {
     pub edge_servers: Vec<HostId>,
     /// Supernode directory (CloudFog only, else empty).
     pub supernodes: SupernodeTable,
-    /// Players currently hosted per edge server (EdgeCloud only).
-    edge_load: BTreeMap<HostId, u32>,
+    /// Players currently hosted by each edge server, parallel to
+    /// `edge_servers` (EdgeCloud only).
+    edge_load: Vec<u32>,
+    /// The join protocol's probe buffer, reused across joins.
+    probes: Vec<Probe>,
 }
 
 impl Deployment {
@@ -196,17 +197,23 @@ impl Deployment {
                 // (1.8 Mbps, level 5) with 40 % queueing headroom.
                 let uplink = population.topology.host(player.host).upload.0;
                 let sustainable = (uplink * 0.6 / 1.8).floor() as u32;
-                supernodes.register(player.host, player.capacity.min(sustainable.max(1)));
+                supernodes.register(
+                    &population.topology,
+                    player.host,
+                    player.capacity.min(sustainable.max(1)),
+                );
             }
         }
 
+        let edge_load = vec![0; edge_servers.len()];
         Deployment {
             kind,
             population,
             datacenters,
             edge_servers,
             supernodes,
-            edge_load: BTreeMap::new(),
+            edge_load,
+            probes: Vec::new(),
         }
     }
 
@@ -215,18 +222,22 @@ impl Deployment {
         &self.population.topology
     }
 
-    /// The datacenter with the lowest static delay to `host` — where a
-    /// player's action messages go in every system.
+    /// The datacenter with the lowest static delay to `host` (the first
+    /// of equally near ones) — where a player's action messages go in
+    /// every system.
     pub fn nearest_datacenter(&self, host: HostId) -> Datacenter {
-        *self
-            .datacenters
-            .iter()
-            .min_by(|a, b| {
-                let da = self.topology().one_way_ms(host, a.host);
-                let db = self.topology().one_way_ms(host, b.host);
-                da.partial_cmp(&db).expect("finite delays")
-            })
-            .expect("at least one datacenter")
+        let topo = self.topology();
+        let from = topo.endpoint(host);
+        let delay = |dc: &Datacenter| topo.endpoint_ms(&from, &topo.endpoint(dc.host));
+        let (first, rest) = self.datacenters.split_first().expect("at least one datacenter");
+        let mut nearest = (*first, delay(first));
+        for dc in rest {
+            let ms = delay(dc);
+            if ms < nearest.1 {
+                nearest = (*dc, ms);
+            }
+        }
+        nearest.0
     }
 
     /// The cloud source for `host`: its nearest datacenter.
@@ -265,60 +276,91 @@ impl Deployment {
         params: &SystemParams,
         rng: &mut Rng,
     ) -> (StreamSource, Vec<SupernodeId>) {
+        let (source, backups, _) = self.resolve(player, game, params, rng);
+        (source, backups)
+    }
+
+    /// [`Deployment::resolve_source_with_backups`] plus the chosen
+    /// source's [`StreamPath`], which the resolution builds anyway:
+    /// the player's nearest datacenter is found once, and a fog
+    /// source's path is the one the fog-versus-cloud check compared.
+    pub(crate) fn resolve(
+        &mut self,
+        player: PlayerId,
+        game: &Game,
+        params: &SystemParams,
+        rng: &mut Rng,
+    ) -> (StreamSource, Vec<SupernodeId>, StreamPath) {
         let host = self.population.host_of(player);
-        match self.kind {
-            SystemKind::Cloud => (self.cloud_source(host), Vec::new()),
+        let dc = self.nearest_datacenter(host).host;
+        let cloud_source = StreamSource { host: dc, class: TrafficSource::Cloud, supernode: None };
+        let source = match self.kind {
+            SystemKind::Cloud => cloud_source,
             SystemKind::EdgeCloud => {
                 // Nearest of datacenters ∪ edge servers with free
                 // capacity; an edge server computes, renders and
                 // streams, so it hosts at most `edge_capacity` players.
-                let dc = self.nearest_datacenter(host);
-                let mut best_host = dc.host;
-                let mut best_class = TrafficSource::Cloud;
-                let mut best_ms = self.topology().one_way_ms(host, dc.host);
-                for &edge in &self.edge_servers {
-                    if self.edge_load.get(&edge).copied().unwrap_or(0) >= params.edge_capacity {
+                // Ranked by true delay, not geolocation, so the city
+                // index of the fog path does not apply.
+                let topo = self.topology();
+                let mut best_ms = topo.one_way_ms(host, dc);
+                let mut best = None;
+                for (i, (&edge, &load)) in self.edge_servers.iter().zip(&self.edge_load).enumerate()
+                {
+                    if load >= params.edge_capacity {
                         continue;
                     }
-                    let ms = self.topology().one_way_ms(host, edge);
+                    let ms = topo.one_way_ms(host, edge);
                     if ms < best_ms {
                         best_ms = ms;
-                        best_host = edge;
-                        best_class = TrafficSource::EdgeServer;
+                        best = Some(i);
                     }
                 }
-                if best_class == TrafficSource::EdgeServer {
-                    *self.edge_load.entry(best_host).or_insert(0) += 1;
-                }
-                (StreamSource { host: best_host, class: best_class, supernode: None }, Vec::new())
-            }
-            _ => {
-                let assignment: Assignment =
-                    assign_player(self.topology(), &self.supernodes, host, game, params, rng);
-                let cloud_source = self.cloud_source(host);
-                match assignment.primary {
-                    Some(sn) => {
-                        let fog_source = self.fog_source(sn);
-                        // The player already talks to the cloud, so it
-                        // knows both paths; it keeps the supernode only
-                        // if the fog path is actually faster (§III-A.3's
-                        // L_max check, taken to its rational conclusion).
-                        let bitrate = (REFERENCE_STREAM_MBPS * 1_000.0) as u32;
-                        let fog_ms = self.nominal_latency_ms(player, &fog_source, bitrate, params);
-                        let cloud_ms =
-                            self.nominal_latency_ms(player, &cloud_source, bitrate, params);
-                        if fog_ms <= cloud_ms {
-                            let ok = self.supernodes.assign(sn, player);
-                            debug_assert!(ok, "assignment protocol checked capacity");
-                            (fog_source, assignment.backups)
-                        } else {
-                            (cloud_source, Vec::new())
+                match best {
+                    Some(i) => {
+                        self.edge_load[i] += 1;
+                        StreamSource {
+                            host: self.edge_servers[i],
+                            class: TrafficSource::EdgeServer,
+                            supernode: None,
                         }
                     }
-                    None => (cloud_source, Vec::new()),
+                    None => cloud_source,
                 }
             }
-        }
+            _ => {
+                let assignment = assign_player_with(
+                    &self.population.topology,
+                    &self.supernodes,
+                    host,
+                    game,
+                    params,
+                    rng,
+                    &mut self.probes,
+                );
+                if let Some(sn) = assignment.primary {
+                    let fog_source = self.fog_source(sn);
+                    // The player already talks to the cloud, so it
+                    // knows both paths; it keeps the supernode only
+                    // if the fog path is actually faster (§III-A.3's
+                    // L_max check, taken to its rational conclusion).
+                    let bitrate = (REFERENCE_STREAM_MBPS * 1_000.0) as u32;
+                    let fog_path = self.path_via(host, dc, &fog_source, params);
+                    let cloud_path = self.path_via(host, dc, &cloud_source, params);
+                    let fog_ms =
+                        self.path_latency_ms(&fog_path, host, &fog_source, bitrate, params);
+                    let cloud_ms =
+                        self.path_latency_ms(&cloud_path, host, &cloud_source, bitrate, params);
+                    if fog_ms <= cloud_ms {
+                        let ok = self.supernodes.assign(sn, player);
+                        debug_assert!(ok, "assignment protocol checked capacity");
+                        return (fog_source, assignment.backups, fog_path);
+                    }
+                }
+                cloud_source
+            }
+        };
+        (source, Vec::new(), self.path_via(host, dc, &source, params))
     }
 
     /// Release a player's supernode or edge-server slot (no-op for
@@ -328,8 +370,8 @@ impl Deployment {
             self.supernodes.release(sn, player);
         }
         if source.class == TrafficSource::EdgeServer {
-            if let Some(load) = self.edge_load.get_mut(&source.host) {
-                *load = load.saturating_sub(1);
+            if let Some(i) = self.edge_servers.iter().position(|&e| e == source.host) {
+                self.edge_load[i] = self.edge_load[i].saturating_sub(1);
             }
         }
     }
@@ -346,6 +388,18 @@ impl Deployment {
         params: &SystemParams,
     ) -> StreamPath {
         let host = self.population.host_of(player);
+        self.path_via(host, self.nearest_datacenter(host).host, source, params)
+    }
+
+    /// [`Deployment::path`] for the player on `host`, whose nearest
+    /// datacenter the caller already found: `dc`.
+    fn path_via(
+        &self,
+        host: HostId,
+        dc: HostId,
+        source: &StreamSource,
+        params: &SystemParams,
+    ) -> StreamPath {
         let topo = self.topology();
         // Fog: cloud → supernode update hop (from the supernode's
         // nearest datacenter, where the authoritative state lives).
@@ -366,12 +420,7 @@ impl Deployment {
         let loss = params.path_loss(topo.true_distance_km(source.host, host));
         let flow_mbps =
             params.tcp_throughput_mbps(2.0 * prop.ms, loss).min(topo.host(host).download.0);
-        StreamPath {
-            action: self.hop(host, self.nearest_datacenter(host).host),
-            update,
-            prop,
-            flow_mbps,
-        }
+        StreamPath { action: self.hop(host, dc), update, prop, flow_mbps }
     }
 
     /// The static (jitter-free) hop from `a` to `b`.
@@ -415,13 +464,26 @@ impl Deployment {
         params: &SystemParams,
     ) -> f64 {
         let path = self.path(player, source, params);
+        self.path_latency_ms(&path, self.population.host_of(player), source, bitrate_kbps, params)
+    }
+
+    /// [`Deployment::nominal_latency_ms`] over `path`, the path
+    /// `source` streams to the player on `host` over.
+    fn path_latency_ms(
+        &self,
+        path: &StreamPath,
+        host: HostId,
+        source: &StreamSource,
+        bitrate_kbps: u32,
+        params: &SystemParams,
+    ) -> f64 {
         let topo = self.topology();
         // Action uplink: to wherever the game state is computed — the
         // nearest datacenter, except EdgeCloud edge servers, which
         // compute locally (the event simulation still sends it to the
         // datacenter; see DESIGN §6b).
         let up_ms = if source.class == TrafficSource::EdgeServer {
-            topo.one_way_ms(self.population.host_of(player), source.host)
+            topo.one_way_ms(host, source.host)
         } else {
             path.action.ms
         };

@@ -15,6 +15,7 @@ use cloudfog_workload::player::PlayerId;
 use cloudfog_workload::session::SessionState;
 
 use super::{Ev, Sched, StreamingSim, NUM_REGIONS};
+use crate::config::SystemParams;
 use crate::control::{
     AdmissionDecision, AdmissionParams, ControlOp, ControlOpKind, OP_BACKOFF, OP_DEADLINE,
 };
@@ -413,7 +414,8 @@ impl Control {
                 let outcome = coop::apply_migrations_checked(&mut sim.deployment.supernodes, &plan);
                 if outcome.applied == 1 {
                     let source = sim.deployment.fog_source(to);
-                    sim.attach_source(player, source, now);
+                    let paths = sim.deployment.path(player, &source, &SystemParams::PAPER);
+                    sim.attach_source(player, source, paths, now);
                     self.stats.migrations_applied += 1;
                     sim.trace_event(
                         now,
@@ -455,7 +457,7 @@ impl Control {
         let uplink = deployment.topology().host(host).upload.0;
         let sustainable = ((uplink * 0.6 / 1.8).floor() as u32).max(1);
         let capacity = player_capacity.min(sustainable);
-        let sn = deployment.supernodes.register(host, capacity);
+        let sn = deployment.supernodes.register(&deployment.population.topology, host, capacity);
         self.stats.supernode_arrivals += 1;
         sim.trace_event(now, obs::kind::DEPLOY_ARRIVAL, u64::from(sn.0), f64::from(capacity));
     }

@@ -1166,18 +1166,15 @@ impl StreamingSim {
             )
         };
         let game = GAMES[game_id.index()];
-        let (source, backups) = if forced_cloud {
-            (self.deployment.cloud_source(self.deployment.population.host_of(p)), Vec::new())
+        let params = &SystemParams::PAPER;
+        let (source, backups, paths) = if forced_cloud {
+            let source = self.deployment.cloud_source(self.deployment.population.host_of(p));
+            (source, Vec::new(), self.deployment.path(p, &source, params))
         } else {
-            self.deployment.resolve_source_with_backups(
-                p,
-                &game,
-                &SystemParams::PAPER,
-                &mut self.rng_assign,
-            )
+            self.deployment.resolve(p, &game, params, &mut self.rng_assign)
         };
         self.last_game[p.index()] = Some(game_id);
-        let paths = self.attach_source(p, source, now);
+        self.attach_source(p, source, paths, now);
 
         // `build` applies the startup prebuffer (clients buffer one
         // segment ahead) for every adaptive policy.
@@ -1573,14 +1570,20 @@ impl StreamingSim {
         true
     }
 
-    /// Point `p`'s stream at `source` — the one place a stream gets a
-    /// source, on join, failover and migration. Lowers the update feed
-    /// of the source a live stream leaves, makes sure the new host has
-    /// a sender, raises its update feed when it is a supernode, and
-    /// builds the player's [`Deployment::path`]. A live stream switches
-    /// in place; a joining player gets the path for its new
-    /// [`ActivePlayer`].
-    fn attach_source(&mut self, p: PlayerId, source: StreamSource, now: SimTime) -> StreamPath {
+    /// Point `p`'s stream at `source` over `paths`, its
+    /// [`Deployment::path`] — the one place a stream gets a source, on
+    /// join, failover and migration. Lowers the update feed of the
+    /// source a live stream leaves, makes sure the new host has a
+    /// sender and raises its update feed when it is a supernode. A live
+    /// stream switches in place; a joining player's [`ActivePlayer`]
+    /// is written after.
+    fn attach_source(
+        &mut self,
+        p: PlayerId,
+        source: StreamSource,
+        paths: StreamPath,
+        now: SimTime,
+    ) {
         if let Some(old) = self.active[p.index()].as_ref().map(|a| a.source) {
             self.update_feed(&old, now, false);
         }
@@ -1599,12 +1602,10 @@ impl StreamingSim {
             *slot = Some(Sender { buffer: SenderBuffer::new(policy, uplink, params), busy: false });
         }
         self.update_feed(&source, now, true);
-        let paths = self.deployment.path(p, &source, params);
         if let Some(active) = self.active[p.index()].as_mut() {
             active.source = source;
             active.paths = paths;
         }
-        paths
     }
 
     /// Lend the control plane out of the world for one call, so its
@@ -1665,7 +1666,8 @@ impl StreamingSim {
             }
             None => self.deployment.cloud_source(host),
         };
-        self.attach_source(p, source, now);
+        let paths = self.deployment.path(p, &source, &SystemParams::PAPER);
+        self.attach_source(p, source, paths, now);
         let value = if rescued { 1.0 } else { 0.0 };
         self.trace_event(now, obs::kind::DEPLOY_REHOME, u64::from(p.0), value);
         rescued

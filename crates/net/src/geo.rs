@@ -12,6 +12,8 @@
 //! PlanetLab-era site region is represented); populations scatter
 //! around anchors with a Gaussian "metro radius".
 
+use std::sync::OnceLock;
+
 use cloudfog_sim::rng::Rng;
 
 /// Projection origin: near the U.S. population centroid (Missouri).
@@ -232,6 +234,40 @@ pub fn scatter_around(city_idx: usize, rng: &mut Rng) -> Coord {
     Coord { x: c.x + rng.normal(0.0, METRO_SCATTER_KM), y: c.y + rng.normal(0.0, METRO_SCATTER_KM) }
 }
 
+/// One anchor city at its centre-to-centre distance from another.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CityDistance {
+    /// Index into [`ANCHOR_CITIES`].
+    pub city: usize,
+    /// Distance between the two city centres (km), exactly
+    /// `ANCHOR_CITIES[from].coord().distance_km(&ANCHOR_CITIES[city].coord())`.
+    pub km: f64,
+}
+
+/// Every anchor city ordered by centre distance from city `from`,
+/// nearest first (`from` itself leads at 0 km), equal distances by
+/// city index. Geolocation is city-accurate, so this is the order in
+/// which the cloud sees every host of every city from a host of
+/// `from`. Built once per process for all 48 × 48 pairs.
+pub fn cities_by_distance(from: usize) -> &'static [CityDistance] {
+    static RANKING: OnceLock<Vec<[CityDistance; ANCHOR_CITIES.len()]>> = OnceLock::new();
+    let ranking = RANKING.get_or_init(|| {
+        (0..ANCHOR_CITIES.len())
+            .map(|from| {
+                let centre = ANCHOR_CITIES[from].coord();
+                let mut row = [CityDistance { city: 0, km: 0.0 }; ANCHOR_CITIES.len()];
+                for (city, slot) in row.iter_mut().enumerate() {
+                    *slot =
+                        CityDistance { city, km: centre.distance_km(&ANCHOR_CITIES[city].coord()) };
+                }
+                row.sort_by(|a, b| a.km.total_cmp(&b.km).then(a.city.cmp(&b.city)));
+                row
+            })
+            .collect()
+    });
+    &ranking[from]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,6 +330,24 @@ mod tests {
             let p = scatter_around(idx, &mut rng);
             let d = p.distance_km(&ANCHOR_CITIES[idx].coord());
             assert!(d < METRO_SCATTER_KM * 8.0, "scatter {d} km");
+        }
+    }
+
+    #[test]
+    fn city_ranking_is_every_city_by_centre_distance() {
+        for (from, centre) in ANCHOR_CITIES.iter().enumerate() {
+            let row = cities_by_distance(from);
+            assert_eq!(row[0], CityDistance { city: from, km: 0.0 });
+            let mut seen = [false; ANCHOR_CITIES.len()];
+            for entry in row {
+                seen[entry.city] = true;
+                let want = centre.coord().distance_km(&ANCHOR_CITIES[entry.city].coord());
+                assert_eq!(entry.km.to_bits(), want.to_bits());
+            }
+            assert!(seen.iter().all(|&s| s), "city {from}'s ranking is not a permutation");
+            // Strictly increasing: no two anchor cities tie from any
+            // city, so ties only ever come from supernodes sharing a city.
+            assert!(row.windows(2).all(|w| w[0].km < w[1].km), "tie in city {from}'s ranking");
         }
     }
 

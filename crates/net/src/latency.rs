@@ -110,12 +110,24 @@ impl LatencyModel {
 
     /// Static one-way delay between two hosts (no per-packet jitter).
     pub fn one_way_ms(&self, a_id: u64, a: &Coord, b_id: u64, b: &Coord) -> f64 {
+        self.one_way_ms_with_access(a_id, a, self.access_ms(a_id), b_id, b, self.access_ms(b_id))
+    }
+
+    /// [`Self::one_way_ms`] with both hosts' [`Self::access_ms`]
+    /// supplied by the caller, who looked them up once for many
+    /// delays. Same operands in the same order, so the same bits.
+    pub fn one_way_ms_with_access(
+        &self,
+        a_id: u64,
+        a: &Coord,
+        a_access_ms: f64,
+        b_id: u64,
+        b: &Coord,
+        b_access_ms: f64,
+    ) -> f64 {
         let dist_km = a.distance_km(b);
         let propagation = dist_km * self.inflation / FIBER_KM_PER_MS;
-        propagation
-            + self.access_ms(a_id)
-            + self.access_ms(b_id)
-            + self.pair_detour_ms(a_id, b_id, dist_km)
+        propagation + a_access_ms + b_access_ms + self.pair_detour_ms(a_id, b_id, dist_km)
     }
 
     /// Static one-way delay as a duration.

@@ -204,13 +204,6 @@ impl Topology {
         geo::ANCHOR_CITIES[self.host(id).city].coord()
     }
 
-    /// Geolocation distance between two hosts in km (what the cloud
-    /// can compute from addresses; used for supernode candidate
-    /// search).
-    pub fn geo_distance_km(&self, a: HostId, b: HostId) -> f64 {
-        self.geolocated(a).distance_km(&self.geolocated(b))
-    }
-
     /// True distance between two hosts in km.
     pub fn true_distance_km(&self, a: HostId, b: HostId) -> f64 {
         self.host(a).position.distance_km(&self.host(b).position)
@@ -220,19 +213,56 @@ impl Topology {
     /// and positive otherwise (every host's access delay is), which is
     /// what makes a self-hop the only zero-length hop.
     pub fn one_way_ms(&self, a: HostId, b: HostId) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        let ha = self.host(a);
-        let hb = self.host(b);
-        self.model.one_way_ms(a.0 as u64, &ha.position, b.0 as u64, &hb.position)
+        self.endpoint_ms(&self.endpoint(a), &self.endpoint(b))
     }
 
-    /// One jittered one-way delay sample from `a` to `b`: see
-    /// [`LatencyModel::sample_hop`] for the rule.
-    pub fn sample_one_way(&self, a: HostId, b: HostId, rng: &mut Rng) -> SimDuration {
-        self.model.sample_hop(self.one_way_ms(a, b), rng)
+    /// Host `id` with what its delays need looked up once: its true
+    /// position and its [`LatencyModel::access_ms`].
+    pub fn endpoint(&self, id: HostId) -> Endpoint {
+        Endpoint {
+            host: id,
+            position: self.host(id).position,
+            access_ms: self.model.access_ms(u64::from(id.0)),
+        }
     }
+
+    /// [`Self::one_way_ms`] between two endpoints, bit for bit: zero
+    /// when both are the same host, the model's delay otherwise.
+    #[inline]
+    pub fn endpoint_ms(&self, a: &Endpoint, b: &Endpoint) -> f64 {
+        if a.host == b.host {
+            return 0.0;
+        }
+        self.model.one_way_ms_with_access(
+            u64::from(a.host.0),
+            &a.position,
+            a.access_ms,
+            u64::from(b.host.0),
+            &b.position,
+            b.access_ms,
+        )
+    }
+
+    /// One probe from `a` to `b`: a jittered sample of
+    /// [`Self::endpoint_ms`] under [`LatencyModel::sample_hop`]'s rule,
+    /// so a probe of the prober's own host is zero and draws nothing.
+    #[inline]
+    pub fn probe(&self, a: &Endpoint, b: &Endpoint, rng: &mut Rng) -> SimDuration {
+        self.model.sample_hop(self.endpoint_ms(a, b), rng)
+    }
+}
+
+/// A host as a delay endpoint: [`Topology::endpoint`] looks up its
+/// position and access delay once, and [`Topology::endpoint_ms`] /
+/// [`Topology::probe`] reuse them for every delay to or from it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Endpoint {
+    /// The host.
+    pub host: HostId,
+    /// Its true position.
+    pub position: Coord,
+    /// Its last-mile delay (ms).
+    pub access_ms: f64,
 }
 
 #[cfg(test)]

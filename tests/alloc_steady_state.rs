@@ -29,10 +29,14 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use cloudfog::core::adapt::AdaptPolicyKind;
+use cloudfog::core::config::{ExperimentProfile, SystemParams};
 use cloudfog::core::systems::{
-    ShardedSim, ShardedSimConfig, StreamingSim, StreamingSimConfig, SystemKind,
+    Deployment, ShardedSim, ShardedSimConfig, StreamingSim, StreamingSimConfig, SystemKind,
 };
+use cloudfog::sim::rng::Rng;
 use cloudfog::sim::time::SimDuration;
+use cloudfog::workload::games::GAMES;
+use cloudfog::workload::player::PlayerId;
 
 struct CountingAlloc;
 
@@ -178,5 +182,42 @@ fn sharded_steady_state_memory_is_per_shard_bounded() {
         "per-shard steady-state allocations grew with the total population: \
          {per_small:.1}/shard at {small_shards} shards vs \
          {per_large:.1}/shard at {large_shards} shards"
+    );
+}
+
+#[test]
+fn warm_join_allocates_only_its_backups() {
+    // A CloudFog join runs the §III-A.3 protocol: candidates come from
+    // the table's city index and probes go into a buffer the deployment
+    // reuses, so the one allocation left is the backups `Vec` the
+    // protocol returns (dropped again when the cloud path turns out
+    // faster). A first pass joins (and releases) every player to warm
+    // that buffer and each chosen supernode's player list; the measured
+    // pass replays it from the same probe stream, so every join sees
+    // the table it saw the first time.
+    let profile = ExperimentProfile::peersim(0.05);
+    let mut dep = Deployment::build(SystemKind::CloudFogB, &profile, 3, None, None);
+    let params = SystemParams::PAPER;
+    let stream = Rng::new(5);
+    let players = dep.population.len() as u32;
+    let mut join_all = |rng: &mut Rng| {
+        let mut most = 0;
+        let mut with_backups = 0;
+        for p in (0..players).map(PlayerId) {
+            let game = &GAMES[p.index() % GAMES.len()];
+            let before = allocs();
+            let (source, backups) = dep.resolve_source_with_backups(p, game, &params, rng);
+            most = most.max(allocs() - before);
+            with_backups += usize::from(!backups.is_empty());
+            dep.release(p, &source);
+        }
+        (most, with_backups)
+    };
+    join_all(&mut stream.clone());
+    let (most, with_backups) = join_all(&mut stream.clone());
+    assert!(most <= 1, "a warm join allocated {most} times; only its backups may allocate");
+    assert!(
+        with_backups * 4 > players as usize,
+        "only {with_backups} of {players} joins fogged with backups: the gate saw too few"
     );
 }

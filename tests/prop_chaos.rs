@@ -28,7 +28,7 @@ proptest! {
         for _ in 0..SN_COUNT {
             let host =
                 topo.add_host(HostKind::SupernodeCandidate, &LinkProfile::supernode(), &mut rng);
-            ids.push(table.register(host, SN_CAPACITY));
+            ids.push(table.register(&topo, host, SN_CAPACITY));
         }
 
         let mut next_player = 0u32;

@@ -243,13 +243,19 @@ proptest! {
         capacities in prop::collection::vec(1u32..4, 2..6),
         picks in prop::collection::vec(any::<u16>(), 1..40),
     ) {
-        use cloudfog::net::topology::HostId;
+        use cloudfog::net::latency::LatencyModel;
+        use cloudfog::net::topology::{HostKind, LinkProfile, Topology};
 
+        let mut rng = cloudfog::sim::rng::Rng::new(1);
+        let mut topo = Topology::new(LatencyModel::peersim(1));
         let mut table = SupernodeTable::new();
         let sns: Vec<SupernodeId> = capacities
             .iter()
-            .enumerate()
-            .map(|(i, &c)| table.register(HostId(i as u32), c))
+            .map(|&c| {
+                let host =
+                    topo.add_host(HostKind::SupernodeCandidate, &LinkProfile::supernode(), &mut rng);
+                table.register(&topo, host, c)
+            })
             .collect();
         // Fill odd supernodes to the brim and leave one free slot on
         // even ones, so plans routinely target destinations that are
