@@ -2,29 +2,35 @@
 //!
 //! The paper: Cloud > EdgeCloud > CloudFog/B > CloudFog/A.
 
-use cloudfog_bench::{figures, ms, pct, RunScale, Table};
+use cloudfog_bench::figures::{at_largest, figure_rows, seed_table, STREAMING_SYSTEMS};
+use cloudfog_bench::{ms, pct, RunScale, Table};
 use cloudfog_core::systems::SystemKind;
+use cloudfog_harness::prelude::SystemAggregate;
 
 fn main() {
     let scale = RunScale::from_env();
     let players = scale.peersim().population.players;
-    let runs = figures::latency_by_system(players, &scale);
+    let report = scale.run(scale.matrix(&STREAMING_SYSTEMS, &[players]));
+    let rows = figure_rows(&report, &STREAMING_SYSTEMS, &[players]);
+    let headers = ["mean latency", "coverage", "fog share"];
+    let values = |r: &SystemAggregate| {
+        vec![
+            ms(r.per_run(r.latency_ms_sum)),
+            pct(r.per_run(r.coverage_sum)),
+            pct(r.per_run(r.fog_share_sum)),
+        ]
+    };
 
     let mut t = Table::new(format!("Figure 8 — average response latency ({players} players)"))
-        .headers(["system", "mean latency", "coverage", "fog share"])
+        .headers(["system"].iter().chain(&headers).copied())
         .paper_shape("Cloud > EdgeCloud > CloudFog/B > CloudFog/A");
-    for r in &runs {
-        t.row([
-            r.kind.label().to_string(),
-            ms(r.mean_latency_ms),
-            pct(r.coverage),
-            pct(r.fog_share),
-        ]);
+    for (kind, _, r) in &rows {
+        t.row([kind.label().to_string()].into_iter().chain(values(r)));
     }
     t.print();
     t.maybe_write_csv("fig8");
 
-    let at = |k: SystemKind| runs.iter().find(|r| r.kind == k).map(|r| r.mean_latency_ms).unwrap();
+    let at = |k| at_largest(&rows, k, |r| r.latency_ms_sum);
     let order = [
         ("Cloud > EdgeCloud", at(SystemKind::Cloud) > at(SystemKind::EdgeCloud)),
         ("EdgeCloud > CloudFog/B", at(SystemKind::EdgeCloud) > at(SystemKind::CloudFogB)),
@@ -33,4 +39,6 @@ fn main() {
     for (label, ok) in order {
         println!("shape check: {label}: {}", if ok { "REPRODUCED" } else { "NOT REPRODUCED" });
     }
+    println!();
+    seed_table(&report, "Figure 8 — per-seed cells", &headers, values).print();
 }

@@ -3,37 +3,33 @@
 //! The paper: CloudFog/A > CloudFog/B > EdgeCloud > Cloud, with
 //! CloudFog/A above 90 % on average.
 
-use cloudfog_bench::{figures, pct, RunScale, Table};
+use cloudfog_bench::figures::{at_largest, figure_rows, seed_table, STREAMING_SYSTEMS};
+use cloudfog_bench::{pct, RunScale, Table};
 use cloudfog_core::systems::SystemKind;
+use cloudfog_harness::prelude::SystemAggregate;
 
 fn main() {
     let scale = RunScale::from_env();
     let base = scale.peersim().population.players;
     let counts: Vec<usize> =
         [0.5, 1.0].iter().map(|f| ((base as f64 * f) as usize).max(20)).collect();
-    let runs = figures::continuity_vs_players(&counts, &scale);
+    let report = scale.run(scale.matrix(&STREAMING_SYSTEMS, &counts));
+    let rows = figure_rows(&report, &STREAMING_SYSTEMS, &counts);
+    let headers = ["continuity", "satisfied"];
+    let values = |r: &SystemAggregate| {
+        vec![pct(r.per_run(r.continuity_sum)), pct(r.per_run(r.satisfied_sum))]
+    };
 
     let mut t = Table::new("Figure 9 — playback continuity vs #players")
-        .headers(["system", "players", "continuity", "satisfied"])
+        .headers(["system", "players"].iter().chain(&headers).copied())
         .paper_shape("CloudFog/A > CloudFog/B > EdgeCloud > Cloud; CloudFog/A > 90%");
-    for r in &runs {
-        t.row([
-            r.kind.label().to_string(),
-            r.players.to_string(),
-            pct(r.mean_continuity),
-            pct(r.satisfied_ratio),
-        ]);
+    for (kind, players, r) in &rows {
+        t.row([kind.label().to_string(), players.to_string()].into_iter().chain(values(r)));
     }
     t.print();
     t.maybe_write_csv("fig9");
 
-    let at = |k: SystemKind| {
-        runs.iter()
-            .filter(|r| r.kind == k)
-            .max_by_key(|r| r.players)
-            .map(|r| r.mean_continuity)
-            .unwrap()
-    };
+    let at = |k| at_largest(&rows, k, |r| r.continuity_sum);
     let checks = [
         ("CloudFog/A >= CloudFog/B", at(SystemKind::CloudFogA) >= at(SystemKind::CloudFogB) - 0.02),
         ("CloudFog/B > EdgeCloud", at(SystemKind::CloudFogB) > at(SystemKind::EdgeCloud)),
@@ -43,4 +39,6 @@ fn main() {
     for (label, ok) in checks {
         println!("shape check: {label}: {}", if ok { "REPRODUCED" } else { "NOT REPRODUCED" });
     }
+    println!();
+    seed_table(&report, "Figure 9 — per-seed cells", &headers, values).print();
 }

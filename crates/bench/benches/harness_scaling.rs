@@ -28,7 +28,7 @@ fn main() {
     let cells = matrix.build().len() as f64;
     let mut base_wall = None;
     let pool_sizes: Vec<usize> =
-        [1usize, 2, 4, available_workers()].into_iter().filter(|&w| w >= 1).collect();
+        [1usize, 2, 4, cloudfog_pool::default_workers()].into_iter().filter(|&w| w >= 1).collect();
     let mut seen = std::collections::BTreeSet::new();
     let mut fingerprints = std::collections::BTreeSet::new();
     for workers in pool_sizes {

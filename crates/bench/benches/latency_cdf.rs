@@ -4,36 +4,28 @@
 //! substrate: per-system P50/P95/P99 of per-player response latency,
 //! straight from the telemetry histograms.
 
+use cloudfog_bench::figures::STREAMING_SYSTEMS;
 use cloudfog_bench::{ms, RunScale, Table};
-use cloudfog_core::systems::{RunOutput, StreamingSim, StreamingSimConfig, SystemKind};
 use cloudfog_sim::telemetry::TelemetryConfig;
-use cloudfog_sim::time::SimDuration;
 
 fn main() {
     let scale = RunScale::from_env();
     let players = scale.peersim().population.players;
-    let systems =
-        [SystemKind::Cloud, SystemKind::EdgeCloud, SystemKind::CloudFogB, SystemKind::CloudFogA];
-    let rows: Vec<(SystemKind, RunOutput)> =
-        cloudfog_pool::map_indexed(scale.workers, &systems, |_, &kind| {
-            let cfg = StreamingSimConfig::builder(kind)
-                .players(players)
-                .seed(scale.seed)
-                .ramp(SimDuration::from_secs((scale.secs / 4).max(5)))
-                .horizon(SimDuration::from_secs(scale.secs))
-                .telemetry(TelemetryConfig::default())
-                .build();
-            (kind, StreamingSim::run_instrumented(cfg))
-        });
+    let report = scale.run(
+        scale
+            .matrix(&STREAMING_SYSTEMS, &[players])
+            .seeds([scale.seed])
+            .telemetry(TelemetryConfig::default()),
+    );
 
     let mut t = Table::new(format!("response-latency distribution ({players} players)"))
         .headers(["system", "P50", "P95", "P99", "max", "mean"])
         .paper_shape("the Cloud tail is what Choy et al. measured; the fog compresses it");
-    for (kind, out) in &rows {
-        let report = out.telemetry.as_ref().expect("telemetry enabled");
-        let q = report.get_quantiles("latency_ms.player").expect("player latency quantiles");
+    for cell in report.cells() {
+        let telemetry = cell.telemetry.as_ref().expect("telemetry enabled");
+        let q = telemetry.get_quantiles("latency_ms.player").expect("player latency quantiles");
         t.row([
-            kind.label().to_string(),
+            cell.scenario.kind.label().to_string(),
             ms(q.quantiles.p50),
             ms(q.quantiles.p95),
             ms(q.quantiles.p99),

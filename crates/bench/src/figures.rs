@@ -2,11 +2,12 @@
 //!
 //! Each function regenerates one figure's series using the same
 //! modules the library exposes; the `harness = false` bench targets
-//! print these through [`crate::report::Table`]. All sweeps fan the
-//! independent (system × parameter) cells out across
-//! `cloudfog-pool` worker threads — each cell is a self-contained
-//! deterministic simulation, and results are placed back in cell
-//! order, so the series are bit-identical for any worker count.
+//! print these through [`crate::report::Table`]. The streaming figures
+//! run through the harness: [`RunScale::matrix`] is the §IV cell recipe
+//! and [`RunScale::run`] checks every cell against the stock invariant
+//! registry. The coverage and load sweeps fan their cells out through
+//! `cloudfog-pool`. Results are placed by index, so the series are
+//! bit-identical for any worker count.
 //!
 //! Scale: by default runs use a reduced universe (set by
 //! [`RunScale::from_env`]) so `cargo bench` finishes in minutes;
@@ -16,10 +17,14 @@
 use cloudfog_core::config::{ExperimentProfile, SystemParams};
 use cloudfog_core::systems::{
     coverage_curve, supernode_load_experiment, CoveragePoint, LoadExperimentConfig, LoadPoint,
-    RunSummary, StreamingSim, StreamingSimConfig, SystemKind,
+    SystemKind,
 };
+use cloudfog_harness::prelude::{Harness, MatrixReport, ScenarioMatrix, SystemAggregate};
 use cloudfog_pool::map_indexed;
 use cloudfog_sim::time::SimDuration;
+use cloudfog_workload::games::GAMES;
+
+use crate::report::{pct, Table};
 
 /// Scale knobs for a reproduction run.
 #[derive(Clone, Copy, Debug)]
@@ -33,43 +38,64 @@ pub struct RunScale {
     /// Worker threads for sweep fan-out (`CLOUDFOG_WORKERS` override;
     /// cell results are bit-identical for any value).
     pub workers: usize,
+    /// Seeds per streaming figure cell (`CLOUDFOG_REPS`).
+    pub reps: u64,
 }
 
 impl RunScale {
-    /// Default: 6 % universe (600 players), 40 simulated seconds, one
-    /// sweep worker per available core.
+    /// Default: 6 % universe (600 players), 40 simulated seconds, 3
+    /// seeds per streaming cell, one sweep worker per available core.
     pub fn default_small() -> Self {
         RunScale {
             scale: 0.06,
             secs: 40,
             seed: 20150701,
             workers: cloudfog_pool::default_workers(),
+            reps: 3,
         }
     }
 
-    /// A copy with an explicit sweep worker count (used by the 1-vs-N
-    /// bit-identity tests and the throughput bench).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Read `CLOUDFOG_SCALE`, `CLOUDFOG_SECS`, `CLOUDFOG_SEED` from the
-    /// environment, falling back to [`RunScale::default_small`].
+    /// Read `CLOUDFOG_SCALE`, `CLOUDFOG_SECS`, `CLOUDFOG_SEED` and
+    /// `CLOUDFOG_REPS` from the environment, falling back to
+    /// [`RunScale::default_small`].
     pub fn from_env() -> Self {
         let mut s = Self::default_small();
         s.scale = cloudfog_core::config::scale_from_env(s.scale);
-        if let Ok(v) = std::env::var("CLOUDFOG_SECS") {
-            if let Ok(n) = v.parse::<u64>() {
-                s.secs = n.max(5);
-            }
+        let var = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
+        if let Some(n) = var("CLOUDFOG_SECS") {
+            s.secs = n.max(5);
         }
-        if let Ok(v) = std::env::var("CLOUDFOG_SEED") {
-            if let Ok(n) = v.parse::<u64>() {
-                s.seed = n;
-            }
+        if let Some(n) = var("CLOUDFOG_SEED") {
+            s.seed = n;
+        }
+        if let Some(n) = var("CLOUDFOG_REPS") {
+            s.reps = n.max(1);
         }
         s
+    }
+
+    /// The §IV streaming cell recipe: `systems` × `players` × `reps`
+    /// seeds (`seed ^ (r * 0x9E37)`), a `secs / 4` join ramp (at
+    /// least 5 s) and a `secs` horizon.
+    pub fn matrix(&self, systems: &[SystemKind], players: &[usize]) -> ScenarioMatrix {
+        ScenarioMatrix::new()
+            .systems(systems)
+            .players(players)
+            .seeds((0..self.reps).map(|r| self.seed ^ (r * 0x9E37)))
+            .ramp(SimDuration::from_secs((self.secs / 4).max(5)))
+            .horizon(SimDuration::from_secs(self.secs))
+    }
+
+    /// Run `matrix` on [`RunScale::workers`] workers under the stock
+    /// invariant registry. On a violation, print the harness report
+    /// (violation and reproducer lines) to stderr and exit 1.
+    pub fn run(&self, matrix: ScenarioMatrix) -> MatrixReport {
+        let report = Harness::new(matrix).workers(self.workers).run();
+        if !report.passed() {
+            eprint!("{}", report.render());
+            std::process::exit(1);
+        }
+        report.matrix
     }
 
     /// The PeerSim profile at this scale.
@@ -142,86 +168,62 @@ pub fn coverage_vs_supernodes(
     })
 }
 
-/// Run the streaming simulation for one (system, player-count) cell,
-/// averaged over `CLOUDFOG_REPS` seeds (default 3) — the §IV
-/// friend-majority game choice cascades populations toward one game,
-/// so single-seed cells are noisy. Reps run sequentially: the sweep
-/// above this call is what fans out, and nesting pools would
-/// oversubscribe the machine.
-pub fn streaming_cell(kind: SystemKind, players: usize, scale: &RunScale) -> RunSummary {
-    let reps: u64 =
-        std::env::var("CLOUDFOG_REPS").ok().and_then(|v| v.parse().ok()).unwrap_or(3).max(1);
-    let runs: Vec<RunSummary> = (0..reps)
-        .map(|r| {
-            let cfg = StreamingSimConfig::builder(kind)
-                .players(players)
-                .seed(scale.seed ^ (r * 0x9E37))
-                .ramp(SimDuration::from_secs((scale.secs / 4).max(5)))
-                .horizon(SimDuration::from_secs(scale.secs))
-                .build();
-            StreamingSim::run(cfg)
-        })
-        .collect();
-    average_runs(&runs)
+/// The four systems of Figs. 8–9, in the paper's order.
+pub const STREAMING_SYSTEMS: [SystemKind; 4] =
+    [SystemKind::Cloud, SystemKind::EdgeCloud, SystemKind::CloudFogB, SystemKind::CloudFogA];
+
+/// One row per (system, player count), system-major: the system's
+/// slice of [`MatrixReport::aggregate_where`] over that count's cells,
+/// i.e. its means over the seeds.
+pub fn figure_rows(
+    report: &MatrixReport,
+    systems: &[SystemKind],
+    players: &[usize],
+) -> Vec<(SystemKind, usize, SystemAggregate)> {
+    let per_count: Vec<_> =
+        players.iter().map(|&n| (n, report.aggregate_where(|s| s.players == n))).collect();
+    let rows = |k: SystemKind| {
+        per_count.iter().map(move |(n, a)| (k, *n, a.per_system[k.label()].clone()))
+    };
+    systems.iter().flat_map(|&k| rows(k)).collect()
 }
 
-/// Field-wise mean of several run summaries (same kind/player count).
-pub fn average_runs(runs: &[RunSummary]) -> RunSummary {
-    assert!(!runs.is_empty());
-    let n = runs.len() as f64;
-    let mean = |f: &dyn Fn(&RunSummary) -> f64| runs.iter().map(f).sum::<f64>() / n;
-    RunSummary {
-        kind: runs[0].kind,
-        players: runs[0].players,
-        fog_share: mean(&|r| r.fog_share),
-        satisfied_ratio: mean(&|r| r.satisfied_ratio),
-        mean_continuity: mean(&|r| r.mean_continuity),
-        mean_latency_ms: mean(&|r| r.mean_latency_ms),
-        coverage: mean(&|r| r.coverage),
-        cloud_bytes: (runs.iter().map(|r| r.cloud_bytes).sum::<u64>() as f64 / n) as u64,
-        cloud_mbps: mean(&|r| r.cloud_mbps),
-        supernode_bytes: (runs.iter().map(|r| r.supernode_bytes).sum::<u64>() as f64 / n) as u64,
-        edge_bytes: (runs.iter().map(|r| r.edge_bytes).sum::<u64>() as f64 / n) as u64,
-        scheduler_drops: (runs.iter().map(|r| r.scheduler_drops).sum::<u64>() as f64 / n) as u64,
-        failures_injected: runs.iter().map(|r| r.failures_injected).sum::<u64>()
-            / runs.len() as u64,
-        failovers_rescued: runs.iter().map(|r| r.failovers_rescued).sum::<u64>()
-            / runs.len() as u64,
-        faults_activated: runs.iter().map(|r| r.faults_activated).sum::<u64>() / runs.len() as u64,
-        mean_detection_ms: mean(&|r| r.mean_detection_ms),
-        orphaned_player_secs: mean(&|r| r.orphaned_player_secs),
-        watchdog_reassignments: runs.iter().map(|r| r.watchdog_reassignments).sum::<u64>()
-            / runs.len() as u64,
-        events: runs.iter().map(|r| r.events).sum::<u64>() / runs.len() as u64,
-        // Per-game rows don't average cleanly across seeds (different
-        // game populations); drop them for averaged cells.
-        game_breakdown: Vec::new(),
+/// The per-run mean of `sum` over `kind`'s row at its largest player
+/// count (where the shape checks read a figure).
+pub fn at_largest(
+    rows: &[(SystemKind, usize, SystemAggregate)],
+    kind: SystemKind,
+    sum: impl Fn(&SystemAggregate) -> f64,
+) -> f64 {
+    let (.., row) = rows.iter().filter(|r| r.0 == kind).max_by_key(|r| r.1).expect("system row");
+    row.per_run(sum(row))
+}
+
+/// The cells behind a figure's rows, in cell order: each cell's
+/// system, player count and seed, the figure's `values` for that cell
+/// alone, and the game most of its players chose with its share (the
+/// §IV friend cascade concentrates a world on one game, and which one
+/// depends on the seed).
+pub fn seed_table(
+    report: &MatrixReport,
+    title: &str,
+    headers: &[&str],
+    values: impl Fn(&SystemAggregate) -> Vec<String>,
+) -> Table {
+    let keys = ["system", "players", "seed"];
+    let mut t = Table::new(title)
+        .headers(keys.iter().chain(headers).chain(&["largest game", "share"]).copied());
+    for cell in report.cells() {
+        let (sc, games) = (&cell.scenario, &cell.summary.game_breakdown);
+        let total: usize = games.iter().map(|g| g.players).sum();
+        let top = games.iter().max_by_key(|g| g.players).expect("a run has players");
+        let game =
+            [GAMES[top.game.index()].name.to_string(), pct(top.players as f64 / total as f64)];
+        let one = report.aggregate_where(|s| s.id == sc.id);
+        let keys = [sc.kind.label().to_string(), sc.players.to_string(), sc.seed.to_string()];
+        t.row(keys.into_iter().chain(values(&one.per_system[sc.kind.label()])).chain(game));
     }
-}
-
-/// Figure 7: cloud bandwidth vs number of players, for Cloud,
-/// EdgeCloud and CloudFog/B.
-pub fn bandwidth_vs_players(player_counts: &[usize], scale: &RunScale) -> Vec<RunSummary> {
-    let systems = [SystemKind::Cloud, SystemKind::EdgeCloud, SystemKind::CloudFogB];
-    let cells: Vec<(SystemKind, usize)> =
-        systems.iter().flat_map(|&s| player_counts.iter().map(move |&n| (s, n))).collect();
-    map_indexed(scale.workers, &cells, |_, &(kind, n)| streaming_cell(kind, n, scale))
-}
-
-/// Figure 8: average response latency per system at the default scale.
-pub fn latency_by_system(players: usize, scale: &RunScale) -> Vec<RunSummary> {
-    let systems =
-        [SystemKind::Cloud, SystemKind::EdgeCloud, SystemKind::CloudFogB, SystemKind::CloudFogA];
-    map_indexed(scale.workers, &systems, |_, &kind| streaming_cell(kind, players, scale))
-}
-
-/// Figure 9: playback continuity vs number of players, per system.
-pub fn continuity_vs_players(player_counts: &[usize], scale: &RunScale) -> Vec<RunSummary> {
-    let systems =
-        [SystemKind::Cloud, SystemKind::EdgeCloud, SystemKind::CloudFogB, SystemKind::CloudFogA];
-    let cells: Vec<(SystemKind, usize)> =
-        systems.iter().flat_map(|&s| player_counts.iter().map(move |&n| (s, n))).collect();
-    map_indexed(scale.workers, &cells, |_, &(kind, n)| streaming_cell(kind, n, scale))
+    t
 }
 
 /// The per-supernode loads the paper sweeps in Figures 10 and 11.
@@ -254,25 +256,44 @@ pub fn load_sweep(kinds: &[SystemKind], scale: &RunScale) -> Vec<(SystemKind, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudfog_core::systems::{RunSummary, StreamingSim};
 
+    /// A 2-rep figure row is, bit for bit on every printed field, the
+    /// mean of standalone `StreamingSim::run` summaries of the recipe's
+    /// two seeds.
     #[test]
-    fn average_runs_is_fieldwise_mean() {
-        let scale = RunScale { scale: 0.02, secs: 8, seed: 3, workers: 1 };
-        let run = |seed: u64| {
-            let cfg = StreamingSimConfig::builder(SystemKind::Cloud)
-                .players(100)
-                .seed(seed)
-                .horizon(SimDuration::from_secs(8))
-                .build();
-            StreamingSim::run(cfg)
-        };
-        let a = run(3);
-        let b = run(4);
-        let avg = average_runs(&[a.clone(), b.clone()]);
-        assert_eq!(avg.kind, a.kind);
-        assert!((avg.mean_latency_ms - (a.mean_latency_ms + b.mean_latency_ms) / 2.0).abs() < 1e-9);
-        assert_eq!(avg.cloud_bytes, (a.cloud_bytes + b.cloud_bytes) / 2);
-        let _ = scale;
+    fn two_rep_row_is_the_mean_of_standalone_runs() {
+        let scale = RunScale { scale: 0.02, secs: 8, seed: 3, workers: 2, reps: 2 };
+        let systems = [SystemKind::EdgeCloud, SystemKind::CloudFogB];
+        let report = scale.run(scale.matrix(&systems, &[100]));
+        for (kind, _, row) in figure_rows(&report, &systems, &[100]) {
+            let cells: Vec<_> = report.cells().filter(|c| c.scenario.kind == kind).collect();
+            let recipe: Vec<_> = cells
+                .iter()
+                .map(|c| (c.scenario.seed, c.scenario.ramp, c.scenario.horizon))
+                .collect();
+            let (ramp, horizon) = (SimDuration::from_secs(5), SimDuration::from_secs(8));
+            assert_eq!(recipe, [(3, ramp, horizon), (3 ^ 0x9E37, ramp, horizon)]);
+            let runs: Vec<RunSummary> =
+                cells.iter().map(|c| StreamingSim::run(c.scenario.config())).collect();
+            let mean = |f: fn(&RunSummary) -> f64| (f(&runs[0]) + f(&runs[1])) / 2.0;
+            let bytes = |f: fn(&RunSummary) -> u64| (f(&runs[0]) + f(&runs[1])) as f64 / 2.0;
+            let printed = [
+                (row.per_run(row.latency_ms_sum), mean(|r| r.mean_latency_ms)),
+                (row.per_run(row.continuity_sum), mean(|r| r.mean_continuity)),
+                (row.per_run(row.satisfied_sum), mean(|r| r.satisfied_ratio)),
+                (row.per_run(row.coverage_sum), mean(|r| r.coverage)),
+                (row.per_run(row.fog_share_sum), mean(|r| r.fog_share)),
+                (row.per_run(row.cloud_mbps_sum), mean(|r| r.cloud_mbps)),
+                (row.per_run(row.cloud_bytes as f64), bytes(|r| r.cloud_bytes)),
+                (row.per_run(row.supernode_bytes as f64), bytes(|r| r.supernode_bytes)),
+                (row.per_run(row.edge_bytes as f64), bytes(|r| r.edge_bytes)),
+            ];
+            for (i, (got, want)) in printed.into_iter().enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "{kind:?} field {i}: {got} vs {want}");
+            }
+            assert!(runs.iter().any(|r| r.edge_bytes + r.supernode_bytes > 0), "{kind:?}");
+        }
     }
 
     #[test]
@@ -285,7 +306,7 @@ mod tests {
 
     #[test]
     fn coverage_sweep_smoke() {
-        let scale = RunScale { scale: 0.02, secs: 10, seed: 1, workers: 2 };
+        let scale = RunScale { scale: 0.02, secs: 10, seed: 1, workers: 2, reps: 1 };
         let series = coverage_vs_datacenters(&scale.peersim(), &[2, 10], 1, scale.workers);
         assert_eq!(series.len(), 2);
         for s in &series {
@@ -299,7 +320,7 @@ mod tests {
 
     #[test]
     fn load_sweep_smoke() {
-        let scale = RunScale { scale: 0.02, secs: 8, seed: 2, workers: 2 };
+        let scale = RunScale { scale: 0.02, secs: 8, seed: 2, workers: 2, reps: 1 };
         let out = load_sweep(&[SystemKind::CloudFogB], &scale);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1.len(), LOADS.len());

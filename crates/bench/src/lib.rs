@@ -8,7 +8,9 @@
 //! `benches/fig*.rs` target is `harness = false`: it prints the same
 //! series the corresponding paper figure reports and states the
 //! qualitative "paper shape" it reproduces. Scale with
-//! `CLOUDFOG_SCALE` / `CLOUDFOG_SECS` / `CLOUDFOG_SEED`.
+//! `CLOUDFOG_SCALE` / `CLOUDFOG_SECS` / `CLOUDFOG_SEED`, and seeds per
+//! streaming-figure cell with `CLOUDFOG_REPS` (default 3). Those
+//! figures run as harness matrices and exit 1 on an invariant violation.
 //!
 //! | Target | Paper artifact |
 //! |---|---|

@@ -168,8 +168,15 @@ impl MatrixReport {
     /// Fold the canonical aggregate (ascending-id order, so the floats
     /// come out bit-identical however the report was assembled).
     pub fn aggregate(&self) -> MatrixAggregate {
+        self.aggregate_where(|_| true)
+    }
+
+    /// [`MatrixReport::aggregate`] over the cells whose scenario
+    /// passes `keep` (e.g. one player count of a sweep), folded in the
+    /// same ascending-id order.
+    pub fn aggregate_where(&self, keep: impl Fn(&Scenario) -> bool) -> MatrixAggregate {
         let mut agg = MatrixAggregate::default();
-        for cell in self.cells.values() {
+        for cell in self.cells.values().filter(|c| keep(&c.scenario)) {
             agg.absorb(&cell.summary);
         }
         agg
@@ -189,19 +196,13 @@ impl MatrixReport {
 }
 
 /// Canonical aggregate over a matrix: exact integer totals plus
-/// per-system means of the per-run means (folded in id order).
+/// per-system sums (folded in id order; byte totals are per system).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MatrixAggregate {
     /// Runs absorbed.
     pub runs: usize,
     /// Total engine events across the matrix.
     pub events: u64,
-    /// Total cloud egress bytes.
-    pub cloud_bytes: u64,
-    /// Total supernode-served video bytes.
-    pub supernode_bytes: u64,
-    /// Total edge-served video bytes.
-    pub edge_bytes: u64,
     /// Total deadline-scheduler drops.
     pub scheduler_drops: u64,
     /// Total supernode failures injected.
@@ -214,13 +215,13 @@ pub struct MatrixAggregate {
     pub per_system: BTreeMap<&'static str, SystemAggregate>,
 }
 
-/// Per-system slice of a [`MatrixAggregate`].
+/// Per-system slice of a [`MatrixAggregate`]: sums over the system's
+/// runs; [`SystemAggregate::per_run`] turns one into a mean.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SystemAggregate {
     /// Runs of this system.
     pub runs: usize,
-    /// Sum of per-run mean latencies (ms) — divide by `runs` for the
-    /// mean-of-means.
+    /// Sum of per-run mean latencies (ms).
     pub latency_ms_sum: f64,
     /// Sum of per-run mean continuities.
     pub continuity_sum: f64,
@@ -228,27 +229,23 @@ pub struct SystemAggregate {
     pub satisfied_sum: f64,
     /// Sum of per-run coverage fractions.
     pub coverage_sum: f64,
+    /// Sum of per-run fog-served player shares.
+    pub fog_share_sum: f64,
+    /// Sum of per-run mean cloud egress rates (Mbps).
+    pub cloud_mbps_sum: f64,
+    /// Total cloud egress bytes.
+    pub cloud_bytes: u64,
+    /// Total supernode-served video bytes.
+    pub supernode_bytes: u64,
+    /// Total edge-served video bytes.
+    pub edge_bytes: u64,
 }
 
 impl SystemAggregate {
-    /// Mean of per-run mean latencies (ms).
-    pub fn mean_latency_ms(&self) -> f64 {
-        self.latency_ms_sum / self.runs.max(1) as f64
-    }
-
-    /// Mean of per-run continuities.
-    pub fn mean_continuity(&self) -> f64 {
-        self.continuity_sum / self.runs.max(1) as f64
-    }
-
-    /// Mean of per-run satisfied ratios.
-    pub fn mean_satisfied(&self) -> f64 {
-        self.satisfied_sum / self.runs.max(1) as f64
-    }
-
-    /// Mean of per-run coverage fractions.
-    pub fn mean_coverage(&self) -> f64 {
-        self.coverage_sum / self.runs.max(1) as f64
+    /// `sum` divided by this system's runs: e.g. the mean of per-run
+    /// mean latencies from `latency_ms_sum`.
+    pub fn per_run(&self, sum: f64) -> f64 {
+        sum / self.runs.max(1) as f64
     }
 }
 
@@ -256,9 +253,6 @@ impl MatrixAggregate {
     fn absorb(&mut self, s: &RunSummary) {
         self.runs += 1;
         self.events += s.events;
-        self.cloud_bytes += s.cloud_bytes;
-        self.supernode_bytes += s.supernode_bytes;
-        self.edge_bytes += s.edge_bytes;
         self.scheduler_drops += s.scheduler_drops;
         self.failures_injected += s.failures_injected;
         self.faults_activated += s.faults_activated;
@@ -269,6 +263,11 @@ impl MatrixAggregate {
         row.continuity_sum += s.mean_continuity;
         row.satisfied_sum += s.satisfied_ratio;
         row.coverage_sum += s.coverage;
+        row.fog_share_sum += s.fog_share;
+        row.cloud_mbps_sum += s.cloud_mbps;
+        row.cloud_bytes += s.cloud_bytes;
+        row.supernode_bytes += s.supernode_bytes;
+        row.edge_bytes += s.edge_bytes;
     }
 
     /// Per-system rows in [`SystemKind::ALL`] comparison order.
@@ -309,4 +308,33 @@ pub fn run_matrix(
         (a.scenario_id, a.invariant, &a.detail).cmp(&(b.scenario_id, b.invariant, &b.detail))
     });
     (report, violations)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::ScenarioMatrix;
+    use cloudfog_sim::time::SimDuration;
+
+    fn report(players: &[usize]) -> MatrixReport {
+        let scenarios = ScenarioMatrix::new()
+            .systems(&[SystemKind::Cloud, SystemKind::CloudFogA])
+            .seeds(0..2)
+            .players(players)
+            .ramp(SimDuration::from_secs(2))
+            .horizon(SimDuration::from_secs(6))
+            .build();
+        run_matrix(&scenarios, &InvariantRegistry::empty(), 2).0
+    }
+
+    #[test]
+    fn aggregate_where_equals_the_one_count_matrix() {
+        let both = report(&[30, 50]);
+        assert_eq!(both.aggregate_where(|_| true), both.aggregate());
+        for n in [30, 50] {
+            let slice = both.aggregate_where(|s| s.players == n);
+            assert_eq!(slice.runs, 4);
+            assert_eq!(slice, report(&[n]).aggregate(), "players {n}");
+        }
+    }
 }

@@ -73,13 +73,14 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// A harness over `matrix` with the stock invariant suite and one
-    /// worker per available core.
+    /// A harness over `matrix` with the stock invariant suite and
+    /// [`cloudfog_pool::default_workers`] workers (`CLOUDFOG_WORKERS`,
+    /// else one per available core).
     pub fn new(matrix: ScenarioMatrix) -> Self {
         Harness {
             matrix,
             registry: InvariantRegistry::stock(),
-            workers: available_workers(),
+            workers: cloudfog_pool::default_workers(),
             budget: ShrinkBudget::default(),
             shrink: true,
         }
@@ -134,12 +135,6 @@ impl Harness {
     }
 }
 
-/// One worker per available core (falls back to 1 when the platform
-/// will not say).
-pub fn available_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// One-stop imports.
 pub mod prelude {
     pub use crate::exec::{CellResult, MatrixAggregate, MatrixReport, SystemAggregate};
@@ -149,7 +144,7 @@ pub mod prelude {
         ChurnProfile, FaultTemplate, Scenario, ScenarioMatrix, ShardProfile,
     };
     pub use crate::shrink::{Reproducer, ShrinkBudget};
-    pub use crate::{available_workers, Harness};
+    pub use crate::Harness;
     pub use cloudfog_core::systems::{LiveConfig, LiveReport};
     pub use cloudfog_sim::live::{Alert, AlertLog, SloObjective, SloSpec};
 }

@@ -61,10 +61,10 @@ impl HarnessReport {
                 "  {:<18} {:>5} {:>12.1} {:>11.3} {:>10.3} {:>9.3}",
                 label,
                 row.runs,
-                row.mean_latency_ms(),
-                row.mean_continuity(),
-                row.mean_satisfied(),
-                row.mean_coverage()
+                row.per_run(row.latency_ms_sum),
+                row.per_run(row.continuity_sum),
+                row.per_run(row.satisfied_sum),
+                row.per_run(row.coverage_sum)
             );
         }
         let _ = writeln!(
@@ -107,10 +107,10 @@ impl HarnessReport {
             w.key(label)
                 .begin_object()
                 .field("runs", row.runs)
-                .field("mean_latency_ms", row.mean_latency_ms())
-                .field("mean_continuity", row.mean_continuity())
-                .field("mean_satisfied", row.mean_satisfied())
-                .field("mean_coverage", row.mean_coverage())
+                .field("mean_latency_ms", row.per_run(row.latency_ms_sum))
+                .field("mean_continuity", row.per_run(row.continuity_sum))
+                .field("mean_satisfied", row.per_run(row.satisfied_sum))
+                .field("mean_coverage", row.per_run(row.coverage_sum))
                 .end();
         }
         w.end()

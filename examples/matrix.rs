@@ -32,7 +32,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        workers: available_workers(),
+        workers: cloudfog_pool::default_workers(),
         seeds: 4,
         players: vec![150, 400],
         churn: false,

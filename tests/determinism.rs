@@ -29,8 +29,8 @@ fn sixteen_seed_sweep_of_every_system_is_stable_across_executions() {
             .ramp(SimDuration::from_secs(3))
             .horizon(SimDuration::from_secs(12))
     };
-    let a = Harness::new(matrix()).workers(available_workers()).run();
-    let b = Harness::new(matrix()).workers(available_workers()).run();
+    let a = Harness::new(matrix()).workers(cloudfog_pool::default_workers()).run();
+    let b = Harness::new(matrix()).workers(cloudfog_pool::default_workers()).run();
     assert_eq!(a.matrix.len(), 16 * SystemKind::ALL.len());
     assert!(a.passed(), "stock invariants violated on the sweep:\n{}", a.render());
     assert_eq!(a.matrix, b.matrix, "same sweep, different results");
