@@ -75,12 +75,23 @@ pub fn assign_player(
     params: &SystemParams,
     rng: &mut Rng,
 ) -> Assignment {
-    assign_player_with(topo, table, player_host, game, params, rng, &mut Vec::new())
+    let mut probes = Vec::new();
+    match assign_player_with(topo, table, player_host, game, params, rng, &mut probes) {
+        Some((primary, delay)) => Assignment {
+            primary: Some(primary),
+            backups: backups(&probes, params),
+            primary_delay: Some(delay),
+        },
+        None => Assignment::cloud(),
+    }
 }
 
-/// [`assign_player`] with the probes collected in `probes`, a buffer
-/// the caller keeps across joins so a join allocates only the backups
-/// it returns.
+/// Steps 1–3 of [`assign_player`] into `probes`, a buffer the caller
+/// keeps across joins: the qualified probes, fastest first. Returns the
+/// fastest (the primary), or `None` when nothing qualified (step 4:
+/// direct to cloud). The caller collects the [`backups`] from `probes`
+/// only if it keeps the primary, so a join that ends on the cloud
+/// allocates nothing.
 pub fn assign_player_with(
     topo: &Topology,
     table: &SupernodeTable,
@@ -89,9 +100,10 @@ pub fn assign_player_with(
     params: &SystemParams,
     rng: &mut Rng,
     probes: &mut Vec<Probe>,
-) -> Assignment {
+) -> Option<Probe> {
+    probes.clear();
     if table.is_empty() {
-        return Assignment::cloud();
+        return None;
     }
 
     // Step 1 — cloud: the top h₁ supernodes with capacity by
@@ -99,7 +111,6 @@ pub fn assign_player_with(
     // that order, and keep those within L_max.
     let threshold = l_max(game, params);
     let player = topo.endpoint(player_host);
-    probes.clear();
     table.for_each_candidate(topo.host(player_host).city, params.candidate_limit, |sn| {
         let delay = topo.probe(&player, &sn.endpoint, rng);
         if delay <= threshold {
@@ -107,17 +118,15 @@ pub fn assign_player_with(
         }
     });
 
-    // Step 3 — choose the fastest; next h₂ become backups.
+    // Step 3 — choose the fastest.
     probes.sort_by_key(|&(_, delay)| delay);
-    match probes.split_first() {
-        Some((&(primary, delay), rest)) => Assignment {
-            primary: Some(primary),
-            backups: rest.iter().take(params.backup_limit).map(|&(id, _)| id).collect(),
-            primary_delay: Some(delay),
-        },
-        // Step 4 — nothing qualified: direct to cloud.
-        None => Assignment::cloud(),
-    }
+    probes.first().copied()
+}
+
+/// Step 3's backups: the h₂ probes after the primary in a buffer
+/// [`assign_player_with`] filled. No allocation when there are none.
+pub fn backups(probes: &[Probe], params: &SystemParams) -> Vec<SupernodeId> {
+    probes.iter().skip(1).take(params.backup_limit).map(|&(id, _)| id).collect()
 }
 
 /// Fail over to the first backup that still has capacity and meets

@@ -6,7 +6,9 @@ pub mod cloud;
 pub mod planner;
 pub mod supernode;
 
-pub use assignment::{assign_player, assign_player_with, failover, l_max, Assignment, Probe};
+pub use assignment::{
+    assign_player, assign_player_with, backups, failover, l_max, Assignment, Probe,
+};
 pub use cloud::{deploy_datacenters, deploy_planetlab_datacenters, select_sites, Datacenter};
 pub use planner::{plan_deployment, DeploymentPlan, PlanParams, PlannedSupernode};
 pub use supernode::{Supernode, SupernodeId, SupernodeTable};

@@ -13,8 +13,8 @@ use cloudfog_workload::population::Population;
 
 use crate::config::{ExperimentProfile, SystemParams, Testbed};
 use crate::infra::{
-    assign_player_with, deploy_datacenters, deploy_planetlab_datacenters, Datacenter, Probe,
-    SupernodeId, SupernodeTable,
+    assign_player_with, backups, deploy_datacenters, deploy_planetlab_datacenters, Datacenter,
+    Probe, SupernodeId, SupernodeTable,
 };
 use crate::metrics::TrafficSource;
 
@@ -329,7 +329,7 @@ impl Deployment {
                 }
             }
             _ => {
-                let assignment = assign_player_with(
+                let primary = assign_player_with(
                     &self.population.topology,
                     &self.supernodes,
                     host,
@@ -338,7 +338,7 @@ impl Deployment {
                     rng,
                     &mut self.probes,
                 );
-                if let Some(sn) = assignment.primary {
+                if let Some((sn, _)) = primary {
                     let fog_source = self.fog_source(sn);
                     // The player already talks to the cloud, so it
                     // knows both paths; it keeps the supernode only
@@ -354,7 +354,7 @@ impl Deployment {
                     if fog_ms <= cloud_ms {
                         let ok = self.supernodes.assign(sn, player);
                         debug_assert!(ok, "assignment protocol checked capacity");
-                        return (fog_source, assignment.backups, fog_path);
+                        return (fog_source, backups(&self.probes, params), fog_path);
                     }
                 }
                 cloud_source

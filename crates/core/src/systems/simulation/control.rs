@@ -151,6 +151,7 @@ impl ChurnStats {
 }
 
 /// Control-plane events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControlEv {
     /// A joining player's connection completes.
     Connected(PlayerId),
@@ -164,6 +165,36 @@ pub enum ControlEv {
     Arrival,
     /// A random healthy supernode retires gracefully.
     Retirement,
+}
+
+impl ControlEv {
+    /// Number of kinds, the range of [`ControlEv::code`]'s first value.
+    pub(super) const KINDS: u32 = 6;
+
+    /// `(kind, id)`: the variant's index and its argument (0 if none).
+    pub(super) fn code(self) -> (u32, u32) {
+        match self {
+            ControlEv::Connected(p) => (0, p.0),
+            ControlEv::Gone(p) => (1, p.0),
+            ControlEv::Retry(op) => (2, op),
+            ControlEv::RebalanceSweep => (3, 0),
+            ControlEv::Arrival => (4, 0),
+            ControlEv::Retirement => (5, 0),
+        }
+    }
+
+    /// The event [`ControlEv::code`] gave `(kind, id)`.
+    pub(super) fn from_code(kind: u32, id: u32) -> Self {
+        match kind {
+            0 => ControlEv::Connected(PlayerId(id)),
+            1 => ControlEv::Gone(PlayerId(id)),
+            2 => ControlEv::Retry(id),
+            3 => ControlEv::RebalanceSweep,
+            4 => ControlEv::Arrival,
+            5 => ControlEv::Retirement,
+            _ => unreachable!("no control event of kind {kind}"),
+        }
+    }
 }
 
 /// What admission decided for one join, carried from the admission

@@ -12,6 +12,7 @@ use cloudfog_net::gilbert::GilbertElliott;
 use cloudfog_net::latency::LatencyModel;
 use cloudfog_net::topology::HostId;
 use cloudfog_sim::engine::Simulation;
+use cloudfog_sim::event::ID_LIMIT;
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::player::PlayerId;
@@ -24,6 +25,7 @@ use crate::streaming::Segment;
 use crate::systems::deployment::PathHop;
 
 /// Fault-plane events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultEv {
     /// MTBF churn: a random healthy supernode dies.
     Failure,
@@ -39,6 +41,41 @@ pub enum FaultEv {
     Start(usize),
     /// The scripted fault at this index ends.
     End(usize),
+}
+
+impl FaultEv {
+    /// Number of kinds, the range of [`FaultEv::code`]'s first value.
+    pub(super) const KINDS: u32 = 7;
+
+    /// `(kind, id)`: the variant's index and its argument (0 if none).
+    pub(super) fn code(self) -> (u32, u32) {
+        // A script index at or past the id limit is clamped onto it, so
+        // `kind_id` rejects it rather than wrapping it.
+        let script = |idx: usize| idx.min(ID_LIMIT as usize) as u32;
+        match self {
+            FaultEv::Failure => (0, 0),
+            FaultEv::Recovery(sn) => (1, sn.0),
+            FaultEv::HeartbeatSweep => (2, 0),
+            FaultEv::Probe(sn) => (3, sn.0),
+            FaultEv::WatchdogSweep => (4, 0),
+            FaultEv::Start(idx) => (5, script(idx)),
+            FaultEv::End(idx) => (6, script(idx)),
+        }
+    }
+
+    /// The event [`FaultEv::code`] gave `(kind, id)`.
+    pub(super) fn from_code(kind: u32, id: u32) -> Self {
+        match kind {
+            0 => FaultEv::Failure,
+            1 => FaultEv::Recovery(SupernodeId(id)),
+            2 => FaultEv::HeartbeatSweep,
+            3 => FaultEv::Probe(SupernodeId(id)),
+            4 => FaultEv::WatchdogSweep,
+            5 => FaultEv::Start(id as usize),
+            6 => FaultEv::End(id as usize),
+            _ => unreachable!("no fault event of kind {kind}"),
+        }
+    }
 }
 
 /// Live chaos effects, indexed by region (and, for gray failures, by

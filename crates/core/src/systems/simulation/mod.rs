@@ -47,6 +47,7 @@ use cloudfog_sim::causal::{
     AdaptProvenance, CausalLog, CausalReport, Outcome as SegmentOutcome, Stage,
 };
 use cloudfog_sim::engine::{Model, Scheduler, Simulation};
+use cloudfog_sim::event::{kind_id, split_kind_id, PackedEvent};
 use cloudfog_sim::live::{MetricsRegistry, MetricsSink};
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::series::{CounterSeries, TimeSeries};
@@ -584,18 +585,18 @@ struct Sender {
 /// [`StreamingSim::run`], not by hand-crafting events). The data-plane
 /// events are top-level; each other plane's events form one variant
 /// whose sub-enum lives in, and is handled by, that plane's module.
+///
+/// Every event packs into 32 bits of its queue key ([`PackedEvent`]):
+/// a kind and an id, through [`kind_id`]. A segment in flight rides as
+/// the [`SegSlot`] of its parked `InFlight` entry.
 #[allow(missing_docs)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Ev {
     Join(PlayerId),
     Action(PlayerId),
     Enqueue(SegSlot),
     StartTx(HostId),
-    Deliver {
-        segment: SegSlot,
-        sender: HostId,
-        first_packet: SimTime,
-        propagation: SimDuration,
-    },
+    Deliver(SegSlot),
     Leave(PlayerId),
     /// Failures, detection, watchdog and scripted chaos.
     Fault(FaultEv),
@@ -605,14 +606,75 @@ pub enum Ev {
     Prefetch(PrefetchEv),
 }
 
-// Every pending event's payload waits in the queue's slab, so a
-// segment rides as a handle rather than inline.
-const _: () = assert!(size_of::<Ev>() <= 32);
+/// First kind of each other plane's events in an [`Ev`] code; the six
+/// data-plane kinds come first.
+const FAULT_KINDS: u32 = 6;
+const CONTROL_KINDS: u32 = FAULT_KINDS + FaultEv::KINDS;
+const PREFETCH_KINDS: u32 = CONTROL_KINDS + ControlEv::KINDS;
+const _: () = assert!(PREFETCH_KINDS + PrefetchEv::KINDS <= 32, "kinds fit the kind field");
+
+impl PackedEvent for Ev {
+    fn pack(self) -> u32 {
+        let (kind, id) = match self {
+            Ev::Join(p) => (0, p.0),
+            Ev::Action(p) => (1, p.0),
+            Ev::Enqueue(slot) => (2, slot.0),
+            Ev::StartTx(host) => (3, host.0),
+            Ev::Deliver(slot) => (4, slot.0),
+            Ev::Leave(p) => (5, p.0),
+            Ev::Fault(ev) => {
+                let (kind, id) = ev.code();
+                (FAULT_KINDS + kind, id)
+            }
+            Ev::Control(ev) => {
+                let (kind, id) = ev.code();
+                (CONTROL_KINDS + kind, id)
+            }
+            Ev::Prefetch(ev) => {
+                let (kind, id) = ev.code();
+                (PREFETCH_KINDS + kind, id)
+            }
+        };
+        kind_id(kind, id)
+    }
+
+    fn unpack(code: u32) -> Self {
+        let (kind, id) = split_kind_id(code);
+        match kind {
+            0 => Ev::Join(PlayerId(id)),
+            1 => Ev::Action(PlayerId(id)),
+            2 => Ev::Enqueue(SegSlot(id)),
+            3 => Ev::StartTx(HostId(id)),
+            4 => Ev::Deliver(SegSlot(id)),
+            5 => Ev::Leave(PlayerId(id)),
+            k if k < CONTROL_KINDS => Ev::Fault(FaultEv::from_code(k - FAULT_KINDS, id)),
+            k if k < PREFETCH_KINDS => Ev::Control(ControlEv::from_code(k - CONTROL_KINDS, id)),
+            k => Ev::Prefetch(PrefetchEv::from_code(k - PREFETCH_KINDS, id)),
+        }
+    }
+}
 
 /// Handle of a segment in flight, parked in [`StreamingSim`]'s segment
 /// slab between the event that schedules it and the one that handles it.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegSlot(u32);
+
+/// A parked segment in flight (here and in the Figs. 10–11 load
+/// model).
+pub(crate) struct InFlight {
+    pub(crate) segment: Segment,
+    /// How it left its sender: set for the deliver leg, `None` for the
+    /// enqueue one.
+    pub(crate) tx: Option<Transmission>,
+}
+
+/// What delivering a transmitted segment needs beside the segment.
+#[derive(Clone, Copy)]
+pub(crate) struct Transmission {
+    pub(crate) sender: HostId,
+    pub(crate) first_packet: SimTime,
+    pub(crate) propagation: SimDuration,
+}
 
 /// The scheduler every handler schedules follow-up events on.
 type Sched<'s> = Scheduler<'s, Ev>;
@@ -656,7 +718,7 @@ pub struct StreamingSim {
     segment_ids: SegmentIdAlloc,
     /// Segments in flight, named by the [`Ev::Enqueue`] and
     /// [`Ev::Deliver`] that carry them.
-    segments: Slab<Segment>,
+    segments: Slab<InFlight>,
     rng_assign: Rng,
     rng_game: Rng,
     rng_net: Rng,
@@ -1280,13 +1342,13 @@ impl StreamingSim {
                 segment.packets,
             );
         }
-        sched.schedule_at(enqueue_at, Ev::Enqueue(self.park(segment)));
+        sched.schedule_at(enqueue_at, Ev::Enqueue(self.park(segment, None)));
         sched.schedule_in(self.action_period(), Ev::Action(p));
     }
 
     /// Park a segment in flight for the event that will carry it.
-    fn park(&mut self, segment: Segment) -> SegSlot {
-        SegSlot(self.segments.insert(segment))
+    fn park(&mut self, segment: Segment, tx: Option<Transmission>) -> SegSlot {
+        SegSlot(self.segments.insert(InFlight { segment, tx }))
     }
 
     fn handle_enqueue(&mut self, segment: Segment, sched: &mut Sched<'_>) {
@@ -1444,20 +1506,14 @@ impl StreamingSim {
                 }
             }
         }
-        let segment = self.park(segment);
-        sched
-            .schedule_at(arrival, Ev::Deliver { segment, sender: host, first_packet, propagation });
+        let tx = Transmission { sender: host, first_packet, propagation };
+        let slot = self.park(segment, Some(tx));
+        sched.schedule_at(arrival, Ev::Deliver(slot));
         sched.schedule_in(port_time, Ev::StartTx(host));
     }
 
-    fn handle_deliver(
-        &mut self,
-        segment: Segment,
-        sender: HostId,
-        first_packet: SimTime,
-        propagation: SimDuration,
-        sched: &mut Sched<'_>,
-    ) {
+    fn handle_deliver(&mut self, segment: Segment, tx: Transmission, sched: &mut Sched<'_>) {
+        let Transmission { sender, first_packet, propagation } = tx;
         let now = sched.now();
         let on_time = now <= segment.expected_arrival();
         self.metrics.record_arrival(&segment, first_packet, now);
@@ -1682,13 +1738,14 @@ impl Model for StreamingSim {
             Ev::Join(p) => self.handle_join(p, sched),
             Ev::Action(p) => self.handle_action(p, sched),
             Ev::Enqueue(slot) => {
-                let segment = self.segments.take(slot.0);
+                let InFlight { segment, .. } = self.segments.take(slot.0);
                 self.handle_enqueue(segment, sched)
             }
             Ev::StartTx(host) => self.handle_start_tx(host, sched),
-            Ev::Deliver { segment, sender, first_packet, propagation } => {
-                let segment = self.segments.take(segment.0);
-                self.handle_deliver(segment, sender, first_packet, propagation, sched)
+            Ev::Deliver(slot) => {
+                let InFlight { segment, tx } = self.segments.take(slot.0);
+                let tx = tx.expect("a delivered segment was transmitted");
+                self.handle_deliver(segment, tx, sched)
             }
             Ev::Leave(p) => self.handle_leave(p, sched),
             Ev::Fault(ev) => self.handle_fault(ev, sched),
@@ -1707,9 +1764,64 @@ impl Model for StreamingSim {
 
 #[cfg(test)]
 mod tests {
+    use cloudfog_sim::event::ID_LIMIT;
+    use proptest::prelude::*;
+
     use super::*;
     use crate::control::{AdmissionParams, OP_BACKOFF};
     use crate::fault::{detector, FaultKind};
+
+    /// One event of every kind, each about `id` where it has an id.
+    fn every_event(id: u32) -> [Ev; 20] {
+        let (p, sn, slot) = (PlayerId(id), SupernodeId(id), SegSlot(id));
+        [
+            Ev::Join(p),
+            Ev::Action(p),
+            Ev::Enqueue(slot),
+            Ev::StartTx(HostId(id)),
+            Ev::Deliver(slot),
+            Ev::Leave(p),
+            Ev::Fault(FaultEv::Failure),
+            Ev::Fault(FaultEv::Recovery(sn)),
+            Ev::Fault(FaultEv::HeartbeatSweep),
+            Ev::Fault(FaultEv::Probe(sn)),
+            Ev::Fault(FaultEv::WatchdogSweep),
+            Ev::Fault(FaultEv::Start(id as usize)),
+            Ev::Fault(FaultEv::End(id as usize)),
+            Ev::Control(ControlEv::Connected(p)),
+            Ev::Control(ControlEv::Gone(p)),
+            Ev::Control(ControlEv::Retry(id)),
+            Ev::Control(ControlEv::RebalanceSweep),
+            Ev::Control(ControlEv::Arrival),
+            Ev::Control(ControlEv::Retirement),
+            Ev::Prefetch(PrefetchEv::Tick),
+        ]
+    }
+
+    proptest! {
+        /// Every kind of event survives its trip through the queue key,
+        /// at the id bounds and at a random id.
+        #[test]
+        fn every_event_round_trips_through_its_code(raw in 0u32..ID_LIMIT) {
+            for id in [0, 1, ID_LIMIT - 1, raw] {
+                for ev in every_event(id) {
+                    prop_assert_eq!(Ev::unpack(ev.pack()), ev);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_kind_has_its_own_code() {
+        let kinds: Vec<u32> = every_event(0).iter().map(|ev| split_kind_id(ev.pack()).0).collect();
+        assert_eq!(kinds, (0..PREFETCH_KINDS + PrefetchEv::KINDS).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "not below 2^27")]
+    fn an_id_past_the_limit_is_rejected() {
+        Ev::Fault(FaultEv::Start(1 << 32)).pack();
+    }
 
     fn quick(kind: SystemKind, players: usize, seed: u64) -> RunSummary {
         let cfg = StreamingSimConfig::builder(kind)

@@ -163,10 +163,31 @@ impl PrefetchStats {
 }
 
 /// Prefetch-plane events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrefetchEv {
     /// Forecast tick: sample per-region demand, refresh predictions,
     /// issue lead-time pre-deploys and pre-encode jobs.
     Tick,
+}
+
+impl PrefetchEv {
+    /// Number of kinds, the range of [`PrefetchEv::code`]'s first value.
+    pub(super) const KINDS: u32 = 1;
+
+    /// `(kind, id)`: the variant's index and its argument (0 if none).
+    pub(super) fn code(self) -> (u32, u32) {
+        match self {
+            PrefetchEv::Tick => (0, 0),
+        }
+    }
+
+    /// The event [`PrefetchEv::code`] gave `(kind, id)`.
+    pub(super) fn from_code(kind: u32, _id: u32) -> Self {
+        match kind {
+            0 => PrefetchEv::Tick,
+            _ => unreachable!("no prefetch event of kind {kind}"),
+        }
+    }
 }
 
 /// The prefetch plane's state.

@@ -19,6 +19,7 @@ use cloudfog_net::bandwidth::Mbps;
 use cloudfog_net::latency::LatencyModel;
 use cloudfog_net::topology::{HostId, HostKind, LinkProfile, Topology};
 use cloudfog_sim::engine::{Model, Scheduler, Simulation};
+use cloudfog_sim::event::{kind_id, split_kind_id, PackedEvent};
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::slab::Slab;
 use cloudfog_sim::time::{SimDuration, SimTime};
@@ -31,6 +32,7 @@ use crate::metrics::{MetricsCollector, TrafficSource};
 use crate::schedule::{SchedulingPolicy, SenderBuffer};
 use crate::streaming::{Segment, SegmentIdAlloc};
 use crate::systems::deployment::SystemKind;
+use crate::systems::simulation::{InFlight, Transmission};
 
 /// Configuration of the load experiment.
 #[derive(Clone, Debug)]
@@ -98,12 +100,35 @@ struct PinnedPlayer {
     last_buffer_event: SimTime,
 }
 
-/// Segments in flight ride as slots of [`LoadSim::segments`].
+/// Segments in flight ride as slots of [`LoadSim::segments`]. Each
+/// event packs as a kind and an id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
     Action(PlayerId),
     Enqueue(u32),
     StartTx(HostId),
-    Deliver { segment: u32, sender: HostId, first_packet: SimTime, propagation: SimDuration },
+    Deliver(u32),
+}
+
+impl PackedEvent for Ev {
+    fn pack(self) -> u32 {
+        match self {
+            Ev::Action(p) => kind_id(0, p.0),
+            Ev::Enqueue(slot) => kind_id(1, slot),
+            Ev::StartTx(host) => kind_id(2, host.0),
+            Ev::Deliver(slot) => kind_id(3, slot),
+        }
+    }
+
+    fn unpack(code: u32) -> Self {
+        match split_kind_id(code) {
+            (0, id) => Ev::Action(PlayerId(id)),
+            (1, id) => Ev::Enqueue(id),
+            (2, id) => Ev::StartTx(HostId(id)),
+            (3, id) => Ev::Deliver(id),
+            (kind, _) => unreachable!("no load-model event of kind {kind}"),
+        }
+    }
 }
 
 struct LoadSim {
@@ -115,7 +140,7 @@ struct LoadSim {
     scheduler_drops: u64,
     quality_switches: u64,
     segment_ids: SegmentIdAlloc,
-    segments: Slab<Segment>,
+    segments: Slab<InFlight>,
     rng_net: Rng,
 }
 
@@ -215,11 +240,12 @@ impl Model for LoadSim {
                 let mut segment =
                     Segment::new(id, p, game, quality, network_t0, enqueue_at, &self.cfg.params);
                 segment.enqueued_at = enqueue_at;
-                sched.schedule_at(enqueue_at, Ev::Enqueue(self.segments.insert(segment)));
+                let slot = self.segments.insert(InFlight { segment, tx: None });
+                sched.schedule_at(enqueue_at, Ev::Enqueue(slot));
                 sched.schedule_in(self.action_period(), Ev::Action(p));
             }
             Ev::Enqueue(slot) => {
-                let segment = self.segments.take(slot);
+                let InFlight { segment, .. } = self.segments.take(slot);
                 let sn = self.players[segment.player.index()].supernode;
                 let (buffer, busy) = self.senders.get_mut(&sn).expect("sender exists");
                 let report = buffer.enqueue(segment, sched.now(), &self.cfg.params);
@@ -245,19 +271,15 @@ impl Model for LoadSim {
                 self.metrics.record_video_bytes(TrafficSource::Supernode, bytes);
                 let first_packet = now + propagation;
                 let arrival = now + tx + propagation;
-                sched.schedule_at(
-                    arrival,
-                    Ev::Deliver {
-                        segment: self.segments.insert(segment),
-                        sender: host,
-                        first_packet,
-                        propagation,
-                    },
-                );
+                let sent = Transmission { sender: host, first_packet, propagation };
+                let slot = self.segments.insert(InFlight { segment, tx: Some(sent) });
+                sched.schedule_at(arrival, Ev::Deliver(slot));
                 sched.schedule_in(tx, Ev::StartTx(host));
             }
-            Ev::Deliver { segment, sender, first_packet, propagation } => {
-                let segment = self.segments.take(segment);
+            Ev::Deliver(slot) => {
+                let InFlight { segment, tx } = self.segments.take(slot);
+                let Transmission { sender, first_packet, propagation } =
+                    tx.expect("a delivered segment was transmitted");
                 let now = sched.now();
                 self.metrics.record_arrival(&segment, first_packet, now);
                 if let Some((buffer, _)) = self.senders.get_mut(&sender) {
@@ -314,7 +336,23 @@ pub fn supernode_load_experiment(cfg: LoadExperimentConfig) -> LoadPoint {
 
 #[cfg(test)]
 mod tests {
+    use cloudfog_sim::event::ID_LIMIT;
+    use proptest::prelude::*;
+
     use super::*;
+
+    proptest! {
+        /// Every kind of load-model event survives its trip through
+        /// the queue key, at the id bounds and at a random id.
+        #[test]
+        fn every_event_round_trips_through_its_code(raw in 0u32..ID_LIMIT) {
+            for id in [0, 1, ID_LIMIT - 1, raw] {
+                for ev in [Ev::Action(PlayerId(id)), Ev::Enqueue(id), Ev::StartTx(HostId(id)), Ev::Deliver(id)] {
+                    prop_assert_eq!(Ev::unpack(ev.pack()), ev);
+                }
+            }
+        }
+    }
 
     fn run(kind: SystemKind, k: usize, seed: u64) -> LoadPoint {
         supernode_load_experiment(LoadExperimentConfig {

@@ -7,7 +7,7 @@
 //! schedules follow-up events. Determinism falls out of the FIFO
 //! tie-break in the queue and the seeded RNG owned by the model.
 
-use crate::event::EventQueue;
+use crate::event::{EventQueue, PackedEvent, TIME_BOUND};
 use crate::time::{SimDuration, SimTime};
 
 /// Interface through which a model schedules future events while
@@ -17,7 +17,7 @@ pub struct Scheduler<'a, E> {
     queue: &'a mut EventQueue<E>,
 }
 
-impl<E> Scheduler<'_, E> {
+impl<E: PackedEvent> Scheduler<'_, E> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -44,8 +44,9 @@ impl<E> Scheduler<'_, E> {
 
 /// A simulation model: application state reacting to typed events.
 pub trait Model {
-    /// The event alphabet of the model.
-    type Event;
+    /// The event alphabet of the model; each event travels packed
+    /// into its queue key.
+    type Event: PackedEvent;
 
     /// Handle `event` at time `sched.now()`, scheduling any follow-ups.
     fn handle(&mut self, event: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
@@ -95,8 +96,12 @@ impl<M: Model> Simulation<M> {
 
     /// Stop the run once the clock passes `horizon` (events strictly
     /// after the horizon are not executed).
+    ///
+    /// # Panics
+    /// If `horizon` is at or past [`TIME_BOUND`], where the queue stops
+    /// telling instants apart.
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = Some(horizon);
+        self.set_horizon(horizon);
         self
     }
 
@@ -105,7 +110,11 @@ impl<M: Model> Simulation<M> {
     /// resumes from the pending queue, so a run can be driven in
     /// phases (run → inspect → extend → run) with an event stream
     /// identical to a single uninterrupted run.
+    ///
+    /// # Panics
+    /// If `horizon` is at or past [`TIME_BOUND`].
     pub fn set_horizon(&mut self, horizon: SimTime) {
+        assert!(horizon < TIME_BOUND, "horizon {horizon:?} is not below the queue's time bound");
         self.horizon = Some(horizon);
     }
 
@@ -169,6 +178,16 @@ mod tests {
 
     enum Tick {
         Tick,
+    }
+
+    impl PackedEvent for Tick {
+        fn pack(self) -> u32 {
+            0
+        }
+
+        fn unpack(_code: u32) -> Self {
+            Tick::Tick
+        }
     }
 
     impl Model for Countdown {
@@ -265,5 +284,45 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.model.order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn earlier_scheduled_event_fires_before_zero_delay_hand_offs() {
+        /// Event 0 schedules events 1 and 2 for T. At T, event 1 hands
+        /// off 10, 11 and 12 with zero delay while 2 is still pending,
+        /// and 10 hands off 13.
+        struct HandOff {
+            order: Vec<(SimTime, u32)>,
+        }
+        const T: SimTime = SimTime::from_millis(4);
+        impl Model for HandOff {
+            type Event = u32;
+            fn handle(&mut self, ev: u32, s: &mut Scheduler<'_, u32>) {
+                self.order.push((s.now(), ev));
+                match ev {
+                    0 => {
+                        s.schedule_at(T, 1);
+                        s.schedule_at(T, 2);
+                    }
+                    1 => (10..13).for_each(|e| s.schedule_in(SimDuration::ZERO, e)),
+                    10 => s.schedule_at(s.now(), 13),
+                    _ => {}
+                }
+            }
+        }
+        let mut sim = Simulation::new(HandOff { order: vec![] });
+        sim.seed(0);
+        sim.run();
+        let fired: Vec<u32> = sim.model.order.iter().map(|&(_, e)| e).collect();
+        assert_eq!(fired, [0, 1, 2, 10, 11, 12, 13]);
+        assert!(sim.model.order[1..].iter().all(|&(t, _)| t == T));
+    }
+
+    #[test]
+    #[should_panic(expected = "time bound")]
+    fn horizon_at_the_time_bound_is_rejected() {
+        let _ =
+            Simulation::new(Countdown { remaining: 0, step: SimDuration::ZERO, fired_at: vec![] })
+                .with_horizon(TIME_BOUND);
     }
 }

@@ -9,10 +9,11 @@
 //! distributions and streaming statistics the evaluation needs.
 //!
 //! * [`time`] — µs-resolution simulated clock types.
-//! * [`event`] — binary-heap pending-event set with FIFO tie-breaking:
-//!   16-byte keys in the heap, payloads in a slab.
-//! * [`slab`] — free-listed arena addressed by `u32` slots (event
-//!   payloads, segments in flight).
+//! * [`event`] — pending-event set with FIFO tie-breaking: each event
+//!   packed into a 16-byte key, a cache-line 4-ary heap and a
+//!   same-instant FIFO lane.
+//! * [`slab`] — free-listed arena addressed by `u32` slots (segments in
+//!   flight).
 //! * [`engine`] — the `Model`/`Simulation` driver.
 //! * [`rng`] — seeded xoshiro256** PRNG and the paper's distributions
 //!   (Poisson, Pareto, power-law/Zipf, log-normal, …).
@@ -33,6 +34,12 @@
 //!
 //! struct Pinger { pongs: u32 }
 //! enum Ev { Ping }
+//!
+//! // Each pending event travels packed into its 16-byte queue key.
+//! impl PackedEvent for Ev {
+//!     fn pack(self) -> u32 { 0 }
+//!     fn unpack(_code: u32) -> Self { Ev::Ping }
+//! }
 //!
 //! impl Model for Pinger {
 //!     type Event = Ev;
@@ -72,7 +79,7 @@ pub mod prelude {
         Stage,
     };
     pub use crate::engine::{Model, RunReport, Scheduler, Simulation, StopReason};
-    pub use crate::event::EventQueue;
+    pub use crate::event::{EventQueue, PackedEvent};
     pub use crate::rng::Rng;
     pub use crate::series::{CounterSeries, SpikeReport, TimeSeries};
     pub use crate::stats::{Histogram, SlidingMean, Welford};

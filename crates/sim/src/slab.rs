@@ -1,8 +1,8 @@
 //! A free-listed arena of values addressed by `u32` slots.
 //!
 //! [`Slab`] parks values that something else refers to by a small
-//! handle: the event queue's payloads behind its 16-byte heap keys,
-//! and the simulations' segments in flight behind their events. A
+//! handle: the simulations' segments in flight behind the events that
+//! carry them. A
 //! freed slot goes on an intrusive free list and is the next one
 //! reused, so once a run reaches its peak occupancy the slab stops
 //! allocating.

@@ -114,7 +114,10 @@ impl<T> TraceRing<T> {
             self.buf.push(record);
         } else if self.cap > 0 {
             self.buf[self.next] = record;
-            self.next = (self.next + 1) % self.cap;
+            self.next += 1;
+            if self.next == self.cap {
+                self.next = 0;
+            }
         }
     }
 

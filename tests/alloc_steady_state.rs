@@ -2,9 +2,10 @@
 //!
 //! The slab refactor's claim is not just "fewer allocations" but
 //! *zero* heap traffic once the system reaches steady state: every
-//! player/host/flow structure lives in a preallocated slab, event
-//! payloads and segments in flight sit in free-listed slabs (no
-//! `Box<Segment>`) that stop growing once the ramp peaks, and the
+//! player/host/flow structure lives in a preallocated slab, events
+//! travel packed into their queue keys, segments in flight sit in a
+//! free-listed slab (no `Box<Segment>`) that stops growing once the
+//! ramp peaks, and the
 //! stream path is computed at join time. This test pins that claim with a counting
 //! global allocator: drive a mid-size CloudFog/A simulation in 10 s
 //! ticks, once under each adaptation policy, snapshot the allocation
@@ -12,7 +13,7 @@
 //! the counter did not move.
 //!
 //! The first boundary sits well past the join ramp so every slab,
-//! sender buffer, event-queue and segment slab and `update_feeds` entry is warm,
+//! sender buffer, the event queue, the segment slab and every `update_feeds` entry is warm,
 //! and the window covers the driver's own tick loop too. Only
 //! allocations are counted (deallocs/frees are not) — a steady state
 //! that frees memory it then re-acquires would still fail, which is
@@ -30,6 +31,7 @@ use std::hint::black_box;
 
 use cloudfog::core::adapt::AdaptPolicyKind;
 use cloudfog::core::config::{ExperimentProfile, SystemParams};
+use cloudfog::core::infra::assign_player;
 use cloudfog::core::systems::{
     Deployment, ShardedSim, ShardedSimConfig, StreamingSim, StreamingSimConfig, SystemKind,
 };
@@ -189,9 +191,11 @@ fn sharded_steady_state_memory_is_per_shard_bounded() {
 fn warm_join_allocates_only_its_backups() {
     // A CloudFog join runs the §III-A.3 protocol: candidates come from
     // the table's city index and probes go into a buffer the deployment
-    // reuses, so the one allocation left is the backups `Vec` the
-    // protocol returns (dropped again when the cloud path turns out
-    // faster). A first pass joins (and releases) every player to warm
+    // reuses, so the one allocation left is the backups `Vec` of a join
+    // that keeps its supernode. A join that returns no backups — on
+    // the cloud, or fogged with a lone candidate — allocates nothing,
+    // including one whose protocol found a primary that lost to the
+    // cloud path. A first pass joins (and releases) every player to warm
     // that buffer and each chosen supernode's player list; the measured
     // pass replays it from the same probe stream, so every join sees
     // the table it saw the first time.
@@ -201,23 +205,44 @@ fn warm_join_allocates_only_its_backups() {
     let stream = Rng::new(5);
     let players = dep.population.len() as u32;
     let mut join_all = |rng: &mut Rng| {
-        let mut most = 0;
+        let mut worst_without_backups = 0;
+        let mut worst_with_backups = 0;
         let mut with_backups = 0;
+        let mut lost_to_cloud = 0;
         for p in (0..players).map(PlayerId) {
             let game = &GAMES[p.index() % GAMES.len()];
+            // What the protocol alone picks, on a copy of the probe
+            // stream (outside the measured window).
+            let host = dep.population.host_of(p);
+            let protocol = assign_player(
+                dep.topology(),
+                &dep.supernodes,
+                host,
+                game,
+                &params,
+                &mut rng.clone(),
+            );
             let before = allocs();
             let (source, backups) = dep.resolve_source_with_backups(p, game, &params, rng);
-            most = most.max(allocs() - before);
-            with_backups += usize::from(!backups.is_empty());
+            let made = allocs() - before;
+            if backups.is_empty() {
+                worst_without_backups = worst_without_backups.max(made);
+            } else {
+                worst_with_backups = worst_with_backups.max(made);
+                with_backups += 1;
+            }
+            lost_to_cloud += usize::from(protocol.fogged() && source.supernode.is_none());
             dep.release(p, &source);
         }
-        (most, with_backups)
+        (worst_without_backups, worst_with_backups, with_backups, lost_to_cloud)
     };
     join_all(&mut stream.clone());
-    let (most, with_backups) = join_all(&mut stream.clone());
-    assert!(most <= 1, "a warm join allocated {most} times; only its backups may allocate");
+    let (without, with, with_backups, lost_to_cloud) = join_all(&mut stream.clone());
+    assert_eq!(without, 0, "a warm join that returned no backups allocated {without} times");
+    assert!(with <= 1, "a warm join allocated {with} times; only its backups may allocate");
     assert!(
         with_backups * 4 > players as usize,
         "only {with_backups} of {players} joins fogged with backups: the gate saw too few"
     );
+    assert!(lost_to_cloud > 0, "no join found a primary that lost to the cloud path");
 }

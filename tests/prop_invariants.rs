@@ -2,6 +2,7 @@
 
 use cloudfog::core::config::SystemParams;
 use cloudfog::prelude::*;
+use cloudfog::sim::event::TIME_BOUND;
 use cloudfog::workload::games::GAMES;
 use proptest::prelude::*;
 
@@ -11,9 +12,9 @@ proptest! {
     fn event_queue_is_a_stable_priority_queue(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
         let mut queue = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            queue.push(SimTime::from_micros(t), i);
+            queue.push(SimTime::from_micros(t), i as u32);
         }
-        let mut last: Option<(SimTime, usize)> = None;
+        let mut last: Option<(SimTime, u32)> = None;
         while let Some(s) = queue.pop() {
             if let Some((lt, li)) = last {
                 prop_assert!(s.time >= lt);
@@ -27,26 +28,39 @@ proptest! {
 
     /// The event queue matches a `Vec` kept sorted by `(time,
     /// insertion)` under interleaved pushes and pops. Eight distinct
-    /// delays make ties common, and every third op is a pop, so freed
-    /// payload slots are refilled while older events are still pending:
-    /// a later event parked in a lower slot must still fire after the
-    /// earlier events it ties with.
+    /// delays make ties common. Besides pushes ahead of the clock there
+    /// are pushes at exactly the last popped instant (the FIFO lane),
+    /// pushes below it (as a late `seed_at` makes: they go to the heap
+    /// and must fire before the lane's keys), and pushes at or past the
+    /// time bound, which saturate to it and then fire in insertion
+    /// order.
     #[test]
-    fn event_queue_agrees_with_sorted_reference(ops in prop::collection::vec((0u8..3, 0u64..8), 1..400)) {
+    fn event_queue_agrees_with_sorted_reference(ops in prop::collection::vec((0u8..6, 0u64..8), 1..400)) {
         let mut queue = EventQueue::new();
-        let mut reference: Vec<(SimTime, usize)> = Vec::new();
+        let mut reference: Vec<(SimTime, u32)> = Vec::new();
         let mut now = SimTime::ZERO;
         for (i, &(op, delay)) in ops.iter().enumerate() {
+            let i = i as u32;
+            let step = SimDuration::from_micros(delay * 100);
             if op == 0 && !reference.is_empty() {
                 let want = reference.remove(0);
                 let got = queue.pop().unwrap();
                 prop_assert_eq!((got.time, got.event), want);
                 now = got.time;
             } else {
-                let at = now + SimDuration::from_micros(delay * 100);
+                let (at, fires) = match op {
+                    2 => (now, now),
+                    3 => {
+                        let below = SimTime::from_micros(now.as_micros().saturating_sub(step.as_micros()));
+                        (below, below)
+                    }
+                    4 if delay % 2 == 0 => (SimTime::MAX, TIME_BOUND),
+                    4 => (TIME_BOUND, TIME_BOUND),
+                    _ => (now.saturating_add(step), now.saturating_add(step).min(TIME_BOUND)),
+                };
                 queue.push(at, i);
-                let pos = reference.partition_point(|&e| e <= (at, i));
-                reference.insert(pos, (at, i));
+                let pos = reference.partition_point(|&e| e <= (fires, i));
+                reference.insert(pos, (fires, i));
             }
             prop_assert_eq!(queue.len(), reference.len());
             prop_assert_eq!(queue.peek_time(), reference.first().map(|e| e.0));
